@@ -7,7 +7,7 @@ of each, plus the resulting speedups, as one new entry in the
 append-only trajectory ``BENCH_sim.json`` in the repository root:
 
 * ``scalar`` -- the reference event-at-a-time engine;
-* ``batched`` -- the epoch-vectorized engine;
+* ``batched`` -- the batch-issue engine with its hit lanes;
 * ``replay`` -- record the phase traces once (batched engine), then
   replay them from the trace store.  This is the steady state of an
   ablation sweep or autotuner run, where later configs share phases
@@ -24,8 +24,8 @@ pipeline (the ROADMAP metric); ``batched_speedup`` keeps the cold-run
 number honest.
 
 Cold runs are additionally split into *engine* time (wall-clock inside
-the access/execute engines' batch methods -- the code the epoch
-vectorization actually touches) and everything else (dataset
+the access/execute engines' batch methods -- the code the batched
+engine actually replaces) and everything else (dataset
 synthesis, dataflow drivers, host compute).  The split is measured by
 timing wrappers around the batch methods of both engine classes, so
 ``engine_speedup`` per point and ``engine_only_speedup`` in aggregate
@@ -319,7 +319,7 @@ def bench(
                 # pipelines are stats-exact, so any run serves).
                 # Attributes each speedup to hit-path vs miss-path work:
                 # a low miss rate means the all-hit lanes carry the
-                # workload, a high one means the epoch miss path does.
+                # workload, a high one means the shared miss path does.
                 stats = result.stats
                 hits = sum(stats.buffer_hits.values())
                 misses = sum(stats.buffer_misses.values())

@@ -13,9 +13,9 @@ Kernel or baseline code reaching into those fields would couple model
 code to the representation *and* bypass the invariant maintenance --
 a silent way to corrupt eviction order or miss accounting without any
 equivalence test noticing.  The public surface (``read``, ``write``,
-``accumulate``, ``classify_batch``, ``contains``, ``flush``,
-``invalidate``, ``reclassify``, ``occupancy_by_class``,
-``resident_lines``, ``evict_priority``) covers every legitimate use.
+``accumulate``, ``contains``, ``flush``, ``invalidate``,
+``reclassify``, ``occupancy_by_class``, ``resident_lines``,
+``evict_priority``) covers every legitimate use.
 
 Scope mirrors the ``batch-api`` rule: compute kernels and baseline
 accelerators.  ``repro.sim.engine`` is deliberately outside the scope
@@ -59,7 +59,6 @@ ARENA_FIELDS = {
     "_line_cost",
     "_read_latency",
     "_size",
-    "_mask_scratch",
 }
 
 #: Private methods that are likewise representation, not interface.
@@ -69,8 +68,6 @@ ARENA_METHODS = {
     "_acquire_mshr",
     "_touch_slot",
     "_update_partial_peak",
-    "_plan_victims",
-    "_commit_epoch",
     "_commit_hit_epoch",
 }
 
@@ -80,7 +77,7 @@ class BufferInternalsRule(Rule):
     name = "buffer-internals"
     description = (
         "kernels and baselines must not touch CacheBuffer's private "
-        "slot-arena fields; use the public read/write/classify API"
+        "slot-arena fields; use the public read/write/accumulate API"
     )
     default_severity = "error"
     default_options = {

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.hymm.config import HyMMConfig
 from repro.obs.tracer import Tracer
 from repro.sim.buffer import (
@@ -177,11 +175,6 @@ class SplitBufferPair:
         """The physical half requests of class ``cls`` land in (the
         batched engine resolves this once per address batch)."""
         return self._route(cls)
-
-    def classify_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Union residency mask across both halves (batched
-        :meth:`contains`; same invariance caveats as the halves')."""
-        return self.input_buffer.classify_batch(addrs) | self.output_buffer.classify_batch(addrs)
 
     def occupancy_by_class(self) -> Dict[str, int]:
         merged = self.input_buffer.occupancy_by_class()

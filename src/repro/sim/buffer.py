@@ -36,10 +36,8 @@ order *is* earliest-ready order, exactly.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from itertools import islice, repeat
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from itertools import repeat
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.memory import DRAM
@@ -64,8 +62,8 @@ _PARTIAL_IDX = CLASS_INDEX[CLASS_PARTIAL]
 #: outputs and partial outputs are retained as long as possible.
 DEFAULT_EVICT_PRIORITY = (CLASS_W, CLASS_XW, CLASS_OUT, CLASS_PARTIAL)
 
-#: Sink that exhausts a ``map`` without building a list -- the epoch
-#: commit path uses it to run C-level ``list.__setitem__`` sweeps over
+#: Sink that exhausts a ``map`` without building a list -- the hit-run
+#: commit uses it to run C-level ``list.__setitem__`` sweeps over
 #: the arena's parallel arrays with no per-element bytecode.
 _drain = deque(maxlen=0).extend
 
@@ -85,13 +83,20 @@ class CacheBuffer:
         one intrusive LRU list of slots per class, as a slot-keyed
         ``OrderedDict`` (front = LRU, back = MRU).  Touch =
         ``move_to_end``, evict = ``popitem(last=False)``, both O(1)
-        C-level linked-list splices on small-int keys.
+        C-level linked-list splices on small-int keys.  ``_lru_mte``
+        holds each list's bound ``move_to_end``.
     ``_free_slots``
         stack of unused slot indices.
     ``_max_ready``
         watermark over every ready time ever handed to a resident line
         -- lets the batched engine's all-hit lane skip the per-element
         ready check when no fetch can still be in flight.
+
+    Every line insertion, and with it every capacity eviction, from
+    either engine goes through the single-frame :meth:`_insert`
+    (reached via :meth:`_read_miss` on a primary read miss).  The batched engine's flat loops update hit
+    state in place, and its store- and merge-hit runs commit in bulk
+    through :meth:`_commit_hit_epoch`.
     """
 
     def __init__(
@@ -138,11 +143,6 @@ class CacheBuffer:
         self._free_slots: List[int] = list(range(cap - 1, -1, -1))
         self._class_count: List[int] = [0] * _N_CLASSES
         self._slot_of: Dict[int, int] = {}
-        # Reusable residency-mask scratch for classify_batch (grown on
-        # demand, never shrunk) -- classification runs once per issued
-        # batch on every dataflow, so the per-call bool allocation was
-        # pure overhead.
-        self._mask_scratch: "np.ndarray" = np.empty(0, dtype=bool)
         self._evict_priority: Tuple[str, ...] = ()
         self._evict_order: Tuple[int, ...] = ()
         self.evict_priority = evict_priority
@@ -217,36 +217,6 @@ class CacheBuffer:
         route once per address batch instead of once per address.
         """
         return self
-
-    def classify_batch(self, addrs: "np.ndarray") -> "np.ndarray":
-        """Residency mask for a whole address batch (no LRU effects).
-
-        One vectorised membership pass against the slot map.  The mask
-        is only a valid *plan* while residency is invariant -- the
-        batched engine uses it for stream loads (which never allocate)
-        and falls back to per-address probes whenever an access could
-        insert or evict lines mid-batch.
-
-        The mask is a view into a per-buffer scratch array: it is only
-        valid until the *next* ``classify_batch`` call on the same
-        buffer.  Callers that need two live masks at once must either
-        classify on distinct buffers (the split pair's halves each own
-        their scratch) or copy -- every engine call site consumes the
-        mask before re-classifying.
-        """
-        n = len(addrs)
-        scratch = self._mask_scratch
-        if len(scratch) < n:
-            scratch = self._mask_scratch = np.empty(n, dtype=bool)
-        mask = scratch[:n]
-        slot_of = self._slot_of
-        if not slot_of:
-            mask[:] = False
-            return mask
-        mask[:] = np.fromiter(
-            map(slot_of.__contains__, addrs.tolist()), dtype=bool, count=n
-        )
-        return mask
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to this buffer's cold-path events."""
@@ -662,107 +632,6 @@ class CacheBuffer:
         self._size = size + 1
         if ready > self._max_ready:
             self._max_ready = ready
-
-    def _plan_victims(self, ci: int, want: int) -> List[int]:
-        """Victim slots available to an epoch of class-``ci`` inserts.
-
-        Mirrors :meth:`_insert`'s flat victim scan unrolled over up to
-        ``want`` evictions: victims drain the per-class LRU *prefixes*
-        in eviction-priority order.  The walk stops after class ``ci``'s
-        own pre-existing lines -- one eviction further and the flat scan
-        would start victimizing lines the epoch itself inserted (they
-        sit at ``ci``'s MRU end), which is exactly where the epoch must
-        cut.  Classes behind ``ci`` in the priority order are
-        unreachable once the epoch has inserted its first line
-        (``ci`` is then non-empty), so stopping early only ever
-        *shortens* an epoch, never mis-orders a victim.
-
-        Returns at most ``want`` slots, in the exact order the flat
-        scan would evict them.  No state is modified.
-        """
-        counts = self._class_count
-        out: List[int] = []
-        for vc in self._evict_order:
-            cnt = counts[vc]
-            if cnt:
-                need = want - len(out)
-                if cnt >= need:
-                    out.extend(islice(self._lru_ods[vc], need))
-                    return out
-                out.extend(self._lru_ods[vc])
-            if vc == ci:
-                break
-        return out
-
-    def _commit_epoch(
-        self,
-        ci: int,
-        run: List[int],
-        readies: List[float],
-        victims: Sequence[int],
-        victim_dirty: Sequence[bool],
-        fill_dirty: bool,
-    ) -> None:
-        """Bulk-apply one miss epoch's evictions and fills to the arena.
-
-        ``run``/``readies`` are the inserted addresses and their ready
-        times in insert order; ``victims`` the pre-planned victim slots
-        (see :meth:`_plan_victims`) with their dirty flags.  The caller
-        has already played the epoch's *timing* -- MSHR stalls, DRAM
-        channel occupancy including dirty-victim writebacks -- so this
-        frame only moves state: victim removal, writeback/spill stats
-        (one reduction per class), then the fills as C-level ``map``
-        sweeps over the parallel slot arrays plus one ``update`` splice
-        per dict.  Slot assignment replays ``_insert`` exactly: the
-        first ``len(free)`` fills pop the free stack top-down, each
-        remaining fill reuses the slot its own eviction just freed.
-        """
-        slot_of = self._slot_of
-        slot_addr = self._slot_addr
-        free = self._free_slots
-        ods = self._lru_ods
-        counts = self._class_count
-        m = len(run)
-        if victims:
-            slot_cls = self._slot_cls
-            stats = self.stats
-            spilled = self._spilled_partials
-            nbytes = self.line_bytes
-            wb = [0] * _N_CLASSES
-            spill_n = 0
-            for s, dirty in zip(victims, victim_dirty):
-                vc = slot_cls[s]
-                del ods[vc][s]
-                del slot_of[slot_addr[s]]
-                counts[vc] -= 1
-                if dirty:
-                    wb[vc] += 1
-                    if vc == _PARTIAL_IDX:
-                        spilled.add(slot_addr[s])
-                        spill_n += 1
-            for vc, cnt in enumerate(wb):
-                if cnt:
-                    stats.dram_write_bytes[ALL_CLASSES[vc]] += cnt * nbytes
-            if spill_n:
-                stats.partial_spill_bytes += spill_n * nbytes
-            new_slots = free[::-1]
-            new_slots.extend(victims)
-            free.clear()
-        else:
-            new_slots = free[-m:]
-            new_slots.reverse()
-            del free[-m:]
-        _drain(map(self._slot_cls.__setitem__, new_slots, repeat(ci)))
-        _drain(map(self._slot_dirty.__setitem__, new_slots, repeat(fill_dirty)))
-        _drain(map(self._slot_ready.__setitem__, new_slots, readies))
-        _drain(map(slot_addr.__setitem__, new_slots, run))
-        ods[ci].update(zip(new_slots, repeat(None)))
-        slot_of.update(zip(run, new_slots))
-        counts[ci] += m
-        self._size += m - len(victims)
-        last = readies[m - 1]
-        if last > self._max_ready:
-            self._max_ready = last
 
     def _commit_hit_epoch(self, slots: List[int], readies: List[float]) -> None:
         """Bulk-apply one store-hit run to the arena.

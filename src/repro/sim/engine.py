@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import accumulate, repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,11 +48,6 @@ _PARTIAL_IDX = CLASS_INDEX[CLASS_PARTIAL]
 #: Minimum all-hit prefix length worth routing through the vector lane
 #: (below this the numpy setup costs more than the flat loop saves).
 _LANE_MIN = 48
-
-#: Minimum distinct-miss run length worth processing as one epoch
-#: (below this the run scan + bulk commit cost more than the per-miss
-#: ``_read_miss``/``_insert`` frames they replace).
-_EPOCH_MIN = 8
 
 #: Minimum merge-*hit* run length.  Hit frames are far cheaper than
 #: miss frames (no MSHR/eviction machinery to skip), so the epoch's
@@ -81,6 +76,21 @@ _LANE_MAG = float(1 << 35)
 
 def _lane_scalar_ok(v: float) -> bool:
     return -_LANE_MAG < v < _LANE_MAG and (v * 65536.0).is_integer()
+
+
+def _residency_run_end(slot_of: Dict[int, int], addr_list: List[int], i: int) -> int:
+    """End of the run at ``addr_list[i]`` whose addresses share its
+    residency (all resident or all not): after a declined attempt the
+    flat loop takes just that run before the next attempt."""
+    n = len(addr_list)
+    j = i + 1
+    if addr_list[i] in slot_of:
+        while j < n and addr_list[j] in slot_of:
+            j += 1
+    else:
+        while j < n and addr_list[j] not in slot_of:
+            j += 1
+    return j
 
 
 class AccessExecuteEngine:
@@ -438,30 +448,33 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     inlines the per-address hot path -- LSQ ring slot, store-to-load
     forwarding probe, slot-arena residency probe, one-splice intrusive
     LRU touch and the three-timeline arithmetic -- and batches the
-    stats-counter updates.  Primary misses run through the buffer's
-    single-frame :meth:`repro.sim.buffer.CacheBuffer._read_miss` /
-    ``_insert``, so the MSHR/DRAM/eviction machinery has exactly one
-    implementation.
+    stats-counter updates.  Misses run through the buffer's single-frame
+    :meth:`repro.sim.buffer.CacheBuffer._read_miss` / ``_insert``, so
+    the MSHR/DRAM/eviction machinery has exactly one implementation,
+    shared with the scalar engine.
 
-    On top of the flat loops, the batch primitives make *lazy* vector
-    attempts at the cursor -- no pre-classification pass over the
-    batch.  Load-side, **all-hit runs** go through a numpy vector lane
-    (:meth:`_all_hit_lane`): when a run is entirely resident, ready in
-    time, and outside the forwarding window, the uniform-latency
-    timeline recurrence is computed elementwise in closed form and the
-    LRU touches applied as one run of C-level list splices.  **Distinct
-    primary-miss runs** (loads and allocating stores) go through the
-    epoch path (:meth:`_miss_epoch` / :meth:`_store_epoch`), which
-    replays the per-miss float recurrence with bulk state commits.
-    Both verify their own run and decline in O(1) probes, so an
-    attempt is nearly free; the lane additionally only engages when an
-    exactness gate proves the closed form bit-identical to the
-    sequential loop (all operands on a dyadic grid, see ``_LANE_MAG``).
-    Everything else takes the flat loop, which performs the *same
-    scalar operations in the same order* as the reference engine.
+    On top of the flat loops, each batch primitive makes *lazy*
+    attempts at one hit-side shape at the cursor -- no
+    pre-classification pass over the batch.  Loads try the numpy
+    all-hit lane (:meth:`_all_hit_lane`): when a run is entirely
+    resident, ready in time, and outside the forwarding window, the
+    uniform-latency timeline recurrence is computed elementwise in
+    closed form and the LRU touches applied as one run of C-level list
+    splices.  Stores and accumulates try the store-hit run
+    (:meth:`_hit_run_epoch`), merges the read-modify-write hit run
+    (:meth:`_merge_hit_epoch`); both replay the flat loop's float
+    recurrence and commit the run's slot state in bulk.  Each shape
+    verifies its own run and declines in O(1) probes, so an attempt is
+    nearly free; the lane additionally only engages when an exactness
+    gate proves the closed form bit-identical to the sequential loop
+    (all operands on a dyadic grid, see ``_LANE_MAG``).  Everything
+    else, misses included, takes the flat loop, which performs the
+    *same scalar operations in the same order* as the reference engine.
     Either way every cycle value is bit-identical to the scalar engine
     -- the equivalence contract ``docs/performance.md`` documents and
-    ``tests/sim/test_engine_equivalence.py`` enforces.
+    ``tests/sim/test_engine_equivalence.py`` enforces.  Each shape
+    stays because an interleaved A/B against the flat loop measured it
+    paying; miss-side shapes did not and are gone (same document).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -727,302 +740,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         return m
 
     # ------------------------------------------------------------------
-    # Miss epochs
-    # ------------------------------------------------------------------
-    def _miss_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        cls: str, tag: str, mac: bool,
-    ) -> int:
-        """Process a run of primary read misses as one epoch.
-
-        The run starting at ``addr_list[i]`` extends over consecutive
-        *distinct* addresses that are neither resident nor pending --
-        each one a primary miss whose processing cannot change the
-        classification of the ones after it (a fill only adds lines the
-        run does not revisit; evictions only remove lines the run never
-        holds, because victims are resident and run addresses are not).
-        That independence is the epoch invariant: the timing recurrence
-        below performs *exactly* the float operations of the flat
-        ``_read_miss`` path in the same order -- LSQ slot floor, MSHR
-        retire/capacity stalls against the monotone merged ready list,
-        channel occupancy with the dirty-victim writeback interleaved at
-        its exact position -- so every cycle value is bit-identical; the
-        arena/MSHR *state* mutations are deferred and applied in bulk
-        (:meth:`CacheBuffer._commit_epoch`, one MSHR file rebuild).
-
-        The run is additionally capped at ``free slots + plannable
-        victims`` (:meth:`CacheBuffer._plan_victims`); a capacity-capped
-        epoch simply ends early and the caller retries at the cut, so
-        chunking never loses coverage.  Returns addresses consumed (0 if
-        below ``_EPOCH_MIN``); the caller owns the hit/miss/byte stat
-        counters, exactly as it does around the flat ``_read_miss``.
-        """
-        slot_of = buf._slot_of
-        outstanding = buf._outstanding
-        a = addr_list[i]
-        if a in slot_of or a in outstanding:
-            # Fast decline -- the caller probes lazily, so a resident or
-            # pending cursor address is the common case; bail before any
-            # allocation.
-            return 0
-        n = len(addr_list)
-        run: List[int] = []
-        seen: Set[int] = set()
-        j = i
-        while j < n:
-            a = addr_list[j]
-            if a in slot_of or a in outstanding or a in seen:
-                break
-            run.append(a)
-            seen.add(a)
-            j += 1
-        m = len(run)
-        if m < _EPOCH_MIN:
-            return 0
-        free0 = len(buf._free_slots)
-        ci = CLASS_INDEX[cls]
-        victims: Sequence[int] = ()
-        if m > free0:
-            victims = buf._plan_victims(ci, m - free0)
-            cap = free0 + len(victims)
-            if cap < m:
-                if cap < _EPOCH_MIN:
-                    return 0
-                m = cap
-                del run[m:]
-        slot_dirty = buf._slot_dirty
-        vdirty = [slot_dirty[s] for s in victims]
-        fifo = buf._mshr_fifo
-        merged = [r for r, _ in fifo]
-        pre = len(merged)
-        popped = 0
-        limit = buf.mshr_entries
-        c = buf._line_cost
-        lat = buf._read_latency
-        dram = buf.dram
-        nf = dram.next_free
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        issue_t = self.issue_t
-        exec_t = self.exec_t
-        readies: List[float] = []
-        rd_append = readies.append
-        mg_append = merged.append
-        for idx in range(m):
-            rk = ring[k]
-            b = issue_t + 1.0
-            if rk > b:
-                b = rk
-            # Retire completed misses, then stall for MSHR capacity:
-            # the merged ready list is monotone (each fetch's ready is
-            # strictly after its predecessor's), so retiring is a front
-            # pointer and the capacity stall binds at one element.
-            total = pre + idx
-            while popped < total and merged[popped] <= b:
-                popped += 1
-            over = total - limit + 1
-            if over > popped:
-                mo = merged[over - 1]
-                if mo > b:
-                    b = mo
-                popped = over
-            u = nf if nf > b else b
-            t = u + c
-            ready = t + lat
-            ev = idx - free0
-            if ev >= 0 and vdirty[ev]:
-                # Dirty victim: its writeback occupies the channel right
-                # after this fetch (``_insert`` runs after the fetch in
-                # ``_read_miss``, and its ``max(next_free, cycle)``
-                # floor resolves to ``next_free`` there).
-                nf = t + c
-            else:
-                nf = t
-            mg_append(ready)
-            rd_append(ready)
-            issue_t = b
-            if mac:
-                e = exec_t + 1.0
-                if ready > e:
-                    e = ready
-                exec_t = e
-            else:
-                if ready > exec_t:
-                    exec_t = ready
-            ring[k] = exec_t
-            k += 1
-            if k == depth:
-                k = 0
-        dram.next_free = nf
-        self.issue_t = issue_t
-        self.exec_t = exec_t
-        self._k += m
-        # Rebuild the MSHR file: surviving entries keep FIFO==ready
-        # order because every epoch ready exceeds every pre-epoch one
-        # (the channel clock is monotone).
-        if popped:
-            addrs_all = [a for _, a in fifo]
-            addrs_all += run
-            fifo.clear()
-            outstanding.clear()
-            rem_r = merged[popped:]
-            rem_a = addrs_all[popped:]
-            fifo.extend(zip(rem_r, rem_a))
-            outstanding.update(zip(rem_a, rem_r))
-        else:
-            fifo.extend(zip(readies, run))
-            outstanding.update(zip(run, readies))
-        buf._commit_epoch(ci, run, readies, victims, vdirty, False)
-        return m
-
-    def _store_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        cls: str, tag: str, partial: bool,
-    ) -> int:
-        """Process a run of write-allocate store misses as one epoch.
-
-        Same structure as :meth:`_miss_epoch` without the MSHR/fetch
-        machinery: each miss inserts a dirty line ready at ``issue +
-        hit_latency``, the write timeline advances by the LSQ slot
-        floor alone, and only dirty-victim writebacks touch the DRAM
-        channel.  ``partial=True`` (the accumulate path) additionally
-        excludes spilled addresses from the run (they take the flat
-        refetch path) and reproduces the per-insert partial footprint
-        bookkeeping -- ``partials_produced``, strided timeline samples,
-        and the peak, which within an epoch is the *final* footprint
-        because inserting one partial line per step never shrinks it.
-        The caller must sync ``stats.partials_produced`` /
-        ``partial_peak_bytes`` around the call, exactly as it does
-        around the flat spilled-refetch branch.
-        """
-        slot_of = buf._slot_of
-        spilled = buf._spilled_partials
-        a = addr_list[i]
-        if a in slot_of or (partial and a in spilled):
-            # Fast decline before any allocation; see _miss_epoch.
-            return 0
-        n = len(addr_list)
-        run: List[int] = []
-        seen: Set[int] = set()
-        j = i
-        if partial:
-            while j < n:
-                a = addr_list[j]
-                if a in slot_of or a in seen or a in spilled:
-                    break
-                run.append(a)
-                seen.add(a)
-                j += 1
-        else:
-            while j < n:
-                a = addr_list[j]
-                if a in slot_of or a in seen:
-                    break
-                run.append(a)
-                seen.add(a)
-                j += 1
-        m = len(run)
-        if m < _EPOCH_MIN:
-            return 0
-        free0 = len(buf._free_slots)
-        ci = CLASS_INDEX[cls]
-        victims: Sequence[int] = ()
-        if m > free0:
-            victims = buf._plan_victims(ci, m - free0)
-            cap = free0 + len(victims)
-            if cap < m:
-                if cap < _EPOCH_MIN:
-                    return 0
-                m = cap
-                del run[m:]
-        slot_dirty = buf._slot_dirty
-        vdirty = [slot_dirty[s] for s in victims]
-        c = buf._line_cost
-        hit_lat = buf.hit_latency
-        dram = buf.dram
-        nf = dram.next_free
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        write_t = self.write_t
-        # Stores never advance the backend; the ring sees a constant
-        # exec floor and the forwarded ready value below is constant.
-        exec_t = self.exec_t
-        readies: List[float] = []
-        rd_append = readies.append
-        for idx in range(m):
-            rk = ring[k]
-            b = write_t + 1.0
-            if rk > b:
-                b = rk
-            write_t = b
-            rd_append(b + hit_lat)
-            ev = idx - free0
-            if ev >= 0 and vdirty[ev]:
-                u = nf if nf > b else b
-                nf = u + c
-            r2 = b + 1.0
-            if exec_t > r2:
-                r2 = exec_t
-            ring[k] = r2
-            k += 1
-            if k == depth:
-                k = 0
-        dram.next_free = nf
-        self.write_t = write_t
-        self._k += m
-        if self.forwarding:
-            # In-batch store-map updates (the deferred window trim stays
-            # at the caller's batch end, same as the flat loops).
-            store_map = self._store_map
-            spaces = self._store_spaces
-            for a in run:
-                if a in store_map:
-                    store_map[a] = exec_t
-                    store_map.move_to_end(a)
-                else:
-                    store_map[a] = exec_t
-                    sp = a >> _SPACE_BITS
-                    spaces[sp] = spaces.get(sp, 0) + 1
-        if partial:
-            stats = self.stats
-            counts = buf._class_count
-            line_bytes = buf.line_bytes
-            base_n = counts[_PARTIAL_IDX] + len(spilled)
-            # Only a *clean* partial victim shrinks the footprint (a
-            # dirty one moves resident -> spilled, net zero), so the
-            # per-insert footprint is ``base_n + t + 1`` minus a rare
-            # clean-partial-victim prefix count.
-            cls_arr = buf._slot_cls
-            cpv: Optional[List[int]] = None
-            if victims:
-                flags = [
-                    1 if (cls_arr[s] == _PARTIAL_IDX and not d) else 0
-                    for s, d in zip(victims, vdirty)
-                ]
-                if any(flags):
-                    cpv = list(accumulate(flags))
-            stride = stats.PARTIAL_TIMELINE_STRIDE
-            timeline = stats.partial_timeline
-            pp0 = stats.partials_produced
-            first = pp0 + 1
-            for p in range(first + (-first) % stride, pp0 + m + 1, stride):
-                t = p - pp0 - 1
-                e = t + 1 - free0
-                drop = cpv[e - 1] if (cpv is not None and e > 0) else 0
-                timeline.append((p, (base_n + t + 1 - drop) * line_bytes))
-            e = m - free0
-            drop = cpv[e - 1] if (cpv is not None and e > 0) else 0
-            foot = (base_n + m - drop) * line_bytes
-            if foot > stats.partial_peak_bytes:
-                stats.partial_peak_bytes = foot
-            stats.partials_produced = pp0 + m
-        buf._commit_epoch(ci, run, readies, victims, vdirty, True)
-        return m
-
-    # ------------------------------------------------------------------
-    # Merge / steady-state hit epochs
+    # Store- and merge-hit runs
     # ------------------------------------------------------------------
     def _hit_run_epoch(
         self, buf: CacheBuffer, addr_list: List[int], i: int, tag: str,
@@ -1030,7 +748,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     ) -> int:
         """Process a run of store hits as one epoch.
 
-        The steady-state counterpart of :meth:`_store_epoch`: a run of
+        The steady-state store shape: a run of
         consecutive *distinct resident* addresses, each a store (or
         near-memory accumulate) hit.  The exactness cut is residency:
         within such a run nothing inserts, evicts or spills, so no
@@ -1047,9 +765,9 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         ``partial=True`` (the accumulate path) reproduces the per-hit
         footprint bookkeeping against the stats object at the constant
         footprint -- the caller syncs ``partials_produced`` /
-        ``partial_peak_bytes`` around the call, exactly as around
-        :meth:`_store_epoch`.  Returns addresses consumed (0 if below
-        ``_EPOCH_MIN``); the caller owns the hit counter.
+        ``partial_peak_bytes`` around the call, exactly as around the
+        flat spilled-refetch branch.  Returns addresses consumed (0 if
+        below ``_HIT_RUN_MIN``); the caller owns the hit counter.
 
         On grid-exact configurations the whole write recurrence takes
         a closed form, the store-side analogue of :meth:`_all_hit_lane`:
@@ -1071,7 +789,8 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         """
         slot_of = buf._slot_of
         if addr_list[i] not in slot_of:
-            # Fast decline before any allocation; see _miss_epoch.
+            # Fast decline before any allocation: the caller attempts
+            # lazily, so a non-resident cursor is the common case.
             return 0
         n = len(addr_list)
         tail = addr_list[i:] if i else addr_list
@@ -1114,11 +833,11 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         k = self._k % depth
         write_t = self.write_t
         # Stores never advance the backend: constant exec floor and
-        # constant forwarded ready value, like _store_epoch.
+        # constant forwarded ready value, like the flat store loop.
         exec_t = self.exec_t
         readies: Optional[List[float]] = None
         if self._lane_grid_exact and m >= 64:
-            # 64, not _EPOCH_MIN: below that the ~10 numpy dispatches
+            # 64, not _HIT_RUN_MIN: below that the ~10 numpy dispatches
             # of the closed form cost more than the flat-in-locals
             # loop they replace (measured on the hymm/op-tiled
             # accumulate distributions, which cluster at m = 8..48).
@@ -1291,7 +1010,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         slot_of = buf._slot_of
         a = addr_list[i]
         if a not in slot_of or a not in touched:
-            # Fast decline before any allocation; see _miss_epoch.
+            # Fast decline before any allocation; see _hit_run_epoch.
             return 0, 0
         slot_ready = buf._slot_ready
         n = len(addr_list)
@@ -1533,184 +1252,6 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         buf._commit_hit_epoch(slots, readies)
         return m, nfw
 
-    def _merge_miss_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int,
-        cls: str, tag: str, touched: Set[int],
-    ) -> int:
-        """Process a run of read-modify-write primary misses as one epoch.
-
-        The thrash-bound merge shape (an already-touched output line
-        evicted between merges): each frame is a primary read miss --
-        the full :meth:`_miss_epoch` machinery of MSHR retire/capacity
-        stalls, channel occupancy and dirty-victim writebacks -- whose
-        fill the same frame's store-back immediately hits, marking it
-        dirty and raising its ready to ``max(fetch_ready, store_ready)``.
-        The epoch-cut argument is :meth:`_miss_epoch`'s verbatim (the
-        store-back touches only the frame's own just-filled line, which
-        no other frame of the run revisits), extended by the forwarding
-        window: a run address found in the window would forward instead
-        of missing, so it cuts the run -- and because the run's stores
-        only *add* its own (distinct) addresses and trims only *remove*
-        entries, an address absent from the window at the gather stays
-        absent until its own frame, keeping the pre-gathered probe
-        exact.  The fill readies fed to the MSHR file and the final
-        slot readies differ here (the store-back raises the latter);
-        both sequences stay monotone, so the FIFO rebuild and the
-        commit's watermark shortcut hold unchanged.
-        """
-        slot_of = buf._slot_of
-        outstanding = buf._outstanding
-        fwd = self.forwarding
-        store_map = self._store_map
-        a = addr_list[i]
-        if (
-            a in slot_of
-            or a in outstanding
-            or a not in touched
-            or (fwd and a in store_map)
-        ):
-            # Fast decline before any allocation; see _miss_epoch.
-            return 0
-        n = len(addr_list)
-        run: List[int] = []
-        seen: Set[int] = set()
-        j = i
-        while j < n:
-            a = addr_list[j]
-            if (
-                a in slot_of
-                or a in outstanding
-                or a in seen
-                or a not in touched
-                or (fwd and a in store_map)
-            ):
-                break
-            run.append(a)
-            seen.add(a)
-            j += 1
-        m = len(run)
-        if m < _EPOCH_MIN:
-            return 0
-        free0 = len(buf._free_slots)
-        ci = CLASS_INDEX[cls]
-        victims: Sequence[int] = ()
-        if m > free0:
-            victims = buf._plan_victims(ci, m - free0)
-            cap = free0 + len(victims)
-            if cap < m:
-                if cap < _EPOCH_MIN:
-                    return 0
-                m = cap
-                del run[m:]
-        slot_dirty = buf._slot_dirty
-        vdirty = [slot_dirty[s] for s in victims]
-        fifo = buf._mshr_fifo
-        merged = [r for r, _ in fifo]
-        pre = len(merged)
-        popped = 0
-        limit = buf.mshr_entries
-        c = buf._line_cost
-        lat = buf._read_latency
-        hit_lat = buf.hit_latency
-        dram = buf.dram
-        nf = dram.next_free
-        ring = self._ring
-        depth = self.lsq_depth
-        k = self._k % depth
-        issue_t = self.issue_t
-        write_t = self.write_t
-        exec_t = self.exec_t
-        spaces = self._store_spaces
-        readies: List[float] = []
-        rd_append = readies.append
-        mg_append = merged.append
-        for idx in range(m):
-            # Load leg: the _miss_epoch recurrence (see there for the
-            # retire/capacity/channel reasoning), with the rmw backend
-            # shape -- exec waits for the fetch, then one adder cycle.
-            rk = ring[k]
-            b = issue_t + 1.0
-            if rk > b:
-                b = rk
-            total = pre + idx
-            while popped < total and merged[popped] <= b:
-                popped += 1
-            over = total - limit + 1
-            if over > popped:
-                mo = merged[over - 1]
-                if mo > b:
-                    b = mo
-                popped = over
-            u = nf if nf > b else b
-            t = u + c
-            ready = t + lat
-            ev = idx - free0
-            if ev >= 0 and vdirty[ev]:
-                nf = t + c
-            else:
-                nf = t
-            mg_append(ready)
-            issue_t = b
-            if ready > exec_t:
-                exec_t = ready
-            ring[k] = exec_t
-            k += 1
-            if k == depth:
-                k = 0
-            exec_t += 1.0
-            # Store leg: hits the just-filled line.
-            rk = ring[k]
-            b2 = write_t + 1.0
-            if rk > b2:
-                b2 = rk
-            write_t = b2
-            r = b2 + hit_lat
-            rd_append(ready if ready > r else r)
-            r2 = b2 + 1.0
-            if exec_t > r2:
-                r2 = exec_t
-            ring[k] = r2
-            k += 1
-            if k == depth:
-                k = 0
-            if fwd:
-                # Every run address is absent from the window until its
-                # own store (see the cut argument), so this is always
-                # the insert-plus-trim branch of _record_store.
-                addr = run[idx]
-                store_map[addr] = exec_t
-                sp = addr >> _SPACE_BITS
-                spaces[sp] = spaces.get(sp, 0) + 1
-                if len(store_map) > depth:
-                    a2, _ = store_map.popitem(last=False)
-                    sp = a2 >> _SPACE_BITS
-                    cnt = spaces[sp] - 1
-                    if cnt:
-                        spaces[sp] = cnt
-                    else:
-                        del spaces[sp]
-        dram.next_free = nf
-        self.issue_t = issue_t
-        self.write_t = write_t
-        self.exec_t = exec_t
-        self._k += 2 * m
-        # Rebuild the MSHR file with the *fetch* readies; see _miss_epoch.
-        if popped:
-            addrs_all = [a for _, a in fifo]
-            addrs_all += run
-            fifo.clear()
-            outstanding.clear()
-            rem_r = merged[popped:]
-            rem_a = addrs_all[popped:]
-            fifo.extend(zip(rem_r, rem_a))
-            outstanding.update(zip(rem_a, rem_r))
-        else:
-            fetch_readies = merged[pre:]
-            fifo.extend(zip(fetch_readies, run))
-            outstanding.update(zip(run, fetch_readies))
-        buf._commit_epoch(ci, run, readies, victims, vdirty, True)
-        return m
-
     # ------------------------------------------------------------------
     # Batch primitives (inlined fast paths)
     # ------------------------------------------------------------------
@@ -1740,48 +1281,29 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         fetches = 0
         forwards = 0
         i = 0
-        # Vector attempts are *lazy* -- no pre-classification pass over
-        # the batch.  The lane and the epoch each verify their own run
-        # and decline in O(1) probes when the run at the cursor is
-        # short, so an all-hit batch costs exactly one lane pass and a
-        # cold miss stream goes straight into epochs.  After a decline
-        # the flat loop processes just the short run at the cursor and
-        # the attempts retry; the retry budget (restored by every
+        # Lane attempts are *lazy* -- no pre-classification pass over
+        # the batch.  The lane verifies its own run and declines in
+        # O(1) probes when the run at the cursor is short, so an
+        # all-hit batch costs exactly one lane pass.  After a decline
+        # the flat loop processes just the residency run at the cursor
+        # and the lane retries; the retry budget (restored by every
         # consumed run) bounds declined-probe overhead on fragmented
-        # batches, beyond which the remainder takes one flat pass --
-        # the pre-epoch shape.
+        # batches, beyond which the remainder takes one flat pass.
         rounds = 0 if fwd else 2
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                if n - i >= _LANE_MIN:
-                    consumed = self._all_hit_lane(
-                        buf, addr_list[i:] if i else addr_list, mac=True
-                    )
-                    if consumed:
-                        hits += consumed
-                        i += consumed
-                        rounds = 2
-                        continue
-                consumed = self._miss_epoch(
-                    buf, addr_list, i, cls, tag, mac=True
+            if rounds and n - i >= _LANE_MIN:
+                consumed = self._all_hit_lane(
+                    buf, addr_list[i:] if i else addr_list, mac=True
                 )
                 if consumed:
-                    misses += consumed
-                    fetches += consumed
+                    hits += consumed
                     i += consumed
                     rounds = 2
                     continue
                 rounds -= 1
                 if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                    target = _residency_run_end(slot_of, addr_list, i)
             k = self._k % depth
             issue_t = self.issue_t
             exec_t = self.exec_t
@@ -1871,40 +1393,23 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         fetches = 0
         forwards = 0
         i = 0
-        # Lazy vector attempts with a decline budget; see
+        # Lazy lane attempts with a decline budget; see
         # :meth:`mac_load_batch`.
         rounds = 0 if fwd else 2
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                if n - i >= _LANE_MIN:
-                    consumed = self._all_hit_lane(
-                        buf, addr_list[i:] if i else addr_list, mac=False
-                    )
-                    if consumed:
-                        hits += consumed
-                        i += consumed
-                        rounds = 2
-                        continue
-                consumed = self._miss_epoch(
-                    buf, addr_list, i, cls, tag, mac=False
+            if rounds and n - i >= _LANE_MIN:
+                consumed = self._all_hit_lane(
+                    buf, addr_list[i:] if i else addr_list, mac=False
                 )
                 if consumed:
-                    misses += consumed
-                    fetches += consumed
+                    hits += consumed
                     i += consumed
                     rounds = 2
                     continue
                 rounds -= 1
                 if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                    target = _residency_run_end(slot_of, addr_list, i)
             k = self._k % depth
             issue_t = self.issue_t
             exec_t = self.exec_t
@@ -2121,43 +1626,23 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         misses = 0
         posted = 0
         i = 0
-        # Lazy epoch attempts with a decline budget; see
-        # :meth:`mac_load_batch` (stores have no all-hit lane).  Hit
-        # runs ride `_hit_run_epoch`; write-allocate miss runs ride
-        # `_store_epoch` (no-allocate misses stream flat).
+        # Lazy hit-run attempts with a decline budget; see
+        # :meth:`mac_load_batch`.  Misses always take the flat loop.
         rounds = 2
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                if addr_list[i] in slot_of:
-                    if n - i >= _HIT_RUN_MIN:
-                        consumed = self._hit_run_epoch(
-                            buf, addr_list, i, tag, partial=False
-                        )
-                        if consumed:
-                            hits += consumed
-                            i += consumed
-                            rounds = 2
-                            continue
-                elif allocate:
-                    consumed = self._store_epoch(
-                        buf, addr_list, i, cls, tag, partial=False
-                    )
-                    if consumed:
-                        misses += consumed
-                        i += consumed
-                        rounds = 2
-                        continue
+            if rounds and n - i >= _HIT_RUN_MIN:
+                consumed = self._hit_run_epoch(
+                    buf, addr_list, i, tag, partial=False
+                )
+                if consumed:
+                    hits += consumed
+                    i += consumed
+                    rounds = 2
+                    continue
                 rounds -= 1
                 if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                    target = _residency_run_end(slot_of, addr_list, i)
             k = self._k % depth
             write_t = self.write_t
             for addr in addr_list[i:target]:
@@ -2283,63 +1768,31 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         # so it is recomputed there and cached across the hits.
         footprint = (counts[_PARTIAL_IDX] + len(spilled)) * line_bytes
         i = 0
-        # Lazy epoch attempts with a decline budget; see
+        # Lazy hit-run attempts with a decline budget; see
         # :meth:`mac_load_batch`.
         rounds = 2
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                consumed = 0
-                a0 = addr_list[i]
-                if a0 in slot_of:
-                    if n - i >= _HIT_RUN_MIN:
-                        # Hit-run epoch: the epoch reproduces the
-                        # per-hit footprint/timeline bookkeeping
-                        # against the stats object at the constant
-                        # footprint -- sync the locals around it, like
-                        # the flat spilled-refetch branch does.
-                        stats.partials_produced = pp
-                        stats.partial_peak_bytes = peak
-                        consumed = self._hit_run_epoch(
-                            buf, addr_list, i, tag, partial=True
-                        )
-                        if consumed:
-                            hits += consumed
-                            pp = stats.partials_produced
-                            peak = stats.partial_peak_bytes
-                            i += consumed
-                            rounds = 2
-                            continue
-                elif a0 not in spilled:
-                    # The epoch reproduces the per-insert footprint
-                    # bookkeeping against the stats object: sync the
-                    # locals around it, like the flat spilled-refetch
-                    # branch does.
-                    stats.partials_produced = pp
-                    stats.partial_peak_bytes = peak
-                    consumed = self._store_epoch(
-                        buf, addr_list, i, CLASS_PARTIAL, tag, partial=True
-                    )
-                    if consumed:
-                        misses += consumed
-                        pp = stats.partials_produced
-                        peak = stats.partial_peak_bytes
-                        footprint = (
-                            counts[_PARTIAL_IDX] + len(spilled)
-                        ) * line_bytes
-                        i += consumed
-                        rounds = 2
-                        continue
+            if rounds and n - i >= _HIT_RUN_MIN:
+                # The hit run reproduces the per-hit footprint/timeline
+                # bookkeeping against the stats object at the constant
+                # footprint -- sync the locals around it, like the flat
+                # spilled-refetch branch does.
+                stats.partials_produced = pp
+                stats.partial_peak_bytes = peak
+                consumed = self._hit_run_epoch(
+                    buf, addr_list, i, tag, partial=True
+                )
+                if consumed:
+                    hits += consumed
+                    pp = stats.partials_produced
+                    peak = stats.partial_peak_bytes
+                    i += consumed
+                    rounds = 2
+                    continue
                 rounds -= 1
                 if rounds:
-                    j = i + 1
-                    if addr_list[i] in slot_of:
-                        while j < n and addr_list[j] in slot_of:
-                            j += 1
-                    else:
-                        while j < n and addr_list[j] not in slot_of:
-                            j += 1
-                    target = j
+                    target = _residency_run_end(slot_of, addr_list, i)
             k = self._k % depth
             write_t = self.write_t
             for addr in addr_list[i:target]:
@@ -2481,46 +1934,22 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         footprint = (
             target_counts[_PARTIAL_IDX] + len(target_spilled)
         ) * target_line_bytes
-        # Merge epochs defer the caller's per-frame peak check to one
-        # check per consumed run, which is exact only while the run's
-        # footprint is constant (hit runs) or monotone (partial-class
-        # fills); a non-partial merge with peak tracking -- no in-tree
-        # caller -- stays on the flat loop.
-        epoch_ok = not track_peak or cls == CLASS_PARTIAL
         i = 0
-        # Lazy epoch attempts with a decline budget; see
+        # Lazy merge-hit attempts with a decline budget; see
         # :meth:`mac_load_batch`.
-        rounds = 2 if epoch_ok else 0
+        rounds = 2
         while i < n:
             target = n
-            if rounds and n - i >= _EPOCH_MIN:
-                consumed = 0
-                a0 = addr_list[i]
-                if a0 in touched:
-                    if a0 in slot_of:
-                        if n - i >= _MERGE_HIT_MIN:
-                            consumed, fw = self._merge_hit_epoch(
-                                buf, addr_list, i, touched
-                            )
-                            if consumed:
-                                hits += 2 * consumed - fw
-                                forwards += fw
-                    else:
-                        consumed = self._merge_miss_epoch(
-                            buf, addr_list, i, cls, tag, touched
-                        )
-                        if consumed:
-                            misses += consumed
-                            fetches += consumed
-                            hits += consumed
-                            footprint = (
-                                target_counts[_PARTIAL_IDX]
-                                + len(target_spilled)
-                            ) * target_line_bytes
+            if rounds and n - i >= _MERGE_HIT_MIN:
+                consumed, fw = self._merge_hit_epoch(buf, addr_list, i, touched)
                 if consumed:
                     requests += 2 * consumed
                     busy += consumed
+                    hits += 2 * consumed - fw
+                    forwards += fw
                     pp += consumed
+                    # A hit run neither inserts nor evicts, so every
+                    # per-frame peak check inside it sees this footprint.
                     if track_peak and footprint > peak:
                         peak = footprint
                     i += consumed
@@ -2530,6 +1959,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                 if rounds:
                     # Flat-chunk to the next frame-shape flip (first
                     # touch vs rmw, resident vs not) before retrying.
+                    a0 = addr_list[i]
                     t_flag = a0 in touched
                     r_flag = a0 in slot_of
                     j = i + 1

@@ -1,6 +1,6 @@
 """Record/replay of resolved per-phase timing traces.
 
-The second lane of the epoch-vectorization PR (see
+The phase-level speed lane beside the batched engine (see
 ``docs/performance.md``): a live simulation resolves every address
 through the buffer model once and *records*, per accelerator phase, the
 phase's full outcome -- the :class:`~repro.sim.stats.SimStats` delta,

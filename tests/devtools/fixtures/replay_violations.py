@@ -12,7 +12,7 @@ def apply_trace(buffer, engine, rec):
     watermark = buffer._max_ready
     buffer._slot_ready[0] = 0.0
     # Violation: a private-method call.
-    buffer._commit_epoch("w", [], [], [], [], False)
+    buffer._commit_hit_epoch([], [])
     return occupancy, watermark
 
 

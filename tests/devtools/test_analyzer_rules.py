@@ -299,7 +299,7 @@ class TestBufferInternalsRule:
         clean = {
             line_of("buffer_violations.py", "buf.read(0.0,"),
             line_of("buffer_violations.py", "buf.write(issue,"),
-            line_of("buffer_violations.py", "buf.classify_batch(addrs, 0)"),
+            line_of("buffer_violations.py", 'buf.resident_lines("partial")'),
             line_of("buffer_violations.py", "buf.contains(0xC0)"),
             line_of("buffer_violations.py", 'buf.reclassify("partial", "out")'),
             line_of("buffer_violations.py", 'buf.flush(ready, "drain")'),
@@ -346,7 +346,7 @@ class TestBufferInternalsRule:
         expected = {
             line_of("replay_violations.py", "buffer._max_ready"),
             line_of("replay_violations.py", "buffer._slot_ready[0] = 0.0"),
-            line_of("replay_violations.py", "buffer._commit_epoch"),
+            line_of("replay_violations.py", "buffer._commit_hit_epoch"),
         }
         assert by_line(findings) == expected
         assert all("read-only" in f.message for f in findings)
@@ -363,9 +363,9 @@ class TestBufferInternalsRule:
         assert not (by_line(findings) & clean)
 
     def test_epoch_fields_in_rule_list(self):
-        """The epoch-vectorization additions are covered."""
-        assert "_mask_scratch" in ARENA_FIELDS
-        assert {"_plan_victims", "_commit_epoch"} <= ARENA_METHODS
+        """The hit-run bulk commit and its bound LRU splices are covered."""
+        assert "_lru_mte" in ARENA_FIELDS
+        assert "_commit_hit_epoch" in ARENA_METHODS
 
 
 # ----------------------------------------------------------------------

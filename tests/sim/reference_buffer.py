@@ -17,8 +17,6 @@ import heapq
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.sim.memory import DRAM
 from repro.sim.stats import SimStats
 
@@ -152,22 +150,6 @@ class _ReferenceBuffer:
         route once per address batch instead of once per address.
         """
         return self
-
-    def classify_batch(self, addrs: "np.ndarray") -> "np.ndarray":
-        """Residency mask for a whole address batch (no LRU effects).
-
-        One vectorised membership pass against the unified index.  The
-        mask is only a valid *plan* while residency is invariant -- the
-        batched engine uses it for stream loads (which never allocate)
-        and falls back to per-address probes whenever an access could
-        insert or evict lines mid-batch.
-        """
-        index = self._index
-        if not index:
-            return np.zeros(len(addrs), dtype=bool)
-        return np.fromiter(
-            map(index.__contains__, addrs.tolist()), dtype=bool, count=len(addrs)
-        )
 
     def resident_lines(self, cls: str) -> int:
         """Resident line count of one class."""

@@ -130,11 +130,6 @@ def test_differential_fuzz(seed):
 
         if step % 64 == 0:
             # Residency probes are side-effect-free and must agree.
-            probe = np.asarray(rng.sample(addrs, 16), dtype=np.int64)
-            assert (
-                ref.classify_batch(probe).tolist()
-                == arena.classify_batch(probe).tolist()
-            )
             a = rng.choice(addrs)
             assert ref.contains(a) == arena.contains(a)
             assert _observables(ref) == _observables(arena), f"step {step}"
@@ -154,8 +149,8 @@ def _make_engine_pair(
 ):
     """(scalar engine over the legacy reference buffer, batched engine
     over the arena buffer) with identical geometry -- the full
-    cross-implementation differential: the batched engine's epoch and
-    lane fast paths against the scalar loops over the legacy core."""
+    cross-implementation differential: the batched engine's flat loops
+    and hit shapes against the scalar loops over the legacy core."""
     from repro.sim.engine import make_engine
 
     out = []
@@ -188,19 +183,24 @@ def _assert_engines_agree(pair, context=""):
 
 
 class TestEpochEngineDifferential:
-    """Drive the epoch-vectorized miss path (batched engine + arena)
-    against the scalar reference loops over the legacy buffer.
+    """Drive the batched engine -- flat loops plus the hit shapes
+    (``_all_hit_lane``, ``_hit_run_epoch``, ``_merge_hit_epoch``) over
+    the arena -- against the scalar reference loops over the legacy
+    buffer.
 
-    Batches of >= 8 fresh misses engage ``_miss_epoch``/``_store_epoch``
-    (``_EPOCH_MIN``); the cases below force the epoch *cut* conditions
-    -- duplicates inside a run, residency feedback from in-batch fills,
-    MSHR capacity stalls, victim exhaustion -- where the vectorized
-    bookkeeping is most likely to diverge from the sequential truth.
+    The miss bursts below -- duplicates inside a run, residency
+    feedback from in-batch fills, MSHR capacity stalls, capacity
+    overflow, dirty victims, spilled partials -- run through the flat
+    loops' shared ``_read_miss``/``_insert`` frames; the refeeds and
+    steady-state passes after them engage the hit shapes, whose run
+    cuts are where bulk bookkeeping is most likely to diverge from the
+    sequential truth.  :meth:`test_hit_shape_engages` pins that each
+    shape really runs on some case here.
     """
 
     # Two disjoint address spaces (bit 40 apart, like AddressMap's
     # operand spacing) keep loads off the store-forwarding window, so
-    # the load segments reach the epoch path under forwarding=True too.
+    # load batches reach the all-hit lane under forwarding=True too.
     LOAD_BASE = 0x100_0000_0000
     STORE_BASE = 0x200_0000_0000
 
@@ -215,19 +215,19 @@ class TestEpochEngineDifferential:
             getattr(engine, method)(*args)
 
     def test_miss_burst_then_refeed(self):
-        """A fresh distinct-address burst (pure epoch) followed by the
-        same addresses again (all-hit feedback from the epoch's own
-        fills)."""
-        pair = _make_engine_pair()
-        burst = np.asarray([self._laddr(i) for i in range(16)], dtype=np.int64)
+        """A fresh distinct-address burst followed by the same
+        addresses again: the refeed rides the all-hit lane over the
+        burst's own fills (long enough for ``_LANE_MIN``)."""
+        pair = _make_engine_pair(capacity_lines=64)
+        burst = np.asarray([self._laddr(i) for i in range(64)], dtype=np.int64)
         self._both(pair, "mac_load_batch", burst, "W", "adj")
         _assert_engines_agree(pair, "after burst")
         self._both(pair, "mac_load_batch", burst, "W", "adj")
         _assert_engines_agree(pair, "after refeed")
 
     def test_duplicate_inside_miss_run(self):
-        """A duplicate inside a would-be epoch run forces a cut: the
-        second occurrence must see the first's fill."""
+        """A duplicate inside a miss burst: the second occurrence must
+        see the first's fill."""
         pair = _make_engine_pair()
         idx = [0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 9, 10, 11, 12, 13, 14]
         addrs = np.asarray([self._laddr(i) for i in idx], dtype=np.int64)
@@ -236,17 +236,16 @@ class TestEpochEngineDifferential:
 
     def test_mshr_saturation_inside_epoch(self):
         """More distinct misses in one batch than MSHR entries: the
-        epoch's cumulative capacity walk must stall exactly like the
-        scalar retire loop."""
+        batched loop's capacity stalls must match the scalar retire
+        loop exactly."""
         pair = _make_engine_pair(mshr_entries=2)
         addrs = np.asarray([self._laddr(i) for i in range(20)], dtype=np.int64)
         self._both(pair, "mac_load_batch", addrs, "W", "adj")
         _assert_engines_agree(pair)
 
     def test_capacity_chunking_and_victim_exhaustion(self):
-        """A miss run larger than the whole buffer: the epoch must cut
-        at free+victim exhaustion and chunk through, evicting its own
-        earlier fills."""
+        """A miss run larger than the whole buffer: the batch evicts
+        its own earlier fills, in the scalar path's order."""
         pair = _make_engine_pair(capacity_lines=12)
         addrs = np.asarray([self._laddr(i) for i in range(40)], dtype=np.int64)
         self._both(pair, "mac_load_batch", addrs, "W", "adj")
@@ -256,16 +255,19 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair, "after second pass")
 
     def test_store_epoch_with_dirty_victims(self):
-        """Store bursts that evict dirty lines: the store epoch's
-        writeback channel bumps must serialize like the scalar path."""
-        pair = _make_engine_pair(capacity_lines=12)
-        first = np.asarray([self._saddr(i) for i in range(12)], dtype=np.int64)
+        """Store bursts that evict dirty lines (writeback channel bumps
+        must serialize like the scalar path), then a re-store of the
+        resident lines (a store-hit run)."""
+        pair = _make_engine_pair(capacity_lines=24)
+        first = np.asarray([self._saddr(i) for i in range(24)], dtype=np.int64)
         second = np.asarray(
-            [self._saddr(i) for i in range(12, 30)], dtype=np.int64
+            [self._saddr(i) for i in range(24, 54)], dtype=np.int64
         )
         self._both(pair, "store_batch", first, CLASS_OUT, "out")
         self._both(pair, "store_batch", second, CLASS_OUT, "out")
-        _assert_engines_agree(pair)
+        _assert_engines_agree(pair, "after dirty-victim bursts")
+        self._both(pair, "store_batch", second[-24:], CLASS_OUT, "out")
+        _assert_engines_agree(pair, "after resident re-store")
 
     def test_accumulate_epoch_partial_spill(self):
         """Partial-accumulate bursts past capacity: spilled-partial
@@ -275,13 +277,13 @@ class TestEpochEngineDifferential:
         self._both(pair, "accumulate_store_batch", addrs, "partial")
         _assert_engines_agree(pair, "after spill burst")
         # Re-accumulate into a mix of resident, evicted and spilled
-        # lines -- the epoch run scan must exclude spilled addresses.
+        # lines -- spilled addresses take the refetch path.
         self._both(pair, "accumulate_store_batch", addrs[:20], "partial")
         _assert_engines_agree(pair, "after re-accumulate")
 
     def test_forwarding_disabled_epochs(self):
-        """With forwarding off every load segment is epoch-eligible,
-        even interleaved with stores to the same space."""
+        """With forwarding off no load can forward, so loads into the
+        space stores just wrote skip the window entirely."""
         pair = _make_engine_pair(forwarding=False)
         stores = np.asarray([self._laddr(i) for i in range(10)], dtype=np.int64)
         loads = np.asarray([self._laddr(i) for i in range(4, 24)], dtype=np.int64)
@@ -290,9 +292,9 @@ class TestEpochEngineDifferential:
         _assert_engines_agree(pair)
 
     # ------------------------------------------------------------------
-    # Merge/RMW epochs (``_merge_hit_epoch`` / ``_merge_miss_epoch``):
-    # runs of >= 64 (``_MERGE_HIT_MIN``) distinct resident
-    # already-touched addresses take the one-commit steady-state path.
+    # Merge/RMW hit runs (``_merge_hit_epoch``): runs of >= 64
+    # (``_MERGE_HIT_MIN``) distinct resident already-touched addresses
+    # take the one-commit steady-state path; everything else is flat.
     # ------------------------------------------------------------------
 
     #: Comfortably past ``_MERGE_HIT_MIN`` so cut runs stay eligible.
@@ -315,9 +317,9 @@ class TestEpochEngineDifferential:
             engine.merge_rmw_batch(addrs, CLASS_PARTIAL, "partial", t, track_peak)
 
     def test_merge_first_touch_then_steady_state(self):
-        """First pass write-allocates every line (merge miss epoch);
-        the next two passes are pure RMW-hit runs (merge hit epoch,
-        then again with the LRU order the first epoch left behind)."""
+        """First pass write-allocates every line (flat loop); the next
+        two passes are pure RMW-hit runs (merge-hit run, then again
+        with the LRU order the first run left behind)."""
         pair, touched = self._merge_pair()
         addrs = np.asarray(
             [self._saddr(i) for i in range(self.MERGE_N)], dtype=np.int64
@@ -391,7 +393,7 @@ class TestEpochEngineDifferential:
 
     def test_merge_eviction_pressure(self):
         """Runs far past capacity: touched-but-evicted lines RMW-miss,
-        the epoch cuts at residency boundaries, and the footprint peak
+        hit runs cut at residency boundaries, and the footprint peak
         tracking must match through the evictions."""
         pair, touched = self._merge_pair(capacity_lines=24)
         addrs = np.asarray(
@@ -442,7 +444,7 @@ class TestEpochEngineDifferential:
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_adversarial_epoch_fuzz(self, seed):
-        """Randomized batch streams skewed toward epoch-shaped work:
+        """Randomized batch streams skewed toward run-shaped work:
         long distinct runs, partial overlaps with recent fills,
         duplicates, store/accumulate pressure, occasional invalidates.
         Stats, timelines, DRAM clock and residency compared after every
@@ -490,6 +492,42 @@ class TestEpochEngineDifferential:
                     for _, buf, _, _ in pair:
                         buf.drop_spilled_partials()
             _assert_engines_agree(pair, f"seed {seed} step {step}")
+
+    @pytest.mark.parametrize(
+        "shape, case",
+        [
+            ("_all_hit_lane", "test_miss_burst_then_refeed"),
+            ("_hit_run_epoch", "test_store_epoch_with_dirty_victims"),
+            ("_merge_hit_epoch", "test_merge_first_touch_then_steady_state"),
+        ],
+    )
+    def test_hit_shape_engages(self, monkeypatch, shape, case):
+        """Each kept hit shape consumes runs on at least one case above.
+
+        The flat loop is exact on its own, so a shape that declined
+        forever would pass every differential here; this counts the
+        runs the shape consumes on the batched engine of the case."""
+        runs = []
+        make_pair = _make_engine_pair
+
+        def counting_pair(*args, **kwargs):
+            pair = make_pair(*args, **kwargs)
+            engine = pair[1][0]
+            original = getattr(engine, shape)
+
+            def counted(*a, **kw):
+                out = original(*a, **kw)
+                consumed = out[0] if isinstance(out, tuple) else out
+                if consumed:
+                    runs.append(consumed)
+                return out
+
+            setattr(engine, shape, counted)
+            return pair
+
+        monkeypatch.setitem(globals(), "_make_engine_pair", counting_pair)
+        getattr(self, case)()
+        assert runs, f"{shape} consumed no run in {case}"
 
 
 def test_mshr_saturation_ordering():
