@@ -17,7 +17,7 @@ Each entry is keyed by git SHA and date, so the performance history
 survives across PRs; an entry also reports its batched-engine speedup
 against the most recent previous entry with the same workload
 signature (the cross-PR regression signal).  Entries without a real
-git identity -- the migrated pre-trajectory report (sha
+git identity -- the converted pre-trajectory report (sha
 ``pre-trajectory``, empty date) -- never serve as comparison anchors.
 The aggregate headline ``speedup`` is scalar vs the warm-trace replay
 pipeline (the ROADMAP metric); ``batched_speedup`` keeps the cold-run
@@ -239,7 +239,7 @@ def load_trajectory(path: Path) -> Dict[str, Any]:
 def comparable_identity(run: Dict[str, Any]) -> bool:
     """Whether an entry can anchor a cross-PR comparison.
 
-    The migrated pre-trajectory report carries ``sha:
+    The converted pre-trajectory report carries ``sha:
     "pre-trajectory"`` and an empty ``date`` (and sha resolution can
     fail outside a checkout, leaving ``"unknown"``); such entries are
     measurement provenance, not comparison anchors -- a "vs previous"

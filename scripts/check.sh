@@ -3,7 +3,7 @@
 # are not installed (mypy/ruff are dev extras; the analyzer and pytest
 # only need the package itself).
 #
-#   ./scripts/check.sh          # analyzer + mypy + ruff + tests
+#   ./scripts/check.sh          # analyzer + mypy + ruff + tests + perf
 #   ./scripts/check.sh fast     # analyzer only (sub-second)
 set -u
 
@@ -52,5 +52,10 @@ run python -m repro.serve smoke
 # entry's replay headline and cold-run engine-only aggregate speedups
 # must not have regressed >10% against the previous same-workload entry.
 run python scripts/bench_sim_speed.py --check-regression
+
+# Repository benchmark self-tests, then every workload end to end at
+# smoke scale with stats digests checked against perf/expected.json.
+run python -m pytest perf/tests -q
+run python3 perf/run.py --smoke
 
 exit "$failed"

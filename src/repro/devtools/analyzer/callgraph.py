@@ -18,8 +18,8 @@ Resolution covers the shapes this repo actually uses:
   flowing into ``self.cache = cache``), a class-level ``AnnAssign``, or
   a direct constructor call (``entry = JobEntry(spec, fp)``).  A call on
   a receiver of an inferred project class also fans out to every
-  project subclass that overrides the method, so ``self.cache.load``
-  reaches ``ShardedResultCache.load``;
+  project subclass that overrides the method, so a call through a
+  ``self.store: Optional[Base]`` attribute reaches ``Sub.load``;
 * nested functions (qualified ``outer.inner``), closures included.
 
 Besides plain calls, the builder records *function references* -- a

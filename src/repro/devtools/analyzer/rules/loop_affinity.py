@@ -26,9 +26,10 @@ The rule cross-references both worlds over the call graph:
    loads or stores.
 
 A thread-side store whose ``(class, attribute)`` -- matched across the
-class hierarchy, so a write in ``ShardedResultCache`` meets a read in
-``ResultCache.stats`` -- is also touched loop-side is a finding at the
-store, with the thread chain from the hand-off in the message.
+class hierarchy, so a write in a base class's ``_RecordStore._read``
+meets a read in the subclass's ``ResultCache.stats`` -- is also touched
+loop-side is a finding at the store, with the thread chain from the
+hand-off in the message.
 
 Two sanctioned patterns pass by construction: mutations under a
 ``with self._lock:`` (any context manager whose name contains "lock"),

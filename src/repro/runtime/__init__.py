@@ -23,16 +23,16 @@ multi-backend) plugs into lives here.
 
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
 from repro.runtime.serialize import to_jsonable
-from repro.runtime.cache import ResultCache, ShardedResultCache, default_cache_dir
+from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.manifest import JobRecord, RunManifest
 from repro.runtime.executor import SweepExecutor, SweepResult
 from repro.runtime.execute import (
+    cache_trace_root,
     execute_job,
     execute_spec,
     job_trace_session,
     make_accelerator,
     replay_summary,
-    resolve_trace_root,
     trace_root,
 )
 
@@ -40,18 +40,17 @@ __all__ = [
     "SCHEMA_VERSION",
     "JobSpec",
     "ResultCache",
-    "ShardedResultCache",
     "default_cache_dir",
     "JobRecord",
     "RunManifest",
     "SweepExecutor",
     "SweepResult",
+    "cache_trace_root",
     "execute_job",
     "execute_spec",
     "job_trace_session",
     "make_accelerator",
     "replay_summary",
-    "resolve_trace_root",
     "trace_root",
     "to_jsonable",
 ]

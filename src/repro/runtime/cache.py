@@ -1,30 +1,24 @@
-"""Persistent on-disk result cache keyed by job fingerprint.
+"""Persistent on-disk stores: job results and phase traces.
 
-Two layouts share one record format (``{"fingerprint", "spec",
-"result", ...}``, one JSON file per simulated point):
+Both stores keep one JSON file per record and share the record I/O
+below (:class:`_RecordStore`).
 
-:class:`ResultCache` (flat)::
-
-    <cache_dir>/
-        <fingerprint>.json
-        manifests/              # sweep manifests (written by the CLI)
-
-:class:`ShardedResultCache` (two-level hash-prefix directories, built
-for many concurrent writers -- e.g. several serve workers or several
-hosts sharing one cache over a network filesystem)::
+:class:`ResultCache` maps a job fingerprint to its ``RunResult``
+(``{"fingerprint", "spec", "result", ...}``), sharded into two levels
+of hash-prefix directories so no directory piles up every record of a
+large cache::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
+        manifests/              # sweep manifests (written by the CLI)
+        traces/                 # phase traces (see TraceStore)
 
-The sharded cache *transparently migrates* a flat layout: a lookup that
-misses the sharded path but finds the flat record moves it into its
-shard (atomic same-filesystem ``os.replace``) and serves it, so
-pointing the serve front end at an existing flat cache directory warms
-it in place -- no offline conversion, and racing migrators are safe
-(the loser of the ``os.replace`` race simply re-reads the sharded
-path).
+:class:`TraceStore` holds one job's phase traces flat in that job's
+own directory (``JobSpec.trace_dir``, already sharded by fingerprint)::
 
-Invalidation rules (both layouts):
+    <trace root>/<fp[0:2]>/<fingerprint>/<phase signature>.json
+
+Invalidation rules:
 
 * the fingerprint already encodes the job schema version and the
   ``repro`` package version, so upgrading either simply stops hitting
@@ -50,10 +44,12 @@ import pathlib
 import tempfile
 import threading
 import time
-from typing import Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, TypeVar, Union
 
 from repro.hymm.base import RunResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
+
+T = TypeVar("T")
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -64,12 +60,17 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "hymm-repro"
 
 
-class ResultCache:
-    """Disk-backed map ``JobSpec fingerprint -> RunResult``."""
+def _evict(path: pathlib.Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
-    def __init__(self, cache_dir: "Optional[os.PathLike[str]]" = None) -> None:
-        self.cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+
+class _RecordStore:
+    """JSON record files: evicting reads, atomic writes, counters."""
+
+    def __init__(self) -> None:
         #: Counters since construction (surfaced in manifests).  The
         #: serve front end probes the cache from worker threads
         #: (``asyncio.to_thread``) while its event loop renders
@@ -81,40 +82,36 @@ class ResultCache:
         self.stores = 0
         self.corrupt = 0
 
-    # ------------------------------------------------------------------
-    def _path(self, fingerprint: str) -> pathlib.Path:
-        return self.cache_dir / f"{fingerprint}.json"
+    def _read(
+        self, path: pathlib.Path, decode: Callable[[Dict[str, Any]], T]
+    ) -> Optional[T]:
+        """``decode`` of the JSON object at ``path``, or ``None`` (miss).
 
-    def contains(self, spec: JobSpec) -> bool:
-        return self._path(spec.fingerprint()).exists()
-
-    def load(self, spec: JobSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` (miss).
-
-        Records that cannot be parsed or no longer match the current
-        result schema are evicted and reported as misses.
+        A record that cannot be read, is not a JSON object, or that
+        ``decode`` rejects is evicted and reported as a miss.
         """
-        path = self._path(spec.fingerprint())
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 record = json.load(fh)
-            result = RunResult.from_dict(record["result"])
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
+            value = decode(record)
         except FileNotFoundError:
             with self._counter_lock:
                 self.misses += 1
             return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
+        except (KeyError, TypeError, ValueError, OSError):
             with self._counter_lock:
                 self.corrupt += 1
                 self.misses += 1
-            self._evict(path)
+            _evict(path)
             return None
         with self._counter_lock:
             self.hits += 1
-        return result
+        return value
 
-    def store(self, spec: JobSpec, result: RunResult) -> pathlib.Path:
-        """Atomically persist one result; returns the record path.
+    def _write(self, path: pathlib.Path, record: Dict[str, Any]) -> pathlib.Path:
+        """Atomically persist one record; returns ``path``.
 
         The temp file lives in the record's own directory, so the final
         ``os.replace`` is a same-filesystem atomic rename: a reader can
@@ -122,8 +119,51 @@ class ResultCache:
         same key resolve last-writer-wins (each publishes a complete
         record; whichever rename lands last sticks).
         """
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(record, fh)
+            os.replace(tmp_name, path)
+        except BaseException:
+            _evict(pathlib.Path(tmp_name))
+            raise
+        with self._counter_lock:
+            self.stores += 1
+        return path
+
+
+def _decode_result(record: Dict[str, Any]) -> RunResult:
+    return RunResult.from_dict(record["result"])
+
+
+class ResultCache(_RecordStore):
+    """Disk-backed map ``JobSpec fingerprint -> RunResult``."""
+
+    def __init__(self, cache_dir: "Optional[os.PathLike[str]]" = None) -> None:
+        super().__init__()
+        self.cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, fingerprint: str) -> pathlib.Path:
+        return (
+            self.cache_dir / fingerprint[0:2] / fingerprint[2:4]
+            / f"{fingerprint}.json"
+        )
+
+    def load(self, spec: JobSpec) -> Optional[RunResult]:
+        """The cached result for ``spec``, or ``None`` (miss).
+
+        Records that cannot be parsed or no longer match the current
+        result schema are evicted and reported as misses.
+        """
+        return self._read(self._path(spec.fingerprint()), _decode_result)
+
+    def store(self, spec: JobSpec, result: RunResult) -> pathlib.Path:
+        """Atomically persist one result; returns the record path."""
         fingerprint = spec.fingerprint()
-        path = self._path(fingerprint)
         spec_doc = spec.to_dict()
         # Cache records are content-addressed and shared across
         # requests; the telemetry correlation ID of whichever request
@@ -136,38 +176,18 @@ class ResultCache:
             "spec": spec_doc,
             "result": result.to_dict(),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
-            os.replace(tmp_name, path)
-        except BaseException:
-            self._evict(pathlib.Path(tmp_name))
-            raise
-        with self._counter_lock:
-            self.stores += 1
-        return path
+        return self._write(self._path(fingerprint), record)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _evict(path: pathlib.Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
     def _record_paths(self) -> Iterator[pathlib.Path]:
-        """Every record file this layout owns (maintenance walks)."""
-        return iter(self.cache_dir.glob("*.json"))
+        """Every record file (maintenance walks)."""
+        return iter(self.cache_dir.glob("??/??/*.json"))
 
     def clear(self) -> int:
         """Delete every record; returns how many were removed."""
         removed = 0
         for path in list(self._record_paths()):
-            self._evict(path)
+            _evict(path)
             removed += 1
         return removed
 
@@ -192,139 +212,28 @@ class ResultCache:
             return self.hits / lookups if lookups else 0.0
 
 
-class ShardedResultCache(ResultCache):
-    """Result cache sharded into two-level hash-prefix directories.
+class TraceStore(_RecordStore):
+    """One job's resolved phase-timing traces (record/replay).
 
-    ``<fp[0:2]>/<fp[2:4]>/<fingerprint>.json`` spreads the records of a
-    large cache over 65536 directories, keeping per-directory entry
-    counts (and rename contention between concurrent writers on shared
-    filesystems) bounded.  Reads fall back to -- and migrate -- the flat
-    layout, so an existing :class:`ResultCache` directory can be
-    adopted in place; see the module docstring for the race argument.
+    Keys are the 64-hex chained phase signatures :mod:`repro.sim.replay`
+    computes; records are raw JSON dicts carrying the phase's resolved
+    timing -- stats delta, output matrix, and post-phase simulator
+    state -- stored flat as ``<root>/<sig>.json``, where ``root`` is the
+    job's own trace directory.  Corrupt records are evicted, the same
+    degradation contract as the result cache.  Invalidation is
+    structural: the signature chain hashes the trace schema version,
+    the model fingerprint, and every timing-relevant config knob, so
+    any change simply stops hitting old records.
     """
 
-    #: Hex characters consumed per directory level.
-    PREFIX_WIDTH = 2
-    #: Directory levels below the cache root.
-    PREFIX_LEVELS = 2
+    def __init__(self, root: Union[str, os.PathLike[str]]) -> None:
+        super().__init__()
+        self.root = pathlib.Path(root)
 
-    def __init__(self, cache_dir: "Optional[os.PathLike[str]]" = None) -> None:
-        super().__init__(cache_dir)
-        #: Flat-layout records adopted into shards by this instance.
-        self.migrated = 0
+    def load_trace(self, sig: str) -> Optional[Dict[str, Any]]:
+        """The stored trace record for ``sig``, or ``None`` (miss)."""
+        return self._read(self.root / f"{sig}.json", dict)
 
-    # ------------------------------------------------------------------
-    def _path(self, fingerprint: str) -> pathlib.Path:
-        shard = self.cache_dir
-        for level in range(self.PREFIX_LEVELS):
-            lo = level * self.PREFIX_WIDTH
-            shard = shard / fingerprint[lo : lo + self.PREFIX_WIDTH]
-        return shard / f"{fingerprint}.json"
-
-    def _flat_path(self, fingerprint: str) -> pathlib.Path:
-        return self.cache_dir / f"{fingerprint}.json"
-
-    def _adopt_flat(self, fingerprint: str) -> None:
-        """Move a flat-layout record into its shard, if one exists.
-
-        Best-effort and race-safe: a concurrent migrator (or a writer
-        publishing a fresh sharded record) may win; every failure mode
-        leaves the caller to read whatever the sharded path now holds.
-        """
-        flat = self._flat_path(fingerprint)
-        sharded = self._path(fingerprint)
-        if sharded.exists() or not flat.exists():
-            return
-        try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, sharded)
-        except OSError:
-            return
-        with self._counter_lock:
-            self.migrated += 1
-
-    # ------------------------------------------------------------------
-    def contains(self, spec: JobSpec) -> bool:
-        fingerprint = spec.fingerprint()
-        return (
-            self._path(fingerprint).exists()
-            or self._flat_path(fingerprint).exists()
-        )
-
-    def load(self, spec: JobSpec) -> Optional[RunResult]:
-        self._adopt_flat(spec.fingerprint())
-        return super().load(spec)
-
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        with self._counter_lock:
-            out["migrated"] = self.migrated
-        return out
-
-    def _record_paths(self) -> Iterator[pathlib.Path]:
-        """Sharded records plus any not-yet-migrated flat leftovers."""
-        yield from self.cache_dir.glob("*.json")
-        pattern = "/".join(["?" * self.PREFIX_WIDTH] * self.PREFIX_LEVELS)
-        yield from self.cache_dir.glob(f"{pattern}/*.json")
-
-
-class TraceStore(ShardedResultCache):
-    """Sharded store for resolved phase-timing traces (record/replay).
-
-    Keys are the 64-hex chained phase signatures
-    :mod:`repro.sim.replay` computes (same alphabet as job
-    fingerprints, so the two-level hash-prefix sharding applies
-    unchanged); records are raw JSON dicts carrying the phase's
-    resolved timing -- stats delta, output matrix, and post-phase
-    simulator state.  Reuses the sharded layout, the atomic
-    temp-file + ``os.replace`` writes, and the corrupt-record
-    eviction of :class:`ShardedResultCache`; the ``JobSpec``-typed
-    ``load``/``store`` surface of the result cache is not used here.
-    Invalidation is structural: the signature chain hashes the trace
-    schema version, the model fingerprint, and every timing-relevant
-    config knob, so any change simply stops hitting old records.
-    """
-
-    def load_trace(self, sig: str) -> "Optional[Dict[str, object]]":
-        """The stored trace record for ``sig``, or ``None`` (miss).
-
-        Unreadable or non-object records are evicted and reported as
-        misses, same degradation contract as the result cache.
-        """
-        path = self._path(sig)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            if not isinstance(record, dict):
-                raise ValueError("trace record is not a JSON object")
-        except FileNotFoundError:
-            with self._counter_lock:
-                self.misses += 1
-            return None
-        except (json.JSONDecodeError, ValueError, OSError):
-            with self._counter_lock:
-                self.corrupt += 1
-                self.misses += 1
-            self._evict(path)
-            return None
-        with self._counter_lock:
-            self.hits += 1
-        return record
-
-    def store_trace(self, sig: str, record: Dict[str, object]) -> pathlib.Path:
+    def store_trace(self, sig: str, record: Dict[str, Any]) -> pathlib.Path:
         """Atomically persist one trace record; returns the path."""
-        path = self._path(sig)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
-            os.replace(tmp_name, path)
-        except BaseException:
-            self._evict(pathlib.Path(tmp_name))
-            raise
-        with self._counter_lock:
-            self.stores += 1
-        return path
+        return self._write(self.root / f"{sig}.json", record)

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.hymm import HyMMAccelerator, HyMMConfig
 from repro.hymm.base import AcceleratorBase, RunResult
 from repro.obs.tracer import Tracer
 from repro.runtime.job import JobSpec
 from repro.telemetry import bind_correlation, get_logger, span
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
 
 _log = get_logger("runtime.execute")
 
@@ -100,19 +103,20 @@ def trace_root() -> Optional[str]:
     return os.path.join(str(default_cache_dir()), "traces")
 
 
-def resolve_trace_root(preferred: Optional[str] = None) -> Optional[str]:
-    """The trace root to use given a caller preference.
+def cache_trace_root(cache: Optional[ResultCache]) -> Optional[str]:
+    """The trace root for a run that stores its results in ``cache``.
 
-    The ``REPRO_TRACE_DIR`` environment variable always wins (both as a
-    relocation and as the ``off`` kill-switch); otherwise ``preferred``
-    (e.g. a serve front end colocating traces with its result cache);
-    otherwise the process-wide default.
+    Traces live next to the results they produced, in
+    ``<cache_dir>/traces``, so ``--cache-dir /x`` never leaks traces
+    into the default root.  ``REPRO_TRACE_DIR`` still wins (both as a
+    relocation and as the ``off`` kill-switch), and a run without a
+    cache uses the process-wide :func:`trace_root`.
     """
     import os
 
-    if os.environ.get("REPRO_TRACE_DIR") is not None or preferred is None:
+    if cache is None or os.environ.get("REPRO_TRACE_DIR") is not None:
         return trace_root()
-    return preferred
+    return str(cache.cache_dir / "traces")
 
 
 def job_trace_session(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.hymm.base import RunResult
-from repro.runtime.execute import execute_job, resolve_trace_root
+from repro.runtime.execute import cache_trace_root, execute_job
 from repro.runtime.cache import ResultCache
 from repro.runtime.job import JobSpec
 from repro.runtime.manifest import (
@@ -163,20 +163,14 @@ class SweepExecutor:
         #: ``runner`` manages its own replay sessions -- both knobs
         #: apply only to the built-in runner.
         self.replay = replay
-        if replay and trace_root is None and cache is not None:
-            # Colocate the trace tree with the result cache it serves
-            # (``--cache-dir /x`` must not leak traces into the default
-            # root); ``REPRO_TRACE_DIR`` still wins inside the resolver.
-            trace_root = resolve_trace_root(str(cache.cache_dir / "traces"))
+        if replay and trace_root is None:
+            trace_root = cache_trace_root(cache)
         self.trace_root = trace_root
-        if runner is not None:
-            self.runner = runner
-        elif replay and trace_root is None:
-            self.runner = execute_job
-        else:
-            self.runner = functools.partial(
+        self.runner: Callable[[JobSpec], object] = (
+            runner if runner is not None else functools.partial(
                 execute_job, replay=replay, trace_root_dir=trace_root
             )
+        )
         self.progress = progress
         #: Ship jobs sharing a workload (dataset/scale/layers/seed) to
         #: the same worker so its model memo is built once, not once

@@ -3,9 +3,9 @@
 The serving story's steady state is "a million cached lookups a day":
 almost every submission finds its answer already on disk.  This bench
 measures that path end to end -- client connect excluded, protocol
-round trip included -- by priming one job into a (sharded) result
-cache, then timing repeated warm submissions of the identical spec
-against a live server.
+round trip included -- by priming one job into a result cache, then
+timing repeated warm submissions of the identical spec against a live
+server.
 
 Results append to the repo-root ``BENCH_serve.json`` trajectory (same
 idiom as ``BENCH_sim.json``): one entry per invocation keyed by git SHA
@@ -15,9 +15,10 @@ a comparison against the most recent earlier entry with the same
 workload signature.
 
 By default the bench self-hosts a :class:`~repro.serve.server.
-ServerThread` over a temporary sharded cache; ``--host``/``--port``
-target an already-running server instead (the spec still needs to be
-primed there first).
+ServerThread` over a temporary cache directory (results and traces),
+deleted afterwards, so every run primes cold and never touches the
+user's cache; ``--host``/``--port`` target an already-running server
+instead (the spec still needs to be primed there first).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import datetime
 import json
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -103,7 +105,7 @@ def run_bench(
     appended).  ``host``/``port`` switch from self-hosted to an external
     server."""
     from repro.bench.runner import job_spec
-    from repro.runtime.cache import ShardedResultCache
+    from repro.runtime.cache import ResultCache
 
     spec = job_spec(dataset, kind, scale=scale, n_layers=n_layers, seed=seed)
     spec_dict = spec.to_dict()
@@ -134,10 +136,10 @@ def run_bench(
             measured = measure(client)
         served_by = f"{host}:{port}"
     else:
-        cache = ShardedResultCache(cache_dir)
-        with ServerThread(cache=cache) as srv:
-            with ServeClient(srv.host, srv.port) as client:
-                measured = measure(client)
+        with tempfile.TemporaryDirectory() as tmp:
+            with ServerThread(cache=ResultCache(cache_dir or tmp)) as srv:
+                with ServeClient(srv.host, srv.port) as client:
+                    measured = measure(client)
         served_by = "self-hosted"
 
     return {

@@ -83,7 +83,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.runtime.cache import ShardedResultCache
+    from repro.runtime.cache import ResultCache
     from repro.serve.server import ServeSettings, SweepServer
     from repro.telemetry import SpanRecorder, configure_logging, install_recorder
 
@@ -108,7 +108,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         recorder = SpanRecorder()
         install_recorder(recorder)
 
-    cache = None if args.no_cache else ShardedResultCache(args.cache_dir)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     settings = ServeSettings(
         workers=args.workers,
         max_batch=args.max_batch,

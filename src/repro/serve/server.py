@@ -504,21 +504,13 @@ class SweepServer:
     ) -> None:
         self.cache = cache
         self.settings = settings if settings is not None else ServeSettings()
-        # Phase-trace replay is on by default: traces live next to the
-        # result cache shards (``<cache_dir>/traces``) so the sharded
-        # store and the trace tree move together, or under the
-        # process-wide default for a cache-less server.  The
-        # ``REPRO_TRACE_DIR`` env var still relocates or disables the
-        # tree (it wins over the colocated default); ``trace_root``
-        # pins it explicitly.  ``None`` after resolution = replay off.
-        from repro.runtime.execute import resolve_trace_root
+        # Phase-trace replay is on by default, with traces next to the
+        # result cache (see ``cache_trace_root``); ``trace_root`` pins
+        # the tree explicitly.  ``None`` after resolution = replay off.
+        from repro.runtime.execute import cache_trace_root
 
         if trace_root is None:
-            cache_dir = getattr(cache, "cache_dir", None)
-            preferred = (
-                str(cache_dir / "traces") if cache_dir is not None else None
-            )
-            trace_root = resolve_trace_root(preferred)
+            trace_root = cache_trace_root(cache)
         self.trace_root = trace_root
         #: Test seam: forces serial execution through this callable.
         self._runner = runner

@@ -37,8 +37,9 @@ accelerators extend the exemption set via
 ``AcceleratorBase.phase_config_exempt`` for knobs their dataflow never
 reads, widening trace sharing across ablation sweeps.
 
-Storage is a :class:`repro.runtime.cache.TraceStore` (sharded layout,
-atomic writes, corrupt-record eviction); invalidation is structural --
+Storage is a :class:`repro.runtime.cache.TraceStore` (one
+``<sig>.json`` per phase in the job's own trace directory, atomic
+writes, corrupt-record eviction); invalidation is structural --
 the chain hashes :data:`TRACE_SCHEMA_VERSION`, so any layout change
 simply stops hitting old records.
 

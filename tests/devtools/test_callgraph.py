@@ -94,6 +94,18 @@ class TestFixtureGraph:
         assert f"{a}.StatsTracker._finish" not in reachable
         assert f"{a}.StatsTracker.snapshot" not in reachable
 
+    def test_typed_attribute_fans_out_to_subclass_override(self):
+        graph = get_callgraph(
+            load(("override_fanout.py", "repro.serve.override_fixture"))
+        )
+        o = "repro.serve.override_fixture"
+        reachable = graph.thread_reachable("repro.serve")
+        # self.store: Optional[BaseStore] fans out to the subclass
+        # override, two annotation-driven hops from the to_thread site.
+        assert f"{o}.BaseStore.load" in reachable
+        assert f"{o}.PrefixedStore.load" in reachable
+        assert f"{o}.PrefixedStore._prefixed" in reachable
+
     def test_async_flag_and_reverse_edges(self, graph):
         t = "repro.serve.transitive_fixture"
         assert graph.functions[f"{t}.TransitiveServer.handle_pure"].is_async
@@ -157,17 +169,20 @@ class TestSrcSpotChecks:
     def test_sharded_cache_load_is_thread_reachable(self, project):
         graph = get_callgraph(project)
         reachable = graph.thread_reachable("repro.serve")
-        # self.cache: Optional[ResultCache] fans out to the subclass
-        # override, two annotation-driven hops from the to_thread site.
+        # self.cache: Optional[ResultCache] resolves the probe, and the
+        # record read it inherits, from the to_thread site.
         assert "repro.runtime.cache.ResultCache.load" in reachable
-        assert "repro.runtime.cache.ShardedResultCache.load" in reachable
-        assert "repro.runtime.cache.ShardedResultCache._adopt_flat" in reachable
+        assert "repro.runtime.cache._RecordStore._read" in reachable
 
     def test_cache_load_effects(self, project):
         effects = get_effects(project)
+        read = effects.of("repro.runtime.cache._RecordStore._read")
+        assert BLOCKS_IO in read.direct  # open()
+        assert MUTATES_NONLOCAL in read.direct  # self.hits += 1
+        # ResultCache.load inherits both through its self._read call.
         fx = effects.of("repro.runtime.cache.ResultCache.load")
-        assert BLOCKS_IO in fx.direct  # open()
-        assert MUTATES_NONLOCAL in fx.direct  # self.hits += 1
+        assert {BLOCKS_IO, MUTATES_NONLOCAL} <= fx.all
+        assert fx.via[BLOCKS_IO] == "repro.runtime.cache._RecordStore._read"
 
     def test_async_handlers_carry_no_wall_clock_into_sim(self, project):
         effects = get_effects(project)

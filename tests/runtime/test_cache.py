@@ -10,10 +10,10 @@ from repro.hymm.base import RunResult
 from repro.runtime import (
     JobSpec,
     ResultCache,
-    ShardedResultCache,
     default_cache_dir,
     execute_spec,
 )
+from repro.runtime.cache import TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +40,8 @@ class TestHitMiss:
     def test_miss_then_hit(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         assert cache.load(spec) is None
-        cache.store(spec, result)
-        assert cache.contains(spec)
+        path = cache.store(spec, result)
+        assert path.exists()
         loaded = cache.load(spec)
         assert loaded is not None
         assert loaded.stats.cycles == result.stats.cycles
@@ -127,47 +127,14 @@ class TestRunResultSchema:
 
 class TestShardedLayout:
     def test_store_lands_in_hash_prefix_shard(self, tmp_path, spec, result):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         path = cache.store(spec, result)
         fp = spec.fingerprint()
         assert path == tmp_path / fp[:2] / fp[2:4] / f"{fp}.json"
         assert cache.load(spec) is not None
 
-    def test_flat_record_adopted_transparently(self, tmp_path, spec, result):
-        flat = ResultCache(tmp_path)
-        flat_path = flat.store(spec, result)
-        sharded = ShardedResultCache(tmp_path)
-        assert sharded.contains(spec)
-        loaded = sharded.load(spec)
-        assert loaded is not None
-        assert loaded.stats.cycles == result.stats.cycles
-        # The record physically moved into its shard.
-        assert not flat_path.exists()
-        fp = spec.fingerprint()
-        assert (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").exists()
-        assert sharded.migrated == 1
-
-    def test_adopt_is_idempotent_and_race_tolerant(self, tmp_path, spec, result):
-        sharded = ShardedResultCache(tmp_path)
-        sharded.store(spec, result)
-        # No flat file: adoption is a silent no-op (the losing side of
-        # a migration race sees exactly this).
-        sharded._adopt_flat(spec.fingerprint())
-        assert sharded.migrated == 0
-        assert sharded.load(spec) is not None
-
-    def test_size_and_clear_span_both_layouts(self, tmp_path, spec, result):
-        flat = ResultCache(tmp_path)
-        flat.store(spec, result)
-        other = JobSpec(dataset="cora", kind="rwp", scale=0.05, seed=1)
-        sharded = ShardedResultCache(tmp_path)
-        sharded.store(other, result)
-        assert sharded.size() == 2
-        assert sharded.clear() == 2
-        assert sharded.size() == 0
-
     def test_corruption_recovery_in_shard(self, tmp_path, spec, result):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         path = cache.store(spec, result)
         path.write_text(path.read_text()[:40])
         assert cache.load(spec) is None
@@ -175,8 +142,16 @@ class TestShardedLayout:
         cache.store(spec, result)
         assert cache.load(spec) is not None
 
+    def test_trace_store_is_flat_in_the_job_trace_dir(self, tmp_path, spec):
+        store = TraceStore(spec.trace_dir(str(tmp_path)))
+        sig = "ab" * 32
+        path = store.store_trace(sig, {"phase": "p0"})
+        fp = spec.fingerprint()
+        assert path == tmp_path / fp[:2] / fp / f"{sig}.json"
+        assert store.load_trace(sig) == {"phase": "p0"}
+
     def test_hit_rate_property(self, tmp_path, spec, result):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         assert cache.hit_rate == 0.0
         cache.load(spec)
         cache.store(spec, result)
@@ -191,7 +166,7 @@ class TestConcurrentWriters:
         wins; os.replace is atomic) and no temp-file litter."""
         import threading
 
-        caches = [ShardedResultCache(tmp_path) for _ in range(4)]
+        caches = [ResultCache(tmp_path) for _ in range(4)]
         errors = []
         start = threading.Barrier(len(caches))
 
@@ -213,7 +188,7 @@ class TestConcurrentWriters:
         for t in threads:
             t.join(timeout=60)
         assert not errors
-        final = ShardedResultCache(tmp_path)
+        final = ResultCache(tmp_path)
         assert final.load(spec) is not None
         assert final.size() == 1
         leftovers = [
@@ -221,28 +196,3 @@ class TestConcurrentWriters:
             and not p.name.endswith(".json")
         ]
         assert leftovers == []
-
-    def test_racing_flat_migration(self, tmp_path, spec, result):
-        """Multiple sharded caches adopting the same flat record: one
-        wins the os.replace, the rest treat losing as a no-op."""
-        import threading
-
-        flat = ResultCache(tmp_path)
-        flat.store(spec, result)
-        caches = [ShardedResultCache(tmp_path) for _ in range(6)]
-        results = []
-        start = threading.Barrier(len(caches))
-
-        def adopt(cache):
-            start.wait(timeout=10)
-            results.append(cache.load(spec))
-
-        threads = [
-            threading.Thread(target=adopt, args=(c,)) for c in caches
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert all(r is not None for r in results)
-        assert sum(c.migrated for c in caches) == 1

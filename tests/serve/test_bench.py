@@ -81,6 +81,17 @@ class TestRunBench:
         assert entry["results"]["client_ms"]["p50"] < 5.0
 
 
+    def test_self_hosts_over_a_temporary_cache(self, tmp_path, monkeypatch):
+        """Without ``cache_dir`` every run primes cold and leaves the
+        user's cache (``REPRO_CACHE_DIR``) untouched."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+        for _ in range(2):
+            entry = run_bench(dataset="cora", kind="rwp", scale=0.05, requests=5)
+            assert entry["results"]["prime_source"] == "executed"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBenchMain:
     def test_appends_and_compares(self, tmp_path, capsys):
         output = tmp_path / "BENCH_serve.json"

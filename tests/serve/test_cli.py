@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.runtime import JobSpec, ShardedResultCache
+from repro.runtime import JobSpec, ResultCache
 from repro.serve.cli import build_parser, main
 from repro.serve.server import ServerThread
 
@@ -17,7 +17,7 @@ def spec():
 
 @pytest.fixture()
 def server(tmp_path):
-    cache = ShardedResultCache(tmp_path / "cache")
+    cache = ResultCache(tmp_path / "cache")
     with ServerThread(cache=cache) as srv:
         yield srv
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.bench.runner import job_spec
-from repro.runtime import JobSpec, ShardedResultCache, execute_spec
+from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_spec
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import encode
 from repro.serve.server import (
@@ -50,7 +50,7 @@ def wait_until(predicate, timeout=20.0, interval=0.01):
 # ----------------------------------------------------------------------
 class TestColdWarm:
     def test_cold_executes_then_warm_hits_cache(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 cold = client.submit(spec.to_dict(), include_result=True)
@@ -74,8 +74,27 @@ class TestColdWarm:
         fp = spec.fingerprint()
         assert (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").exists()
 
+    def test_sweep_written_record_served_as_is(self, tmp_path, spec):
+        """A batch sweep and the server share one layout: the record a
+        sweep stored is answered from disk without being moved."""
+        sweep = SweepExecutor(cache=ResultCache(tmp_path)).run([spec])
+        assert sweep.manifest.executed == 1
+        fp = spec.fingerprint()
+        path = tmp_path / fp[:2] / fp[2:4] / f"{fp}.json"
+        before = path.stat()
+        with ServerThread(cache=ResultCache(tmp_path)) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                warm = client.submit(spec.to_dict())
+        assert warm["cache"] == "hit"
+        assert warm["source"] == "cache-disk"
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns
+        )
+        assert not (tmp_path / f"{fp}.json").exists()
+
     def test_warm_phases_rebuilt_from_snapshots(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 cold = client.submit(spec.to_dict())
@@ -255,7 +274,7 @@ class TestStatus:
         assert events[-1]["status"] == "done"
 
     def test_follow_terminal_job_replays_and_ends(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 submitted = client.submit(spec.to_dict())
@@ -292,7 +311,7 @@ class TestFailureAndOps:
         assert health["queue_depth"] == 0
 
     def test_metrics_shape(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 client.submit(spec.to_dict())
@@ -305,7 +324,7 @@ class TestFailureAndOps:
         assert metrics["workers"]["peak_rss_kb"] is not None
 
     def test_bad_request_line_answered_not_fatal(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 client._sock.sendall(b"this is not json\n")

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.obs.schema import validate_trace
-from repro.runtime import JobSpec, ShardedResultCache
+from repro.runtime import JobSpec, ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeSettings, ServerThread
@@ -64,7 +64,7 @@ class TestEndToEndCorrelation:
     def test_one_id_across_every_surface(
         self, tmp_path, spec, log_stream, recorder
     ):
-        cache = ShardedResultCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache")
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 cold = client.submit(spec.to_dict())
@@ -112,7 +112,7 @@ class TestEndToEndCorrelation:
         assert "corr_id" not in shard.read_text(encoding="utf-8")
 
     def test_warm_hit_gets_a_fresh_id(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
                 cold = client.submit(spec.to_dict())
@@ -122,7 +122,7 @@ class TestEndToEndCorrelation:
         assert warm["corr_id"] != cold["corr_id"]
 
     def test_client_supplied_id_is_adopted(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         doc = spec.to_dict()
         doc["corr_id"] = "feedface00000007"
         with ServerThread(cache=cache) as srv:
@@ -138,7 +138,7 @@ class TestManifestJobRecord:
             dataset=spec.dataset, kind=spec.kind, scale=spec.scale,
             corr_id=corr,
         )
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         executor = SweepExecutor(n_jobs=1, cache=cache)
         sweep = executor.run([tagged])
         [record] = sweep.manifest.records
@@ -146,7 +146,7 @@ class TestManifestJobRecord:
         assert record.to_dict()["corr_id"] == corr
 
     def test_untagged_spec_serialises_without_the_key(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         sweep = SweepExecutor(n_jobs=1, cache=cache).run([spec])
         [record] = sweep.manifest.records
         assert record.corr_id is None
@@ -155,7 +155,7 @@ class TestManifestJobRecord:
 
 class TestTelemetryOffByteIdentity:
     def test_no_correlation_material_on_the_wire(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         settings = ServeSettings(telemetry=False)
         with ServerThread(cache=cache, settings=settings) as srv:
             with ServeClient(srv.host, srv.port) as client:
@@ -182,7 +182,7 @@ class TestTelemetryOffByteIdentity:
         subsystem, and excluded)."""
         payloads = {}
         for mode, telemetry in (("off", False), ("on", True)):
-            cache = ShardedResultCache(tmp_path / mode)
+            cache = ResultCache(tmp_path / mode)
             settings = ServeSettings(telemetry=telemetry)
             with ServerThread(cache=cache, settings=settings) as srv:
                 with ServeClient(srv.host, srv.port) as client:
@@ -195,7 +195,7 @@ class TestTelemetryOffByteIdentity:
         assert payloads["off"] == payloads["on"]
 
     def test_metrics_still_counted_with_telemetry_off(self, tmp_path, spec):
-        cache = ShardedResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         settings = ServeSettings(telemetry=False)
         with ServerThread(cache=cache, settings=settings) as srv:
             with ServeClient(srv.host, srv.port) as client:

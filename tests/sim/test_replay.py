@@ -148,7 +148,7 @@ def test_corrupt_record_degrades_to_live(tmp_path, model):
     session = TraceSession(store)
     live = _run(model, "rwp", session=session, **SMALL)
     # Truncate every stored record.
-    paths = list(store._record_paths())
+    paths = list((tmp_path / "traces").glob("*.json"))
     assert paths
     for p in paths:
         p.write_text("{\"truncated", encoding="utf-8")
@@ -178,7 +178,7 @@ def test_schema_bump_invalidates(tmp_path, model):
     store = TraceStore(tmp_path / "traces")
     session = TraceSession(store)
     _run(model, "rwp", session=session, **SMALL)
-    for p in store._record_paths():
+    for p in (tmp_path / "traces").glob("*.json"):
         rec = json.loads(p.read_text(encoding="utf-8"))
         rec["trace_schema"] = TRACE_SCHEMA_VERSION + 1
         p.write_text(json.dumps(rec), encoding="utf-8")
