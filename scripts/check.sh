@@ -48,6 +48,10 @@ run python -m pytest -x -q
 # smoke asserts it via /metrics) while still streaming progress.
 run python -m repro.serve smoke
 
+# Engine gate (CI's perf-smoke job): the batched engine must beat the
+# scalar one on a tiny fixed workload.
+run python scripts/bench_sim_speed.py --smoke
+
 # Perf gate over the committed BENCH_sim.json trajectory: the newest
 # entry's replay headline and cold-run engine-only aggregate speedups
 # must not have regressed >10% against the previous same-workload entry.
