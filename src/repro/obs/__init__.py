@@ -4,7 +4,8 @@ Three layers, all off by default:
 
 * **simulated-time tracing** (:mod:`repro.obs.tracer`) -- span/instant/
   counter events with the simulated cycle count as the clock, exported
-  as Chrome trace-event JSON (Perfetto-loadable);
+  as Chrome trace-event JSON (Perfetto-loadable); the same writer
+  records host wall-clock spans with ``clock="wall"``;
 * **phase-attributed metrics** -- per-phase :class:`repro.sim.stats.
   SimStats` snapshots on every :class:`repro.hymm.base.RunResult`
   (``phase_snapshots``), conserving the whole-run aggregate under
@@ -14,7 +15,7 @@ Three layers, all off by default:
   (:mod:`repro.runtime.manifest`).
 
 ``python -m repro.obs`` exposes ``trace`` / ``report`` / ``diff`` /
-``validate`` subcommands; see :mod:`repro.obs.cli`.
+``slo`` / ``validate`` subcommands; see :mod:`repro.obs.cli`.
 
 This module deliberately re-exports only the tracer surface -- it is
 imported by the simulator's hot modules, so it must stay stdlib-only

@@ -8,9 +8,10 @@ Subcommands:
     the run's SimStats totals land in ``otherData`` (no wall times), so
     the export is byte-deterministic for a given spec.
 ``report FILE [--json]``
-    Per-phase breakdown of a trace, per-span wall-time breakdown of a
-    ``repro.telemetry`` span file, or per-job telemetry of a run
-    manifest (auto-detected).
+    Per-phase breakdown of a simulated-clock trace, per-span wall-time
+    breakdown of a wall-clock span file (``repro.serve serve
+    --span-file``), or per-job telemetry of a run manifest
+    (auto-detected).
 ``diff A B``
     Compare two traces (per-phase cycles and DRAM bytes) or two
     manifests (per-label wall time and status).  One wall-clock span
@@ -20,9 +21,11 @@ Subcommands:
 ``slo [--host H] [--port P] [--json]``
     SLO verdict of a running sweep server (scraped from ``/healthz``);
     exit 1 when degraded.
-``validate FILE [FILE ...]``
-    Structural check against the in-repo trace schema; exit 1 on any
-    problem.
+``validate FILE [FILE ...] [--min-samples N]``
+    Check each file (or ``-`` for stdin), told apart by content: a JSON
+    object against the in-repo trace schema (either clock), anything
+    else as a Prometheus text exposition (``--min-samples`` sets the
+    least number of samples it must carry).  Exit 1 on any problem.
 
 Runtime/bench imports happen inside the handlers -- the CLI must be
 importable (e.g. for ``--help``) without dragging the workload layer in.
@@ -50,6 +53,7 @@ from repro.obs.report import (
 )
 from repro.obs.schema import validate_trace
 from repro.obs.tracer import ChromeTracer
+from repro.telemetry.prometheus import ExpositionError, validate_exposition
 
 #: Whole-run totals stored in a trace's ``otherData`` -- the fields the
 #: report cross-checks against the per-phase sums.
@@ -212,23 +216,52 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0 if verdict == "ok" else 1
 
 
+def _read_input(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _check_input(text: str, min_samples: int) -> Tuple[List[str], str]:
+    """(problems, ok summary) of one validate input: a JSON object is
+    checked as a trace, anything else as a Prometheus exposition."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        return validate_trace(doc), "ok"
+    try:
+        stats = validate_exposition(text)
+    except ExpositionError as exc:
+        return [f"INVALID: {exc}"], ""
+    if stats["samples"] < min_samples:
+        return [
+            f"INVALID: only {stats['samples']} samples "
+            f"(--min-samples {min_samples})"
+        ], ""
+    return [], f"ok: families={stats['families']} samples={stats['samples']}"
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
-        problems = validate_trace(load_json(path))
+        problems, ok = _check_input(_read_input(path), args.min_samples)
         if problems:
             status = 1
             for problem in problems:
                 print(f"{path}: {problem}", file=sys.stderr)
         else:
-            print(f"{path}: ok")
+            print(f"{path}: {ok}")
     return status
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Observability CLI: simulated-time traces and run telemetry.",
+        description="Observability CLI: simulated- and wall-clock traces, "
+        "Prometheus expositions and run telemetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -268,8 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true", help="raw SLO payload")
     slo.set_defaults(func=_cmd_slo)
 
-    validate = sub.add_parser("validate", help="schema-check trace files")
-    validate.add_argument("files", nargs="+")
+    validate = sub.add_parser(
+        "validate", help="check trace files and Prometheus expositions"
+    )
+    validate.add_argument(
+        "files", nargs="+", help="trace JSON or exposition files, '-' for stdin"
+    )
+    validate.add_argument(
+        "--min-samples",
+        type=int,
+        default=0,
+        help="fail an exposition unless it carries at least this many samples",
+    )
     validate.set_defaults(func=_cmd_validate)
     return parser
 

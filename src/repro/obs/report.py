@@ -7,8 +7,9 @@ Loaders plus the renderers used by the ``python -m repro.obs`` CLI:
   in ``otherData`` (the sums must match exactly -- the phase spans carry
   SimStats deltas built with the conservation invariant);
 * :func:`wall_report` -- per-span wall-millisecond breakdown of a
-  host-time trace (the files ``repro.telemetry.SpanRecorder`` writes;
-  detected via ``otherData.clock == "wall"``);
+  host-time trace (the files a ``ChromeTracer(clock="wall")`` writes,
+  e.g. ``repro.serve serve --span-file``; detected via
+  ``otherData.clock == "wall"``);
 * :func:`manifest_report` -- per-job host telemetry of one run manifest
   (status, attempts, wall time, peak RSS, timeouts);
 * :func:`diff_report` -- side-by-side comparison of two traces (e.g.
@@ -53,8 +54,9 @@ def is_manifest(doc: Mapping[str, Any]) -> bool:
 
 
 def is_wall_trace(doc: Mapping[str, Any]) -> bool:
-    """A host-time span file (``SpanRecorder`` export): a trace whose
-    declared clock is wall time rather than simulated cycles."""
+    """A host-time span file (``ChromeTracer(clock="wall")`` export): a
+    trace whose declared clock is wall time rather than simulated
+    cycles."""
     other = doc.get("otherData")
     return (
         is_trace(doc)

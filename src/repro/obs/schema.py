@@ -3,14 +3,16 @@
 The bench/CI pipelines must be able to say "this artifact is a valid
 trace" without pulling in a JSON-schema dependency, so this is a small
 hand-rolled checker for exactly the subset of the trace-event format
-that :class:`repro.obs.tracer.ChromeTracer` emits:
+that :class:`repro.obs.tracer.ChromeTracer` emits, on either clock
+(simulated cycles or wall-clock microseconds):
 
 * root object with a ``traceEvents`` list;
 * every event an object with ``name``/``cat``/``ph``/``ts``/``pid``/``tid``;
 * ``ph`` one of ``X`` (complete, needs numeric ``dur >= 0``), ``i``
   (instant, needs scope ``s``), ``C`` (counter, needs numeric ``args``);
-* timestamps are non-negative numbers (the simulated clock never runs
-  backwards from zero).
+* timestamps are non-negative numbers (both clocks count up from zero:
+  the simulated one from cycle 0, the wall one from the tracer's
+  origin).
 
 :func:`validate_trace` returns a list of human-readable problems --
 empty means valid -- so callers can print every defect at once instead

@@ -1,9 +1,13 @@
-"""Simulated-time tracers: the event sink the simulator reports into.
+"""Tracers: the event sink the simulator and the host report into.
 
-The clock of every event is the *simulated* cycle count (the decoupled
-engine's timelines), not wall time, so a trace of a run is a picture of
-the modelled hardware: where the pipeline's cycles went, phase by
-phase, tile by tile, batch by batch.
+A trace has one of two clocks.  The default, ``clock="sim"``, is the
+*simulated* cycle count (the decoupled engine's timelines), not wall
+time, so a trace of a run is a picture of the modelled hardware: where
+the pipeline's cycles went, phase by phase, tile by tile, batch by
+batch.  ``clock="wall"`` is host time in microseconds -- the spans
+:func:`repro.telemetry.spans.span` records around serving and runtime
+work.  Both are written by :class:`ChromeTracer`, the one place that
+builds Chrome trace-event dicts.
 
 Three implementations share one interface:
 
@@ -19,14 +23,14 @@ Three implementations share one interface:
 :class:`ChromeTracer`
     Collects events in memory and exports Chrome trace-event JSON
     (the ``traceEvents`` array format), loadable in Perfetto or
-    ``chrome://tracing``.  Export is deterministic: given the same
-    simulated run, :meth:`ChromeTracer.to_json` returns byte-identical
-    output (no wall-clock timestamps, sorted keys).
+    ``chrome://tracing``.  A simulated-clock export is deterministic:
+    given the same simulated run, :meth:`ChromeTracer.to_json` returns
+    byte-identical output (no wall-clock timestamps, sorted keys).
 
 Event vocabulary (Chrome trace-event phases):
 
 * ``span(name, start, end)`` -> one complete event (``"ph": "X"``) --
-  an engine batch, a region tile, an accelerator phase;
+  an engine batch, a region tile, an accelerator phase, a host span;
 * ``instant(name, cycle)`` -> an instant event (``"ph": "i"``) -- a
   buffer invalidation, a spilled-partial refetch;
 * ``counter(name, cycle, values)`` -> a counter event (``"ph": "C"``)
@@ -36,6 +40,8 @@ Event vocabulary (Chrome trace-event phases):
 from __future__ import annotations
 
 import json
+import threading
+import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 #: Categories the simulator emits (the ``cat`` field of every event).
@@ -157,23 +163,49 @@ class PhaseFeed(Tracer):
 class ChromeTracer(Tracer):
     """In-memory collector exporting Chrome trace-event JSON.
 
-    ``ts``/``dur`` carry simulated cycles directly (the JSON format
-    nominally uses microseconds; Perfetto renders any unit, and
-    ``displayTimeUnit`` is advisory).  ``pid``/``tid`` are fixed -- one
-    simulated pipeline -- which keeps traces of the same run
-    byte-identical.
+    With ``clock="sim"`` (the default), ``ts``/``dur`` carry simulated
+    cycles directly (the JSON format nominally uses microseconds;
+    Perfetto renders any unit, and ``displayTimeUnit`` is advisory).
+    ``pid``/``tid`` are fixed -- one simulated pipeline -- which keeps
+    traces of the same run byte-identical.
+
+    With ``clock="wall"``, ``ts``/``dur`` are host microseconds since
+    :attr:`origin` (Chrome trace ``ts`` must be >= 0 and the viewer
+    only cares about deltas), every event carries the emitting
+    thread's ``tid``, and the absolute ``epoch_s`` anchor lands in the
+    document metadata so two recordings can still be aligned.
+
+    Appends are locked: host spans arrive from many threads at once.
     """
 
     enabled = True
 
-    def __init__(self, pid: int = 0, tid: int = 0) -> None:
+    def __init__(self, pid: int = 0, tid: int = 0, clock: str = "sim") -> None:
+        if clock not in ("sim", "wall"):
+            raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
         self.pid = pid
         self.tid = tid
+        self.clock = clock
+        wall = clock == "wall"
+        #: ``perf_counter`` reading that wall-clock ``ts`` counts from.
+        self.origin = time.perf_counter() if wall else 0.0
+        self._epoch_s = time.time() if wall else 0.0
+        self._lock = threading.Lock()
         self._events: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
+    def _append(self, event: Dict[str, Any]) -> None:
+        if self.clock == "wall":
+            # Host microseconds to the nanosecond; the emitting thread.
+            event["ts"] = round(event["ts"], 3)
+            if "dur" in event:
+                event["dur"] = round(event["dur"], 3)
+            event["tid"] = threading.get_ident() % 1_000_000
+        with self._lock:
+            self._events.append(event)
+
     def span(
         self,
         name: str,
@@ -193,7 +225,7 @@ class ChromeTracer(Tracer):
         }
         if args:
             event["args"] = dict(args)
-        self._events.append(event)
+        self._append(event)
 
     def instant(
         self,
@@ -213,12 +245,12 @@ class ChromeTracer(Tracer):
         }
         if args:
             event["args"] = dict(args)
-        self._events.append(event)
+        self._append(event)
 
     def counter(
         self, name: str, cycle: Cycle, values: Mapping[str, Cycle]
     ) -> None:
-        self._events.append(
+        self._append(
             {
                 "name": name,
                 "cat": "counter",
@@ -242,22 +274,32 @@ class ChromeTracer(Tracer):
     ) -> Dict[str, Any]:
         """The full trace document (Chrome trace-event JSON object form).
 
-        ``metadata`` lands under ``otherData`` -- the obs CLI records the
-        job spec and the run's ``SimStats`` totals there, which is what
-        lets ``repro.obs report`` cross-check per-phase sums against the
-        whole-run aggregate.  Callers must keep metadata free of wall
-        times so exports stay deterministic.
+        ``otherData`` declares the clock (plus, for wall time, the
+        ``epoch_s`` anchor) and carries ``metadata`` -- the obs CLI
+        records the job spec and the run's ``SimStats`` totals there,
+        which is what lets ``repro.obs report`` cross-check per-phase
+        sums against the whole-run aggregate.  Callers must keep
+        simulated-clock metadata free of wall times so those exports
+        stay deterministic.
         """
-        doc: Dict[str, Any] = {
-            "traceEvents": list(self._events),
-            "displayTimeUnit": "ns",
-        }
+        with self._lock:
+            events = list(self._events)
+        other: Dict[str, Any] = {"clock": self.clock}
+        if self.clock == "wall":
+            # Spans are appended as they close, from many threads;
+            # export them by start time.
+            events.sort(key=lambda e: (e["ts"], e["name"]))
+            other["epoch_s"] = round(self._epoch_s, 6)
         if metadata:
-            doc["otherData"] = dict(metadata)
-        return doc
+            other.update(metadata)
+        return {
+            "traceEvents": events,
+            "displayTimeUnit": "ms" if self.clock == "wall" else "ns",
+            "otherData": other,
+        }
 
     def to_json(self, metadata: Optional[Mapping[str, Any]] = None) -> str:
-        """Deterministic JSON export (sorted keys, fixed separators)."""
+        """JSON export (sorted keys, fixed separators)."""
         return json.dumps(
             self.trace_dict(metadata), sort_keys=True, separators=(",", ":")
         )

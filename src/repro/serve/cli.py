@@ -21,7 +21,7 @@ Subcommands:
 ``healthz`` / ``metrics [--prom]``
     Scrape the respective endpoint as JSON; ``metrics --prom`` prints
     the Prometheus text exposition instead (CI pipes it into the
-    ``python -m repro.telemetry validate -`` checker).
+    ``python -m repro.obs validate -`` checker).
 ``shutdown``
     Ask a running server to exit.
 ``bench-hitpath [--requests N] [--dataset D] [--kind K] ...``
@@ -83,9 +83,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
+    from repro.obs.tracer import ChromeTracer
     from repro.runtime.cache import ResultCache
     from repro.serve.server import ServeSettings, SweepServer
-    from repro.telemetry import SpanRecorder, configure_logging, install_recorder
+    from repro.telemetry import configure_logging, install_recorder
 
     # Replay knobs ride on the env var so pool workers (which re-derive
     # their trace sessions process-locally) see the same setting.
@@ -105,7 +106,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         os.environ.setdefault("REPRO_TELEMETRY_LOG", args.log)
     recorder = None
     if args.span_file:
-        recorder = SpanRecorder()
+        recorder = ChromeTracer(pid=os.getpid(), clock="wall")
         install_recorder(recorder)
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -135,7 +136,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         if recorder is not None:
-            recorder.write(args.span_file, tool="repro.serve")
+            recorder.write(args.span_file, {"tool": "repro.serve"})
             print(f"wall-clock spans written to {args.span_file}", flush=True)
     return 0
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint_args(p)
     p.add_argument("--prom", action="store_true",
                    help="print the Prometheus text exposition instead of "
-                   "JSON (pipe into 'python -m repro.telemetry validate -')")
+                   "JSON (pipe into 'python -m repro.obs validate -')")
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("shutdown", help="stop a running server")

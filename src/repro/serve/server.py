@@ -202,10 +202,6 @@ class ServeSettings:
     #: Terminal jobs kept addressable by ``/status`` (LRU-bounded;
     #: in-flight jobs are never evicted).
     registry_limit: int = 512
-    #: Retained for settings compatibility: hit-path latency now lives
-    #: in a fixed-bucket telemetry histogram (O(buckets) per scrape, no
-    #: window to overflow), so this no longer bounds anything.
-    latency_window: int = 4096
     #: Wall-clock telemetry (correlation IDs on jobs/events/records,
     #: structured log emission, span recording).  ``False`` restores
     #: pre-telemetry byte-identical submit/status responses; metrics
@@ -319,50 +315,50 @@ class ServeMetrics:
     All counters live in the *per-server* :class:`MetricsRegistry`
     (``registry``): two ServerThreads in one test process never bleed
     counts into each other, and a scrape renders this registry plus the
-    process-global one (executor/replay instruments).  The legacy plain
-    ``metrics.submitted``-style reads remain as properties.
+    process-global one (executor/replay instruments).  Callers use the
+    instruments directly (``metrics.submitted.inc()``).
 
     Hit-path latency is a fixed-exponential-bucket histogram: recording
     a sample is O(log buckets), a scrape summarises O(buckets) -- no
-    4096-sample deque copied and sorted on the event loop per scrape,
-    and no window silently dropping history on overflow.
+    sample window copied and sorted on the event loop per scrape, and
+    no window silently dropping history on overflow.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._submitted = registry.counter(
+        self.submitted = registry.counter(
             "repro_serve_submitted_total", "Submissions accepted"
         )
         #: Submissions answered by attaching to an in-flight entry.
-        self._deduped = registry.counter(
+        self.deduped = registry.counter(
             "repro_serve_deduped_total",
             "Submissions answered by single-flight attach",
         )
         #: Submissions answered straight from the result cache.
-        self._cache_served = registry.counter(
+        self.cache_served = registry.counter(
             "repro_serve_cache_served_total",
             "Submissions answered from the result cache or job registry",
         )
         #: Cache misses served from the terminal-job registry (only
         #: possible on a cache-less server).
-        self._registry_hits = registry.counter(
+        self.registry_hits = registry.counter(
             "repro_serve_registry_hits_total",
             "Cache misses answered from the terminal-job registry",
         )
-        self._executed = registry.counter(
+        self.executed = registry.counter(
             "repro_serve_jobs_executed_total", "Jobs simulated to completion"
         )
-        self._failed = registry.counter(
+        self.failed = registry.counter(
             "repro_serve_jobs_failed_total", "Jobs that ended in failure"
         )
-        self._timeouts = registry.counter(
+        self.timeouts = registry.counter(
             "repro_serve_job_timeouts_total", "Jobs that hit the pool timeout"
         )
-        self._retries = registry.counter(
+        self.retries = registry.counter(
             "repro_serve_job_retries_total",
             "Extra attempts beyond the first, summed over jobs",
         )
-        self._batches = registry.counter(
+        self.batches = registry.counter(
             "repro_serve_batches_total", "SweepExecutor batch invocations"
         )
         #: Phase-trace replay accounting over executed jobs: phases
@@ -378,7 +374,7 @@ class ServeMetrics:
             "Highest per-process peak RSS reported by any batch (KiB)",
         )
         self._seen_rss = False
-        self._hitpath = registry.histogram(
+        self.hitpath = registry.histogram(
             "repro_serve_hitpath_ms",
             "Wall milliseconds to serve a submission from the result cache",
         )
@@ -392,43 +388,6 @@ class ServeMetrics:
             "repro_serve_uptime_seconds", "Seconds since the server started"
         )
 
-    # -- legacy plain-int reads --------------------------------------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def deduped(self) -> int:
-        return int(self._deduped.value)
-
-    @property
-    def cache_served(self) -> int:
-        return int(self._cache_served.value)
-
-    @property
-    def registry_hits(self) -> int:
-        return int(self._registry_hits.value)
-
-    @property
-    def executed(self) -> int:
-        return int(self._executed.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._timeouts.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
     @property
     def replay_hits(self) -> int:
         return int(self._replay.labels("replayed").value)
@@ -441,30 +400,6 @@ class ServeMetrics:
     def peak_rss_kb(self) -> Optional[int]:
         return int(self._rss.value) if self._seen_rss else None
 
-    # -- mutation ------------------------------------------------------
-    def inc_submitted(self) -> None:
-        self._submitted.inc()
-
-    def inc_deduped(self) -> None:
-        self._deduped.inc()
-
-    def inc_cache_served(self) -> None:
-        self._cache_served.inc()
-
-    def inc_registry_hits(self) -> None:
-        self._registry_hits.inc()
-
-    def inc_failed(self, n: int = 1) -> None:
-        self._failed.inc(n)
-
-    def record_hitpath(self, ms: float) -> None:
-        self._hitpath.observe(ms)
-
-    def hitpath_summary(self) -> Dict[str, float]:
-        """``{"count": n, "p50": ..., "p90": ..., "p99": ..., "max":
-        ..., "mean": ...}`` (just the count when empty)."""
-        return self._hitpath.percentile_summary()
-
     def set_runtime_gauges(self, queue_depth: int, in_flight: int, uptime_s: float) -> None:
         """Refresh point-in-time gauges (called at scrape time)."""
         self._queue_depth.set(queue_depth)
@@ -473,11 +408,11 @@ class ServeMetrics:
 
     def merge_manifest(self, manifest: Any) -> None:
         """Fold one SweepExecutor run manifest into the aggregates."""
-        self._batches.inc()
-        self._executed.inc(manifest.executed)
-        self._failed.inc(manifest.failed)
-        self._timeouts.inc(manifest.timeouts)
-        self._retries.inc(manifest.retries)
+        self.batches.inc()
+        self.executed.inc(manifest.executed)
+        self.failed.inc(manifest.failed)
+        self.timeouts.inc(manifest.timeouts)
+        self.retries.inc(manifest.retries)
         replay_hits = getattr(manifest, "replay_hits", 0)
         replay_misses = getattr(manifest, "replay_misses", 0)
         if replay_hits:
@@ -666,7 +601,7 @@ class SweepServer:
                 error_payload(f"bad spec: {type(exc).__name__}: {exc}"),
             )
             return
-        self.metrics.inc_submitted()
+        self.metrics.submitted.inc()
         telemetry = self.settings.telemetry
 
         prior = self._jobs.get(fingerprint)
@@ -674,7 +609,7 @@ class SweepServer:
             # Single-flight: attach to the in-flight entry.
             entry = prior
             entry.submits += 1
-            self.metrics.inc_deduped()
+            self.metrics.deduped.inc()
             if telemetry and _log.isEnabledFor(logging.INFO):
                 _log.info(
                     "submit join",
@@ -705,7 +640,7 @@ class SweepServer:
                             self._cache_lookup, spec
                         )
                     if record is not None:
-                        self.metrics.record_hitpath(
+                        self.metrics.hitpath.observe(
                             (time.perf_counter() - probe_start) * 1000.0
                         )
                         source = SOURCE_CACHE_DISK
@@ -717,9 +652,9 @@ class SweepServer:
                 ):
                     record = prior.result_record
                     source = SOURCE_REGISTRY
-                    self.metrics.inc_registry_hits()
+                    self.metrics.registry_hits.inc()
                 if record is not None:
-                    self.metrics.inc_cache_served()
+                    self.metrics.cache_served.inc()
                     entry.complete(record, source)
                 else:
                     # Tag the spec only when it actually travels to a
@@ -847,7 +782,7 @@ class SweepServer:
         if self.cache is not None:
             cache_stats = dict(self.cache.stats())
             cache_stats["hit_rate"] = round(self.cache.hit_rate, 4)
-        hitpath = m.hitpath_summary()
+        hitpath = m.hitpath.percentile_summary()
         return {
             "ok": True,
             "uptime_s": round(self.uptime_s, 3),
@@ -855,13 +790,13 @@ class SweepServer:
             "in_flight": self._in_flight,
             "registry_size": len(self._jobs),
             "jobs": {
-                "submitted": m.submitted,
-                "deduped": m.deduped,
-                "cache_served": m.cache_served,
-                "registry_hits": m.registry_hits,
-                "executed": m.executed,
-                "failed": m.failed,
-                "batches": m.batches,
+                "submitted": int(m.submitted.value),
+                "deduped": int(m.deduped.value),
+                "cache_served": int(m.cache_served.value),
+                "registry_hits": int(m.registry_hits.value),
+                "executed": int(m.executed.value),
+                "failed": int(m.failed.value),
+                "batches": int(m.batches.value),
             },
             "cache": cache_stats,
             "replay": {
@@ -878,8 +813,8 @@ class SweepServer:
             "workers": {
                 "pool_jobs": self.settings.workers,
                 "max_batch": self.settings.max_batch,
-                "timeouts": m.timeouts,
-                "retries": m.retries,
+                "timeouts": int(m.timeouts.value),
+                "retries": int(m.retries.value),
                 "peak_rss_kb": m.peak_rss_kb,
             },
         }
@@ -924,7 +859,7 @@ class SweepServer:
             except Exception as exc:  # executor blew up: fail the batch
                 for entry in batch:
                     entry.fail(f"{type(exc).__name__}: {exc}")
-                self.metrics.inc_failed(len(batch))
+                self.metrics.failed.inc(len(batch))
                 if _log.isEnabledFor(logging.WARNING):
                     _log.warning(
                         "batch failed",

@@ -1,6 +1,6 @@
 """repro.telemetry -- the wall-clock observability spine.
 
-Four pieces, one contract:
+Five pieces, one contract:
 
 * :mod:`~repro.telemetry.metrics` -- typed registry (counters, gauges,
   exponential-bucket histograms, labels), exact under threads,
@@ -10,16 +10,17 @@ Four pieces, one contract:
 * :mod:`~repro.telemetry.logs` -- NDJSON structured logging with
   contextvars-propagated correlation IDs that survive ``await``,
   ``to_thread``, and (via ``JobSpec.corr_id``) process pools;
-* :mod:`~repro.telemetry.spans` -- host-time spans in the same
-  Chrome-trace schema ``repro.obs`` validates, correlation-joined to
-  simulated-time traces;
+* :mod:`~repro.telemetry.spans` -- host-time spans recorded into a
+  ``repro.obs`` :class:`~repro.obs.tracer.ChromeTracer` with
+  ``clock="wall"``, correlation-joined to simulated-time traces;
 * :mod:`~repro.telemetry.slo` -- declared objectives evaluated over
   rolling windows, burn-rate gauges, ok/degraded verdicts.
 
 The contract: with telemetry off (no handler configured, no span
 recorder installed) results are byte-identical and the hit path pays
-nothing measurable.  Simulated-time observability stays in
-:mod:`repro.obs`; this package only ever talks about the host clock.
+nothing measurable.  Simulated-time observability, the trace writer
+and the CLI (``python -m repro.obs``) live in :mod:`repro.obs`; this
+package only ever talks about the host clock.
 """
 
 from .logs import (
@@ -41,7 +42,7 @@ from .metrics import (
 )
 from .prometheus import ExpositionError, render_exposition, validate_exposition
 from .slo import Objective, SloTracker
-from .spans import SpanRecorder, active_recorder, install_recorder, instant, span
+from .spans import install_recorder, span
 
 __all__ = [
     "Counter",
@@ -52,8 +53,6 @@ __all__ = [
     "MetricsRegistry",
     "Objective",
     "SloTracker",
-    "SpanRecorder",
-    "active_recorder",
     "bind_correlation",
     "configure_logging",
     "correlation_scope",
@@ -62,7 +61,6 @@ __all__ = [
     "get_logger",
     "get_registry",
     "install_recorder",
-    "instant",
     "new_correlation_id",
     "render_exposition",
     "span",

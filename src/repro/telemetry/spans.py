@@ -1,26 +1,25 @@
-"""Wall-clock spans in the Chrome-trace schema PR 5 validates.
+"""Wall-clock spans: the process hook into a ``clock="wall"`` tracer.
 
 :mod:`repro.obs` traces *simulated* cycles; this module traces *host*
-time -- the other clock.  Both emit the same Chrome trace-event JSON
-(``repro.obs.schema.validate_trace`` accepts either), distinguished by
-``cat`` (``"host"`` here vs ``"phase"``/``"sim"`` there) and by the
-document metadata ``clock`` field.  Each span carries the bound
-correlation ID in its ``args``, which is the join key ``repro.obs
-diff`` uses to line a job's host-time spans up against its
-simulated-time trace.
+time -- the other clock.  Both are written by the one
+:class:`repro.obs.tracer.ChromeTracer`, distinguished by ``cat``
+(``"host"`` here vs ``"phase"``/``"sim"`` there) and by the document
+metadata ``clock`` field.  Each span carries the bound correlation ID
+in its ``args``, which is the join key ``repro.obs diff`` uses to line
+a job's host-time spans up against its simulated-time trace.
 
-The recorder is explicitly installed (serve ``--span-file``, obs CLI)
-or absent; with no recorder, :func:`span` is a no-op context manager
--- two attribute loads on the hit path, no timestamps taken.
+The recorder is explicitly installed (serve ``--span-file``) or
+absent; with no recorder, :func:`span` is a no-op context manager --
+two attribute loads on the hit path, no timestamps taken.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, Optional
+
+from repro.obs.tracer import ChromeTracer
 
 from .logs import current_correlation_id
 
@@ -28,120 +27,19 @@ from .logs import current_correlation_id
 #: use "phase"/"sim"/...).
 HOST_CATEGORY = "host"
 
-
-class SpanRecorder:
-    """Collects wall-clock trace events; thread-safe appends.
-
-    Timestamps are microseconds relative to recorder creation (Chrome
-    trace ``ts`` must be >= 0 and the viewer only cares about deltas);
-    the absolute epoch anchor lands in the document metadata so two
-    recordings can still be aligned.
-    """
-
-    def __init__(self, pid: int = 0) -> None:
-        self._lock = threading.Lock()
-        self._events: List[Dict[str, Any]] = []
-        self._epoch_s = time.time()
-        self._origin = time.perf_counter()
-        self.pid = pid if pid else os.getpid()
-
-    # ------------------------------------------------------------------
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._origin) * 1e6
-
-    def _emit(self, event: Dict[str, Any]) -> None:
-        corr_id = current_correlation_id()
-        if corr_id:
-            event.setdefault("args", {})["corr_id"] = corr_id
-        with self._lock:
-            self._events.append(event)
-
-    @contextmanager
-    def span(self, name: str, **args: Any) -> Iterator[None]:
-        """A complete ("X") event around the block, duration measured
-        with ``perf_counter``."""
-        start = self._now_us()
-        try:
-            yield
-        finally:
-            end = self._now_us()
-            event: Dict[str, Any] = {
-                "name": name,
-                "cat": HOST_CATEGORY,
-                "ph": "X",
-                "ts": round(start, 3),
-                "dur": round(max(0.0, end - start), 3),
-                "pid": self.pid,
-                "tid": threading.get_ident() % 1_000_000,
-            }
-            if args:
-                event["args"] = dict(args)
-            self._emit(event)
-
-    def instant(self, name: str, **args: Any) -> None:
-        event: Dict[str, Any] = {
-            "name": name,
-            "cat": HOST_CATEGORY,
-            "ph": "i",
-            "s": "t",
-            "ts": round(self._now_us(), 3),
-            "pid": self.pid,
-            "tid": threading.get_ident() % 1_000_000,
-        }
-        if args:
-            event["args"] = dict(args)
-        self._emit(event)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def trace_dict(self, **metadata: Any) -> Dict[str, Any]:
-        """The Chrome-trace document (validates under repro.obs.schema)."""
-        with self._lock:
-            events = [dict(e) for e in self._events]
-        events.sort(key=lambda e: (e["ts"], e["name"]))
-        meta: Dict[str, Any] = {
-            "clock": "wall",
-            "epoch_s": round(self._epoch_s, 6),
-        }
-        meta.update(metadata)
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": meta,
-        }
-
-    def to_json(self, **metadata: Any) -> str:
-        import json
-
-        return json.dumps(self.trace_dict(**metadata), indent=2, sort_keys=True)
-
-    def write(self, path: str, **metadata: Any) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(**metadata))
-            fh.write("\n")
-
-
-# ----------------------------------------------------------------------
 # Process-global recorder: absent by default (spans cost nothing), set
 # by entry points that want a wall-clock trace out.
+_recorder: Optional[ChromeTracer] = None
 
-_recorder: Optional[SpanRecorder] = None
 
-
-def install_recorder(recorder: Optional[SpanRecorder]) -> Optional[SpanRecorder]:
-    """Install (or, with None, remove) the process recorder; returns
-    the previous one so tests can restore it."""
+def install_recorder(recorder: Optional[ChromeTracer]) -> Optional[ChromeTracer]:
+    """Install (or, with None, remove) the process recorder -- a
+    ``ChromeTracer(clock="wall")`` -- and return the previous one so
+    tests can restore it."""
     global _recorder
     previous = _recorder
     _recorder = recorder
     return previous
-
-
-def active_recorder() -> Optional[SpanRecorder]:
-    return _recorder
 
 
 @contextmanager
@@ -152,11 +50,12 @@ def span(name: str, **args: Any) -> Iterator[None]:
     if rec is None:
         yield
         return
-    with rec.span(name, **args):
+    start = (time.perf_counter() - rec.origin) * 1e6
+    try:
         yield
-
-
-def instant(name: str, **args: Any) -> None:
-    rec = _recorder
-    if rec is not None:
-        rec.instant(name, **args)
+    finally:
+        end = (time.perf_counter() - rec.origin) * 1e6
+        corr_id = current_correlation_id()
+        if corr_id:
+            args["corr_id"] = corr_id
+        rec.span(name, start, end, cat=HOST_CATEGORY, args=args)

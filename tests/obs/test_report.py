@@ -1,9 +1,19 @@
-"""Report helpers: PhaseFeed forwarding and manifest cache
-effectiveness."""
+"""Report helpers: PhaseFeed forwarding, manifest cache effectiveness,
+and wall-clock span files through ``report`` and the two-clocks
+``diff``."""
 
-from repro.obs import NULL_TRACER, PhaseFeed
-from repro.obs.report import manifest_cache_effectiveness, manifest_report
+import json
+
+from repro.obs import NULL_TRACER, ChromeTracer, PhaseFeed
+from repro.obs.cli import main
+from repro.obs.report import (
+    is_wall_trace,
+    load_json,
+    manifest_cache_effectiveness,
+    manifest_report,
+)
 from repro.runtime import JobSpec, execute_spec
+from repro.telemetry import bind_correlation, install_recorder, span
 
 
 class TestPhaseFeed:
@@ -67,3 +77,58 @@ class TestManifestCacheEffectiveness:
         }
         text = manifest_report(doc)
         assert "cache: 1 hit, 0 misses (100% hit rate)" in text
+
+
+class TestWallReports:
+    CORR_ID = "feedface00000042"
+
+    def _files(self, tmp_path):
+        """A wall span file written through ``span()`` under a bound
+        corr_id, and a simulated trace carrying the same corr_id."""
+        wall = tmp_path / "spans.json"
+        sim = tmp_path / "sim.json"
+        recorder = ChromeTracer(clock="wall")
+        previous = install_recorder(recorder)
+        try:
+            bind_correlation(self.CORR_ID)
+            with span("serve.cache_probe", job="abc"):
+                pass
+            with span("serve.batch", jobs=1):
+                pass
+            recorder.write(str(wall), {"tool": "test"})
+            assert main([
+                "trace", "cora", "--kind", "rwp", "--scale", "0.05",
+                "--corr-id", self.CORR_ID, "-o", str(sim),
+            ]) == 0
+        finally:
+            install_recorder(previous)
+            bind_correlation(None)
+        return wall, sim
+
+    def test_report_prints_wall_time(self, tmp_path, capsys):
+        wall, sim = self._files(tmp_path)
+        assert is_wall_trace(load_json(str(wall)))
+        assert not is_wall_trace(load_json(str(sim)))
+        capsys.readouterr()
+        assert main(["validate", str(wall)]) == 0
+        assert main(["report", str(wall)]) == 0
+        out = capsys.readouterr().out
+        assert "clock: wall (host time)" in out
+        assert "serve.cache_probe" in out and "serve.batch" in out
+        assert f"correlation ids: {self.CORR_ID}" in out
+        assert main(["report", str(wall), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["clock"] == "wall"
+        assert summary["spans"]["serve.batch"]["count"] == 1
+        assert summary["corr_ids"] == [self.CORR_ID]
+
+    def test_diff_joins_wall_to_sim_on_corr_id(self, tmp_path, capsys):
+        wall, sim = self._files(tmp_path)
+        capsys.readouterr()
+        for a, b in ((wall, sim), (sim, wall)):
+            assert main(["diff", str(a), str(b)]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"two clocks: {wall} (host wall) vs {sim}")
+            assert f"correlated: shared corr_id {self.CORR_ID}" in out
+            assert "serve.cache_probe" in out
+            assert "phase sums match run totals" in out

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import NULL_TRACER, ChromeTracer, NullTracer, Tracer
 from repro.obs.schema import validate_event, validate_trace
 
@@ -71,6 +73,16 @@ class TestChromeTracer:
         doc = json.loads(text)
         assert doc["otherData"]["totals"] == {"cycles": 1}
         assert validate_trace(doc) == []
+
+
+    def test_sim_clock_declared(self):
+        doc = ChromeTracer().trace_dict({"totals": {"cycles": 1}})
+        assert doc["otherData"] == {"clock": "sim", "totals": {"cycles": 1}}
+        assert doc["displayTimeUnit"] == "ns"
+
+    def test_unknown_clock_rejected(self):
+        with pytest.raises(ValueError):
+            ChromeTracer(clock="cpu")
 
 
 class TestSchema:

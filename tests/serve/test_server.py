@@ -378,4 +378,4 @@ class TestHelpers:
 
     def test_server_rejects_unroutable_gracefully(self):
         server = SweepServer()
-        assert server.metrics.submitted == 0
+        assert server.metrics.submitted.value == 0

@@ -19,16 +19,12 @@ import re
 import pytest
 
 from repro.obs.schema import validate_trace
+from repro.obs.tracer import ChromeTracer
 from repro.runtime import JobSpec, ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeSettings, ServerThread
-from repro.telemetry import (
-    SpanRecorder,
-    bind_correlation,
-    configure_logging,
-    install_recorder,
-)
+from repro.telemetry import bind_correlation, configure_logging, install_recorder
 
 CORR_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -48,7 +44,7 @@ def log_stream():
 
 @pytest.fixture()
 def recorder():
-    rec = SpanRecorder()
+    rec = ChromeTracer(clock="wall")
     previous = install_recorder(rec)
     bind_correlation(None)
     yield rec
@@ -93,7 +89,7 @@ class TestEndToEndCorrelation:
         # Surface 4: the recorded wall-clock spans carry it in args,
         # and the exported file is a valid (wall-clock) Chrome trace.
         path = tmp_path / "wall.json"
-        recorder.write(str(path), tool="test")
+        recorder.write(str(path), {"tool": "test"})
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert validate_trace(doc) == []
         assert doc["otherData"]["clock"] == "wall"

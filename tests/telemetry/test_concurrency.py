@@ -1,13 +1,18 @@
-"""Registry thread-safety: hammer instruments from threads and an
-event loop and check the totals are exact (no lost updates)."""
+"""Registry and span thread-safety: hammer instruments and the span
+recorder from threads and an event loop and check the totals are exact
+(no lost updates)."""
 
 import asyncio
 import concurrent.futures
+import sys
 import threading
 
+from repro.obs.schema import validate_trace
+from repro.obs.tracer import ChromeTracer
 from repro.telemetry.logs import bind_correlation, current_correlation_id
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.prometheus import render_exposition, validate_exposition
+from repro.telemetry.spans import install_recorder, span
 
 THREADS = 8
 ITERATIONS = 2_000
@@ -178,3 +183,43 @@ class TestEventLoopMix:
         asyncio.run(main())
         assert leaks == []
         assert counter.value == 8 * 100
+
+
+class TestThreadedSpans:
+    def test_concurrent_spans_all_recorded(self):
+        spans_per_thread = 500
+        recorder = ChromeTracer(clock="wall")
+        start = threading.Barrier(THREADS)
+
+        def worker(i):
+            bind_correlation(f"{i:016x}")
+            start.wait()
+            for _ in range(spans_per_thread):
+                with span("hammer", lane=i):
+                    pass
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(THREADS)
+        ]
+        previous = install_recorder(recorder)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            install_recorder(previous)
+        assert not any(t.is_alive() for t in threads)
+        doc = recorder.trace_dict()
+        events = doc["traceEvents"]
+        assert len(events) == THREADS * spans_per_thread
+        assert validate_trace(doc) == []
+        # Every thread was alive at the barrier, so each has its own tid.
+        assert len({e["tid"] for e in events}) == THREADS
+        for i in range(THREADS):
+            lane = [e for e in events if e["args"]["lane"] == i]
+            assert len(lane) == spans_per_thread
+            assert {e["args"]["corr_id"] for e in lane} == {f"{i:016x}"}

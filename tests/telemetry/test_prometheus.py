@@ -164,8 +164,11 @@ class TestValidator:
 
 
 class TestCli:
+    """Expositions go through ``python -m repro.obs validate``, which
+    tells them apart from trace JSON by content."""
+
     def test_validate_file_ok(self, tmp_path, capsys, registry):
-        from repro.telemetry.cli import main
+        from repro.obs.cli import main
 
         path = tmp_path / "metrics.prom"
         path.write_text(render_exposition(registry), encoding="utf-8")
@@ -174,7 +177,7 @@ class TestCli:
         assert "ok: families=3 samples=9" in out
 
     def test_validate_rejects_bad_file(self, tmp_path, capsys):
-        from repro.telemetry.cli import main
+        from repro.obs.cli import main
 
         path = tmp_path / "bad.prom"
         path.write_text("repro_x_total 1\n", encoding="utf-8")
@@ -184,10 +187,36 @@ class TestCli:
     def test_validate_stdin_and_min_samples(self, monkeypatch, capsys, registry):
         import io
 
-        from repro.telemetry.cli import main
+        from repro.obs.cli import main
 
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(render_exposition(registry))
         )
         assert main(["validate", "-", "--min-samples", "100"]) == 1
         assert "only 9 samples" in capsys.readouterr().err
+
+    def test_validate_trace_and_exposition_together(
+        self, tmp_path, capsys, registry
+    ):
+        from repro.obs.cli import main
+        from repro.obs.tracer import ChromeTracer
+
+        tracer = ChromeTracer()
+        tracer.span("tile", 0, 4, "region")
+        trace = tmp_path / "run.trace.json"
+        tracer.write(str(trace))
+        prom = tmp_path / "metrics.prom"
+        prom.write_text(render_exposition(registry), encoding="utf-8")
+        assert main(["validate", str(trace), str(prom), "--min-samples", "9"]) == 0
+        out = capsys.readouterr().out
+        assert f"{trace}: ok" in out
+        assert f"{prom}: ok: families=3 samples=9" in out
+
+    def test_validate_bad_exposition_from_stdin(self, monkeypatch, capsys):
+        import io
+
+        from repro.obs.cli import main
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("repro_x_total 1\n"))
+        assert main(["validate", "-"]) == 1
+        assert "-: INVALID" in capsys.readouterr().err
