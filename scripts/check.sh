@@ -4,7 +4,7 @@
 # only need the package itself).
 #
 #   ./scripts/check.sh          # analyzer + mypy + ruff + tests + perf
-#   ./scripts/check.sh fast     # analyzer only (sub-second)
+#   ./scripts/check.sh fast     # analyzer only (about 3 s)
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -57,15 +57,42 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
-def resolve_call_target(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Fully qualified dotted name of a Name/Attribute expression,
-    resolving the leading segment through ``aliases``."""
+def resolve_imported(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """Fully qualified name of a Name/Attribute chain whose head was
+    actually imported (``aliases`` from :func:`import_aliases`);
+    ``None`` otherwise.
+
+    Requiring the head to appear in the import table means a local
+    variable that happens to be called ``time`` or ``random`` can never
+    read as the stdlib module.
+    """
     dotted = dotted_name(node)
-    if dotted is None:
-        return None
+    return None if dotted is None else resolve_dotted(dotted, aliases)
+
+
+def resolve_dotted(dotted: str, aliases: Dict[str, str]) -> Optional[str]:
+    """:func:`resolve_imported` for a name already spelled ``a.b.c``."""
     head, _, rest = dotted.partition(".")
-    head = aliases.get(head, head)
-    return f"{head}.{rest}" if rest else head
+    resolved = aliases.get(head)
+    if resolved is None:
+        return None
+    return f"{resolved}.{rest}" if rest else resolved
+
+
+def resolve_call_target(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """:func:`resolve_imported`, except that a head that was not
+    imported (a builtin, a local) stays as written."""
+    return resolve_imported(node, aliases) or dotted_name(node)
+
+
+def call_argument(node: ast.Call, index: int, *keywords: str) -> Optional[ast.AST]:
+    """Positional-or-keyword argument of a call, or ``None``."""
+    if len(node.args) > index:
+        return node.args[index]
+    for kw in node.keywords:
+        if kw.arg in keywords:
+            return kw.value
+    return None
 
 
 def is_dataclass_def(node: ast.ClassDef) -> bool:
@@ -123,10 +150,69 @@ def methods_of(node: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     }
 
 
-def iter_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
+def methods_named(
+    classes: Iterable[ast.ClassDef], cls_name: str, names: Set[str]
+) -> Set[ast.AST]:
+    """The methods called one of ``names`` on every class ``cls_name``
+    among ``classes`` (rules exempt such subtrees from their walks)."""
+    return {
+        fn
+        for cls in classes
+        if cls.name == cls_name
+        for name, fn in methods_of(cls).items()
+        if name in names
+    }
+
+
+_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def own_nodes(fn: ast.AST, lambdas: bool = False) -> Iterator[ast.AST]:
+    """Nodes of ``fn``'s own body, without nested ``def``s and classes,
+    and without lambdas unless ``lambdas`` (the call graph attributes a
+    lambda's calls to the function that builds it)."""
+    skip = _NESTED if lambdas else (*_NESTED, ast.Lambda)
+    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, skip):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def store_targets(node: ast.AST) -> List[ast.expr]:
+    """What an ``Assign``/``AugAssign`` stores to; ``[]`` otherwise."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, ast.AugAssign):
+        return [node.target]
+    return []
+
+
+def self_slot(target: ast.AST) -> Optional[str]:
+    """First-level attribute of a ``self``-rooted store target
+    (``stats`` for ``self.stats.corrupt += 1``), else ``None``."""
+    node: ast.AST = target
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        parent = node.value
+        if isinstance(parent, ast.Name) and parent.id == "self":
+            return node.attr if isinstance(node, ast.Attribute) else None
+        node = parent
+    return None
+
+
+def attribute_accesses(
+    tree: ast.AST, attrs: Set[str], receiver_ok: Callable[[str], bool]
+) -> Iterator[Tuple[str, ast.Attribute]]:
+    """``(receiver, node)`` for every ``<receiver>.<attr>`` in ``tree``
+    with ``attr`` in ``attrs`` and a dotted receiver ``receiver_ok``
+    accepts."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            receiver = dotted_name(node.value)
+            if receiver is not None and receiver_ok(receiver):
+                yield receiver, node
 
 
 def walk_excluding(

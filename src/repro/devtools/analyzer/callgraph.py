@@ -51,8 +51,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.analyzer.astutil import dotted_name, import_aliases
-from repro.devtools.analyzer.core import Project, SourceModule
+from repro.devtools.analyzer.astutil import dotted_name, import_aliases, own_nodes, resolve_call_target, resolve_dotted, resolve_imported
+from repro.devtools.analyzer.core import Project, SourceModule, in_packages
 
 #: Edge kinds (see module docstring).
 KIND_CALL = "call"
@@ -159,10 +159,16 @@ class CallGraph:
     def sites(self, qname: str) -> List[CallSite]:
         return self.calls.get(qname, [])
 
+    def short_name(self, qname: str) -> str:
+        """``Class.method`` or ``function`` for display."""
+        info = self.functions.get(qname)
+        if info is None:
+            return qname
+        return f"{info.class_name}.{info.name}" if info.class_name else info.name
+
     def in_package(self, *prefixes: str) -> Iterator[FunctionInfo]:
         for info in self.functions.values():
-            mod = info.module.module
-            if any(mod == p or mod.startswith(p + ".") for p in prefixes):
+            if in_packages(info.module.module, prefixes):
                 yield info
 
     def async_functions(self, *prefixes: str) -> Iterator[FunctionInfo]:
@@ -216,8 +222,7 @@ class CallGraph:
             info = self.functions.get(caller)
             if info is None:
                 continue
-            mod = info.module.module
-            if not any(mod == p or mod.startswith(p + ".") for p in prefixes):
+            if not in_packages(info.module.module, prefixes):
                 continue
             for site in sites:
                 if site.kind == KIND_THREAD and site.callee is not None:
@@ -326,12 +331,7 @@ def _resolve_class_name(
     local = f"{mod.module}.{name}"
     if local in graph.classes:
         return local
-    aliases = import_aliases(mod.tree)
-    head, _, rest = name.partition(".")
-    resolved = aliases.get(head)
-    if resolved is None:
-        return None
-    qname = f"{resolved}.{rest}" if rest else resolved
+    qname = resolve_dotted(name, import_aliases(mod.tree))
     return qname if qname in graph.classes else None
 
 
@@ -439,9 +439,7 @@ class _ModuleBuilder:
         resolved = _resolve_class_name(self.graph, self.mod, name)
         if resolved is not None:
             return resolved
-        head, _, rest = name.partition(".")
-        full = self.aliases.get(head, head)
-        dotted = f"{full}.{rest}" if rest else full
+        dotted = resolve_dotted(name, self.aliases) or name
         if dotted in _STDLIB_TYPES:
             return dotted
         return None
@@ -511,7 +509,7 @@ class _FunctionResolver:
         self._infer_local_types()
 
     def _infer_local_types(self) -> None:
-        for node in self._body_walk():
+        for node in own_nodes(self.fn.node, lambdas=True):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -551,24 +549,10 @@ class _FunctionResolver:
         return cls.attr_types.get(node.attr)
 
     # ------------------------------------------------------------------
-    def _body_walk(self) -> Iterator[ast.AST]:
-        """Nodes belonging to this function, not nested definitions."""
-        stack: List[ast.AST] = list(ast.iter_child_nodes(self.fn.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     def run(self) -> Iterator[CallSite]:
-        for node in self._body_walk():
+        for node in own_nodes(self.fn.node, lambdas=True):
             if isinstance(node, ast.Call):
                 yield from self._resolve_call(node)
-            elif isinstance(node, ast.Lambda):
-                continue
 
     # ------------------------------------------------------------------
     def _resolve_call(self, call: ast.Call) -> Iterator[CallSite]:
@@ -583,24 +567,16 @@ class _FunctionResolver:
         else:
             yield CallSite(
                 caller=self.fn.qname, callee=None,
-                target=self._resolved_target_str(call.func),
+                target=resolve_call_target(call.func, self.builder.aliases),
                 node=call, kind=KIND_CALL,
             )
         yield from self._reference_sites(call)
-
-    def _resolved_target_str(self, func: ast.AST) -> Optional[str]:
-        dotted = dotted_name(func)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        head = self.builder.aliases.get(head, head)
-        return f"{head}.{rest}" if rest else head
 
     def _reference_sites(self, call: ast.Call) -> Iterator[CallSite]:
         """Function-valued arguments become thread/loopsafe/ref edges."""
         kind = KIND_REF
         fn_args: List[ast.AST] = []
-        dotted = self._resolved_target_str(call.func)
+        dotted = resolve_call_target(call.func, self.builder.aliases)
         attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
         if dotted in _THREAD_DISPATCH or attr in _THREAD_METHODS:
             kind = KIND_THREAD
@@ -643,16 +619,18 @@ class _FunctionResolver:
         while "." in prefix:
             prefix = prefix.rsplit(".", 1)[0]
             candidate = f"{prefix}.{name}"
-            if candidate in self.graph.functions:
-                return [candidate]
-            if candidate in self.graph.classes:
-                return self._constructor_of(candidate)
+            if candidate in self.graph.functions or candidate in self.graph.classes:
+                return self._project_callable(candidate)
         resolved = self.builder.aliases.get(name)
-        if resolved is not None:
-            if resolved in self.graph.functions:
-                return [resolved]
-            if resolved in self.graph.classes:
-                return self._constructor_of(resolved)
+        return [] if resolved is None else self._project_callable(resolved)
+
+    def _project_callable(self, qname: str) -> List[str]:
+        """``[qname]`` for a project function, the constructor for a
+        project class, ``[]`` for anything else."""
+        if qname in self.graph.functions:
+            return [qname]
+        if qname in self.graph.classes:
+            return self._constructor_of(qname)
         return []
 
     def _constructor_of(self, cls_qname: str) -> List[str]:
@@ -682,16 +660,9 @@ class _FunctionResolver:
                     return [resolved]
             return []
         # module_alias.func() / module_alias.Class()
-        dotted = dotted_name(func)
-        if dotted is not None:
-            head, _, rest = dotted.partition(".")
-            full = self.builder.aliases.get(head)
-            if full is not None and rest:
-                qname = f"{full}.{rest}"
-                if qname in self.graph.functions:
-                    return [qname]
-                if qname in self.graph.classes:
-                    return self._constructor_of(qname)
+        qname = resolve_imported(func, self.builder.aliases)
+        if qname in self.graph.functions or qname in self.graph.classes:
+            return self._project_callable(qname)
         # Typed receiver: local / parameter / attribute chain with an
         # inferred project class.
         recv_type: Optional[str] = None

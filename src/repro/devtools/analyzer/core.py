@@ -22,6 +22,7 @@ Suppression has two layers:
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import sys
@@ -29,6 +30,8 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+
+from repro.devtools.analyzer import astutil
 
 #: Severity levels, in increasing order of badness.
 SEVERITIES = ("warning", "error")
@@ -73,6 +76,13 @@ class SourceModule:
     #: line number -> set of rule names allowed there ("*" = all).
     allowed: Dict[int, frozenset] = field(default_factory=dict)
 
+    @functools.cached_property
+    def classes(self) -> List[ast.ClassDef]:
+        """Every class definition, nested ones included (computed once:
+        the config, stats and wire rules all scan every module's
+        classes)."""
+        return [n for n in ast.walk(self.tree) if isinstance(n, ast.ClassDef)]
+
     def is_allowed(self, rule: str, line: int) -> bool:
         allowed = self.allowed.get(line)
         if allowed is None:
@@ -86,13 +96,16 @@ class SourceModule:
         allowed: Dict[int, frozenset] = {}
         # Only genuine COMMENT tokens count: a docstring that *mentions*
         # the `# analyzer: allow[...]` syntax must neither suppress nor
-        # be reported as a stale suppression.
-        try:
-            tokens = list(
-                tokenize.generate_tokens(io.StringIO(source).readline)
-            )
-        except (tokenize.TokenError, IndentationError):  # pragma: no cover
-            tokens = []
+        # be reported as a stale suppression.  Tokenizing is most of the
+        # parse cost, so files without the marker skip it.
+        tokens: List[tokenize.TokenInfo] = []
+        if _ALLOW_RE.search(source) is not None:
+            try:
+                tokens = list(
+                    tokenize.generate_tokens(io.StringIO(source).readline)
+                )
+            except (tokenize.TokenError, IndentationError):  # pragma: no cover
+                pass
         for tok in tokens:
             if tok.type != tokenize.COMMENT:
                 continue
@@ -108,6 +121,11 @@ class SourceModule:
                     n.strip() for n in names.split(",") if n.strip()
                 )
         return cls(path=path, module=module, tree=tree, source=source, allowed=allowed)
+
+
+def in_packages(module: str, prefixes: Iterable[str]) -> bool:
+    """Whether dotted ``module`` is, or is inside, any of ``prefixes``."""
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
 def module_name_for(path: Path) -> str:
@@ -139,18 +157,21 @@ class Project:
     #: Base directory findings' paths are made relative to.
     root: Optional[Path] = None
 
-    def by_module(self, name: str) -> Optional[SourceModule]:
+    def dataclasses(self) -> Dict[str, Tuple[SourceModule, ast.ClassDef]]:
+        """Every ``@dataclass`` in the project, by class name.  A name
+        defined twice keeps its first definition (fixture projects in
+        tests never duplicate; ``src/`` has unique class names)."""
+        found: Dict[str, Tuple[SourceModule, ast.ClassDef]] = {}
         for mod in self.modules:
-            if mod.module == name:
-                return mod
-        return None
+            for cls in mod.classes:
+                if astutil.is_dataclass_def(cls):
+                    found.setdefault(cls.name, (mod, cls))
+        return found
 
     def in_package(self, *prefixes: str) -> Iterator[SourceModule]:
         """Modules whose dotted name is, or is inside, any prefix."""
         for mod in self.modules:
-            if any(
-                mod.module == p or mod.module.startswith(p + ".") for p in prefixes
-            ):
+            if in_packages(mod.module, prefixes):
                 yield mod
 
     def display_path(self, path: Path) -> str:
@@ -298,7 +319,9 @@ def make_rules(
     """
     rule_tables: Mapping[str, Any] = (config or {}).get("rules", {})
     names = list(only) if only is not None else list(REGISTRY)
-    unknown = [n for n in names if n not in REGISTRY]
+    # A table for an unregistered rule (a typo, a removed rule) would
+    # otherwise configure nothing, silently.
+    unknown = {n for n in [*names, *rule_tables] if n not in REGISTRY}
     if unknown:
         raise ValueError(f"unknown rule(s): {', '.join(sorted(unknown))}")
     rules: List[Rule] = []

@@ -1,7 +1,7 @@
 """Per-function effect inference over the call graph.
 
 Each function gets a set drawn from a small effect lattice (the
-powerset of :data:`EFFECTS`, ordered by inclusion):
+powerset of the atoms below, ordered by inclusion):
 
 =====================  =============================================
 Effect                 Meaning
@@ -26,12 +26,23 @@ Effect                 Meaning
                        guarded helpers are effect-free by design
 =====================  =============================================
 
-Direct effects come from a single AST pass per function; transitive
-effects propagate caller-ward over resolved ``call`` edges with a
-worklist fixpoint, so cycles (mutual recursion) converge instead of
-recursing.  ``thread``/``loopsafe``/``ref`` reference edges do *not*
-propagate: handing a blocking function to ``asyncio.to_thread`` is
-precisely how serve code is supposed to discharge the effect.
+Every classification of a stdlib call or reference lives here: the
+tables below are the analyzer's only vocabulary of blocking calls,
+clock reads, entropy sources, seedable generators and tracer methods.
+:func:`iter_sites` walks a module once and yields every effect *site*
+(node, resolved target, nearest enclosing scope); the ``determinism``,
+``transitive-blocking`` and ``obs-hygiene`` rules read those sites
+directly, each with its own scope, and the effect table below
+summarises them per function.
+
+A function's direct effects are the sites whose nearest enclosing
+scope is that function's own ``def`` -- nested definitions, lambdas
+and class bodies are separate scopes.  Transitive effects propagate
+caller-ward over resolved ``call`` edges with a worklist fixpoint, so
+cycles (mutual recursion) converge instead of recursing.
+``thread``/``loopsafe``/``ref`` reference edges do *not* propagate:
+handing a blocking function to ``asyncio.to_thread`` is precisely how
+serve code is supposed to discharge the effect.
 
 Every transitive effect keeps a witness edge, so a rule can render the
 full call chain down to the line that actually performs the effect:
@@ -42,17 +53,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.devtools.analyzer.astutil import dotted_name, import_aliases
+from repro.devtools.analyzer.astutil import dotted_name, import_aliases, resolve_imported, store_targets
 from repro.devtools.analyzer.callgraph import (
     KIND_CALL,
     CallGraph,
+    CallSite,
     FunctionInfo,
     _analysis_cache,
     get_callgraph,
 )
-from repro.devtools.analyzer.core import Project
+from repro.devtools.analyzer.core import Project, SourceModule
 
 BLOCKS_IO = "blocks-io"
 SLEEPS = "sleeps"
@@ -62,24 +74,13 @@ AMBIENT_ENTROPY = "ambient-entropy"
 MUTATES_NONLOCAL = "mutates-nonlocal"
 EMITS_TRACE = "emits-trace"
 
-#: The lattice's atoms, in display order.
-EFFECTS = (
-    BLOCKS_IO,
-    SLEEPS,
-    SPAWNS_SUBPROCESS,
-    READS_WALL_CLOCK,
-    AMBIENT_ENTROPY,
-    MUTATES_NONLOCAL,
-    EMITS_TRACE,
-)
-
 #: Effects that stall an event loop when performed on its thread.
 BLOCKING_EFFECTS = frozenset({BLOCKS_IO, SLEEPS, SPAWNS_SUBPROCESS})
 #: Effects that break the determinism contract.
 NONDETERMINISM_EFFECTS = frozenset({READS_WALL_CLOCK, AMBIENT_ENTROPY})
 
 # ---------------------------------------------------------------------------
-# Stdlib blocklists (shared with the intraprocedural rules).
+# Stdlib vocabulary (the only copy in the analyzer).
 # ---------------------------------------------------------------------------
 SLEEP_CALLS = {"time.sleep"}
 
@@ -102,6 +103,8 @@ BLOCKING_IO_METHODS = {
 SUBPROCESS_PREFIXES = ("subprocess.",)
 SUBPROCESS_CALLS = {"os.system", "os.popen"}
 
+#: Absolute wall-clock reads.  Duration measurement
+#: (``time.perf_counter`` / ``time.monotonic``) is deliberately absent.
 WALL_CLOCK = {
     "time.time", "time.time_ns", "time.localtime", "time.gmtime",
     "time.ctime", "time.strftime",
@@ -109,6 +112,7 @@ WALL_CLOCK = {
     "datetime.datetime.today", "datetime.date.today",
 }
 
+#: Other ambient-entropy reads that can never be replayed.
 AMBIENT = {
     "os.urandom", "uuid.uuid1", "uuid.uuid4",
     "secrets.token_bytes", "secrets.token_hex", "secrets.randbits",
@@ -121,22 +125,101 @@ NUMPY_RANDOM_OK = {
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937", "RandomState",
 }
 
-#: Seedable generator constructors (ambient only when unseeded).
-GENERATORS = {"numpy.random.default_rng", "random.Random"}
+#: Seedable generator constructors: ambient only when unseeded.
+GENERATORS = {"numpy.random.default_rng", "numpy.random.Generator", "random.Random"}
 
+#: The Tracer API's emitting methods.
 TRACER_METHODS = {"span", "instant", "counter"}
 
+#: :attr:`Site.what` labels that split ``ambient-entropy`` by hazard;
+#: every other site's label is its effect name.
+WALL_CLOCK_READ = "wall-clock read"
+AMBIENT_READ = "ambient entropy"
+GLOBAL_RNG = "process-global RNG"
+LEGACY_RNG = "legacy global RNG"
+UNSEEDED_RNG = "unseeded RNG"
 
-@dataclass
-class Evidence:
-    """Where a direct effect is performed."""
+#: Nodes that open a new scope for :attr:`Site.scope`.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+#: The only nodes that can be a site (or declare a name nonlocal).
+_CLASSIFIED = (
+    ast.Call, ast.Attribute, ast.Name, ast.Assign, ast.AugAssign,
+    ast.Global, ast.Nonlocal,
+)
 
+
+class Site(NamedTuple):
+    """One place where an effect is performed."""
+
+    effect: str
+    #: Resolved stdlib target (``time.sleep``, ``numpy.random.rand``,
+    #: ``tracer.span``); unseeded generators end in ``()``.
     target: str
     node: ast.AST
+    #: Nearest enclosing def, lambda, class or module.
+    scope: ast.AST
+    #: Hazard label: the effect name, or for wall-clock and entropy
+    #: sites one of the ``*_READ``/``*_RNG`` labels above.
+    what: str
 
-    @property
-    def line(self) -> int:
-        return getattr(self.node, "lineno", 1)
+
+def iter_sites(tree: ast.Module, aliases: Dict[str, str]) -> Iterator[Site]:
+    """Every effect site in ``tree``, in one walk.
+
+    Names resolve through ``aliases`` (the module's imports), so a
+    local variable called ``time`` or ``random`` never reads as the
+    stdlib module; only calls to builtins such as ``open`` and the
+    blocking tables also match unresolved names.  The walk carries
+    whether a node sits under an ``if``/conditional expression testing
+    ``<x>.enabled``: a tracer emission there is guarded and is not an
+    ``emits-trace`` site.  The guard does not cross a ``def`` or
+    ``lambda`` boundary -- a guard around a call to a helper does not
+    guard the helper's own emissions.
+    """
+    # scope -> (parameter names, names declared global/nonlocal so far)
+    frames: Dict[ast.AST, Tuple[Set[str], Set[str]]] = {tree: (set(), set())}
+    stack: List[Tuple[ast.AST, ast.AST, bool]] = [
+        (child, tree, False) for child in ast.iter_child_nodes(tree)
+    ]
+    while stack:
+        node, scope, guarded = stack.pop()
+        if isinstance(node, _SCOPES):
+            frames[node] = (_param_names(node), set())
+            scope = node
+            guarded = guarded and isinstance(node, ast.ClassDef)
+        elif isinstance(node, _CLASSIFIED):
+            params, declared = frames[scope]
+            for effect, target, what in _node_effects(
+                node, aliases, guarded, params, declared
+            ):
+                yield Site(effect, target, node, scope, what)
+        elif isinstance(node, (ast.If, ast.IfExp)) and _mentions_enabled(
+            node.test
+        ):
+            guarded = True
+        stack.extend(
+            (child, scope, guarded) for child in ast.iter_child_nodes(node)
+        )
+
+
+def module_sites(project: Project, mod: SourceModule) -> List[Site]:
+    """:func:`iter_sites` over ``mod``, memoised on ``project``."""
+    cache = _analysis_cache(project)
+    by_path = cache.setdefault("sites", {})
+    assert isinstance(by_path, dict)
+    sites = by_path.get(mod.path)
+    if sites is None:
+        sites = list(iter_sites(mod.tree, import_aliases(mod.tree)))
+        by_path[mod.path] = sites
+    return sites
+
+
+def is_tracer(receiver: str) -> bool:
+    """Model code reaches the tracer through names containing
+    ``tracer`` (``tracer``, ``self.tracer``, ``ctx.engine.tracer``);
+    an unrelated ``span``/``counter`` method on a differently named
+    object is not the Tracer API."""
+    return "tracer" in receiver.lower()
 
 
 @dataclass
@@ -144,16 +227,13 @@ class FunctionEffects:
     """Effect summary of one function."""
 
     qname: str
-    #: effect -> first direct evidence in this function's own body.
-    direct: Dict[str, Evidence] = field(default_factory=dict)
+    #: effect -> first direct site in this function's own body.
+    direct: Dict[str, Site] = field(default_factory=dict)
     #: Direct plus transitive effects.
     all: Set[str] = field(default_factory=set)
     #: effect -> callee qname the effect was inherited from (absent for
     #: direct effects).
     via: Dict[str, str] = field(default_factory=dict)
-
-    def has(self, *effects: str) -> bool:
-        return any(e in self.all for e in effects)
 
 
 class EffectTable:
@@ -164,14 +244,11 @@ class EffectTable:
         self.by_function: Dict[str, FunctionEffects] = {}
 
     def of(self, qname: str) -> FunctionEffects:
-        found = self.by_function.get(qname)
-        if found is None:
-            found = FunctionEffects(qname=qname)
-        return found
+        return self.by_function.get(qname) or FunctionEffects(qname=qname)
 
     def chain(self, qname: str, effect: str) -> List[str]:
-        """Call chain from ``qname`` down to the direct evidence, ending
-        with the stdlib target in parentheses-free form.
+        """Call chain from ``qname`` down to the direct site, ending
+        with that site's stdlib target.
 
         ``["a", "b", "c", "time.sleep"]`` reads a -> b -> c which calls
         ``time.sleep``.
@@ -192,27 +269,24 @@ class EffectTable:
         return links
 
     def render_chain(self, qname: str, effect: str) -> str:
-        graph = self.graph
-        parts: List[str] = []
-        for link in self.chain(qname, effect):
-            info = graph.functions.get(link)
-            if info is not None:
-                cls = f"{info.class_name}." if info.class_name else ""
-                parts.append(f"{cls}{info.name}")
-            else:
-                parts.append(link)
-        return " -> ".join(parts)
+        return " -> ".join(map(self.graph.short_name, self.chain(qname, effect)))
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: CallGraph) -> "EffectTable":
+    def build(cls, project: Project) -> "EffectTable":
+        graph = get_callgraph(project)
         table = cls(graph)
+        owner: Dict[ast.AST, FunctionEffects] = {}
         for qname, info in graph.functions.items():
-            fx = FunctionEffects(qname=qname)
-            for effect, evidence in _direct_effects(info):
-                fx.direct.setdefault(effect, evidence)
+            fx = table.by_function[qname] = FunctionEffects(qname=qname)
+            owner[info.node] = fx
+        for mod in project.modules:
+            for site in module_sites(project, mod):
+                owned = owner.get(site.scope)
+                if owned is not None:
+                    owned.direct.setdefault(site.effect, site)
+        for fx in table.by_function.values():
             fx.all = set(fx.direct)
-            table.by_function[qname] = fx
 
         # Caller-ward fixpoint over resolved call edges.
         worklist = [q for q, fx in table.by_function.items() if fx.all]
@@ -236,6 +310,29 @@ class EffectTable:
         return table
 
 
+def effectful_calls(
+    project: Project,
+    callers: Iterable[FunctionInfo],
+    effects: AbstractSet[str],
+    skip: Callable[[FunctionInfo], bool],
+) -> Iterator[Tuple[FunctionInfo, CallSite, FunctionInfo, str, str]]:
+    """(caller, call site, callee, effect, witness chain) for each
+    resolved ``call`` edge from ``callers`` into a project function that
+    (transitively) performs one of ``effects``, unless ``skip(callee)``."""
+    graph = get_callgraph(project)
+    table = get_effects(project)
+    for info in callers:
+        for call in graph.sites(info.qname):
+            if call.kind != KIND_CALL or call.callee is None:
+                continue
+            callee = graph.functions.get(call.callee)
+            if callee is None or skip(callee):
+                continue
+            for effect in sorted(table.of(call.callee).all & effects):
+                chain = table.render_chain(call.callee, effect)
+                yield info, call, callee, effect, chain
+
+
 def _has_call_edge(graph: CallGraph, caller: str, callee: str) -> bool:
     return any(
         site.callee == callee and site.kind == KIND_CALL
@@ -244,103 +341,94 @@ def _has_call_edge(graph: CallGraph, caller: str, callee: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Direct-effect extraction
+# Per-node classification
 # ---------------------------------------------------------------------------
-def _direct_effects(info: FunctionInfo) -> Iterator[Tuple[str, Evidence]]:
-    aliases = import_aliases(info.module.tree)
-    parents = _parent_map(info.node)
-    declared_nonlocal: Set[str] = set()
-    params = _param_names(info.node)
-    for node in _own_nodes(info.node):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            declared_nonlocal.update(node.names)
-        elif isinstance(node, ast.Call):
-            yield from _call_effects(node, aliases)
-            if _is_unguarded_trace(node, parents):
-                yield EMITS_TRACE, Evidence(
-                    dotted_name(node.func) or "tracer", node
-                )
-        elif isinstance(node, (ast.Attribute, ast.Name)) and isinstance(
-            node.ctx, ast.Load
-        ):
-            target = _resolve_imported(node, aliases)
-            if target in WALL_CLOCK:
-                yield READS_WALL_CLOCK, Evidence(target, node)
-            elif target in AMBIENT:
-                yield AMBIENT_ENTROPY, Evidence(target, node)
-            elif target is not None:
-                head, _, attr = target.rpartition(".")
-                if head == "random" and attr not in ("Random", "SystemRandom"):
-                    yield AMBIENT_ENTROPY, Evidence(target, node)
-                elif head == "numpy.random" and attr not in NUMPY_RANDOM_OK:
-                    yield AMBIENT_ENTROPY, Evidence(target, node)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target_node in targets:
-                root = _store_root(target_node)
-                if root is None:
-                    continue
-                if root in params or root in declared_nonlocal:
-                    name = dotted_name(target_node) or root
-                    yield MUTATES_NONLOCAL, Evidence(name, node)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            if node.id in declared_nonlocal:
-                yield MUTATES_NONLOCAL, Evidence(node.id, node)
+def _node_effects(
+    node: ast.AST,
+    aliases: Dict[str, str],
+    guarded: bool,
+    params: Set[str],
+    declared: Set[str],
+) -> Iterator[Tuple[str, str, str]]:
+    """(effect, target, what) for each effect ``node`` itself performs."""
+    if isinstance(node, (ast.Global, ast.Nonlocal)):
+        declared.update(node.names)
+    elif isinstance(node, ast.Call):
+        found = _call_effect(node, aliases)
+        if found is not None:
+            yield found
+        if not guarded and _is_trace_call(node):
+            target = dotted_name(node.func) or "tracer"
+            yield EMITS_TRACE, target, EMITS_TRACE
+    elif isinstance(node, (ast.Attribute, ast.Name)) and isinstance(
+        node.ctx, ast.Load
+    ):
+        found = _reference_effect(resolve_imported(node, aliases))
+        if found is not None:
+            yield found
+    elif isinstance(node, (ast.Assign, ast.AugAssign)):
+        for target_node in store_targets(node):
+            root = _store_root(target_node)
+            if root is not None and (root in params or root in declared):
+                name = dotted_name(target_node) or root
+                yield MUTATES_NONLOCAL, name, MUTATES_NONLOCAL
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        if node.id in declared:
+            yield MUTATES_NONLOCAL, node.id, MUTATES_NONLOCAL
 
 
-def _call_effects(
+def _call_effect(
     call: ast.Call, aliases: Dict[str, str]
-) -> Iterator[Tuple[str, Evidence]]:
-    target = _resolve_imported(call.func, aliases)
+) -> Optional[Tuple[str, str, str]]:
+    """Blocking or unseeded-generator effect of the call itself.  Clock
+    and entropy reads are classified at the callee *reference* (see
+    :func:`_reference_effect`), which also catches uncalled uses."""
+    resolved = resolve_imported(call.func, aliases)
     bare = dotted_name(call.func)
     # `open(...)` needs no import; treat bare builtins directly.
-    name = target if target is not None else bare
+    name = resolved if resolved is not None else bare
     if name is not None:
         if name in SLEEP_CALLS:
-            yield SLEEPS, Evidence(name, call)
-            return
+            return SLEEPS, name, SLEEPS
         if name in BLOCKING_IO_CALLS:
-            yield BLOCKS_IO, Evidence(name, call)
-            return
+            return BLOCKS_IO, name, BLOCKS_IO
         if name in SUBPROCESS_CALLS or any(
             name.startswith(p) or name == p.rstrip(".")
             for p in SUBPROCESS_PREFIXES
         ):
-            yield SPAWNS_SUBPROCESS, Evidence(name, call)
-            return
-        if name in WALL_CLOCK:
-            yield READS_WALL_CLOCK, Evidence(name, call)
-            return
-        if name in AMBIENT:
-            yield AMBIENT_ENTROPY, Evidence(name, call)
-            return
-        if name in GENERATORS and not call.args and not call.keywords:
-            yield AMBIENT_ENTROPY, Evidence(f"{name}()", call)
-            return
-        head, _, attr = name.rpartition(".")
-        if head == "random" and attr not in ("Random", "SystemRandom"):
-            yield AMBIENT_ENTROPY, Evidence(name, call)
-            return
-        if head == "numpy.random" and attr not in NUMPY_RANDOM_OK:
-            yield AMBIENT_ENTROPY, Evidence(name, call)
-            return
+            return SPAWNS_SUBPROCESS, name, SPAWNS_SUBPROCESS
+    if resolved in GENERATORS and not call.args and not call.keywords:
+        return AMBIENT_ENTROPY, f"{resolved}()", UNSEEDED_RNG
     if (
         isinstance(call.func, ast.Attribute)
         and call.func.attr in BLOCKING_IO_METHODS
         and _is_pathlike_receiver(call.func.value)
     ):
-        label = bare or f"<expr>.{call.func.attr}"
-        yield BLOCKS_IO, Evidence(label, call)
+        return BLOCKS_IO, bare or f"<expr>.{call.func.attr}", BLOCKS_IO
+    return None
+
+
+def _reference_effect(target: Optional[str]) -> Optional[Tuple[str, str, str]]:
+    """Clock or entropy effect of reading the imported name ``target``."""
+    if target is None:
+        return None
+    if target in WALL_CLOCK:
+        return READS_WALL_CLOCK, target, WALL_CLOCK_READ
+    if target in AMBIENT:
+        return AMBIENT_ENTROPY, target, AMBIENT_READ
+    head, _, attr = target.rpartition(".")
+    if head == "random" and attr not in ("Random", "SystemRandom"):
+        return AMBIENT_ENTROPY, target, GLOBAL_RNG
+    if head == "numpy.random" and attr not in NUMPY_RANDOM_OK:
+        return AMBIENT_ENTROPY, target, LEGACY_RNG
+    return None
 
 
 def _is_pathlike_receiver(node: ast.AST) -> bool:
     """Heuristic: convenience-I/O methods count as blocking when the
     receiver looks like a filesystem path (``Path(...)``, ``*path*``,
-    ``*dir*``, ``*file*`` names) -- matching the serve-hygiene rule's
-    intent without flagging e.g. ``frame.read_text`` on unrelated
-    objects."""
+    ``*dir*``, ``*file*`` names), without flagging e.g.
+    ``frame.read_text`` on unrelated objects."""
     if isinstance(node, ast.Call):
         name = dotted_name(node.func) or ""
         return name.split(".")[-1] in ("Path", "PurePath", "PosixPath")
@@ -351,50 +439,19 @@ def _is_pathlike_receiver(node: ast.AST) -> bool:
     return any(hint in tail for hint in ("path", "dir", "file"))
 
 
-def _parent_map(fn: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(fn):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _is_unguarded_trace(
-    call: ast.Call, parents: Dict[ast.AST, ast.AST]
-) -> bool:
+def _is_trace_call(call: ast.Call) -> bool:
     func = call.func
     if not isinstance(func, ast.Attribute) or func.attr not in TRACER_METHODS:
         return False
     receiver = dotted_name(func.value)
-    if receiver is None or "tracer" not in receiver.lower():
-        return False
-    current: Optional[ast.AST] = parents.get(call)
-    while current is not None:
-        if isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            return True
-        if isinstance(current, (ast.If, ast.IfExp)) and any(
-            isinstance(sub, ast.Attribute) and sub.attr == "enabled"
-            for sub in ast.walk(current.test)
-        ):
-            return False
-        current = parents.get(current)
-    return True
+    return receiver is not None and is_tracer(receiver)
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of ``fn``'s own body, not nested definitions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+def _mentions_enabled(test: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "enabled"
+        for sub in ast.walk(test)
+    )
 
 
 def _param_names(fn: ast.AST) -> Set[str]:
@@ -418,27 +475,11 @@ def _store_root(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _resolve_imported(
-    node: ast.AST, aliases: Dict[str, str]
-) -> Optional[str]:
-    """Fully qualified name whose head was actually imported (mirrors
-    the determinism rule: local variables named ``time`` never
-    false-positive)."""
-    dotted = dotted_name(node)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    resolved = aliases.get(head)
-    if resolved is None:
-        return None
-    return f"{resolved}.{rest}" if rest else resolved
-
-
 def get_effects(project: Project) -> EffectTable:
     """The memoised effect table for ``project``."""
     cache = _analysis_cache(project)
     table = cache.get("effects")
     if table is None:
-        table = EffectTable.build(get_callgraph(project))
+        table = EffectTable.build(project)
         cache["effects"] = table
     return table

@@ -13,7 +13,6 @@ from repro.devtools.analyzer.rules import (  # noqa: F401
     loop_affinity,
     mutable_state,
     obs_hygiene,
-    serve_hygiene,
     stats_conservation,
     telemetry_hygiene,
     transitive_blocking,

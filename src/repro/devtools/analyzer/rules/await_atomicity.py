@@ -43,6 +43,7 @@ import ast
 import bisect
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.devtools.analyzer.astutil import own_nodes, self_slot, store_targets
 from repro.devtools.analyzer.callgraph import (
     KIND_CALL,
     CallGraph,
@@ -81,26 +82,24 @@ class AwaitAtomicityRule(Rule):
         aliases: Dict[str, str] = {}
         site_stores = _site_stores(graph, info)
 
-        for node in _own_nodes_in_order(info.node):
+        for node in sorted(own_nodes(info.node), key=_pos):
             pos = _pos(node)
             if isinstance(node, ast.Await):
                 awaits.append(pos)
             elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
                 for key in _keys_in_expr(node.test, aliases):
                     checks.setdefault(key, []).append(_pos(node.test))
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    key = _self_slot(target)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                for target in store_targets(node):
+                    key = self_slot(target)
                     if key is not None:
                         acts.append((key, node, pos))
-                if len(node.targets) == 1 and isinstance(
-                    node.targets[0], ast.Name
+                if (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
                 ):
                     _bind_alias(aliases, node.targets[0].id, node.value)
-            elif isinstance(node, ast.AugAssign):
-                key = _self_slot(node.target)
-                if key is not None:
-                    acts.append((key, node, pos))
             elif isinstance(node, ast.Call):
                 for key in site_stores.get(id(node), ()):
                     acts.append((key, node, pos))
@@ -152,61 +151,17 @@ def _site_stores(
 
 
 def _stored_slots(fn: ast.AST) -> Set[str]:
-    slots: Set[str] = set()
-    for node in _own_nodes_in_order(fn):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                key = _self_slot(target)
-                if key is not None:
-                    slots.add(key)
-    return slots
-
-
-def _own_nodes_in_order(fn: ast.AST) -> Iterator[ast.AST]:
-    """Own-body nodes (nested defs excluded) in source order."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            continue
-        out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    out.sort(key=_pos)
-    return iter(out)
+    slots = (self_slot(t) for node in own_nodes(fn) for t in store_targets(node))
+    return {slot for slot in slots if slot is not None}
 
 
 def _pos(node: ast.AST) -> Pos:
     return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
 
-def _self_slot(target: ast.AST) -> Optional[str]:
-    node: ast.AST = target
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        parent = node.value
-        if isinstance(parent, ast.Name) and parent.id == "self":
-            return node.attr if isinstance(node, ast.Attribute) else None
-        node = parent
-    return None
-
-
 def _loaded_slot(expr: ast.AST) -> Optional[str]:
     """Slot read by ``self.a`` / ``self.a[...]`` / ``self.a.get(...)``."""
-    node: ast.AST = expr
-    if isinstance(node, ast.Call):
-        node = node.func
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        parent = node.value
-        if isinstance(parent, ast.Name) and parent.id == "self":
-            return node.attr if isinstance(node, ast.Attribute) else None
-        node = parent
-    return None
+    return self_slot(expr.func if isinstance(expr, ast.Call) else expr)
 
 
 def _bind_alias(aliases: Dict[str, str], var: str, value: ast.AST) -> None:

@@ -31,8 +31,9 @@ scalar calls and are outside the scope list.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator
 
+from repro.devtools.analyzer.astutil import dotted_name
 from repro.devtools.analyzer.core import Finding, Project, Rule, register
 
 #: Per-element engine primitives that have a batched counterpart.
@@ -101,7 +102,7 @@ class BatchApiRule(Rule):
         # `list.store(...)` on an unrelated object would be noise; the
         # kernels always reach the engine through a name containing
         # "engine".
-        receiver = _receiver_chain(func.value)
+        receiver = dotted_name(func.value)
         if receiver is None or "engine" not in receiver.lower():
             return None
         yield_name = f"{receiver}.{name}"
@@ -112,16 +113,3 @@ class BatchApiRule(Rule):
             f"batched fast path (and its equivalence tests) cover it",
             symbol=yield_name,
         )
-
-
-def _receiver_chain(node: ast.AST) -> "str | None":
-    """Dotted receiver of an attribute call (``ctx.engine`` for
-    ``ctx.engine.load``); ``None`` for computed receivers."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -32,9 +32,9 @@ construction, with state flowing only through the public
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, List
+from typing import Iterator
 
+from repro.devtools.analyzer.astutil import attribute_accesses
 from repro.devtools.analyzer.core import Finding, Project, Rule, register
 
 #: Private slot-arena state of :class:`repro.sim.buffer.CacheBuffer`.
@@ -100,7 +100,9 @@ class BufferInternalsRule(Rule):
     def run(self, project: Project) -> Iterator[Finding]:
         private = ARENA_FIELDS | ARENA_METHODS
         for mod in project.in_package(*tuple(self.options["scope"])):
-            for receiver, node in _arena_accesses(mod.tree, private):
+            for receiver, node in attribute_accesses(
+                mod.tree, private, _looks_like_buffer
+            ):
                 kind = "method" if node.attr in ARENA_METHODS else "field"
                 yield self.finding(
                     project, mod, node,
@@ -111,7 +113,9 @@ class BufferInternalsRule(Rule):
                     symbol=f"{receiver}.{node.attr}",
                 )
         for mod in project.in_package(*tuple(self.options["replay_scope"])):
-            for receiver, node in _arena_accesses(mod.tree, private):
+            for receiver, node in attribute_accesses(
+                mod.tree, private, _looks_like_buffer
+            ):
                 yield self.finding(
                     project, mod, node,
                     f"arena access {receiver}.{node.attr} in replay-mode "
@@ -122,36 +126,9 @@ class BufferInternalsRule(Rule):
                 )
 
 
-def _arena_accesses(tree: ast.AST, private: set):
-    """Yield ``(receiver, node)`` for every attribute access to a
-    private arena name on a buffer-looking receiver."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        if node.attr not in private:
-            continue
-        receiver = _receiver_chain(node.value)
-        if receiver is None or not _looks_like_buffer(receiver):
-            continue
-        yield receiver, node
-
-
 def _looks_like_buffer(receiver: str) -> bool:
     """Kernels and baselines reach the buffer through names containing
     ``buf`` (``buf``, ``buffer``, ``self.buffer``, ``dmb.buffer``,
     ``top_buf``); an unrelated object with a ``_size`` attribute under
     a different name is not worth flagging."""
     return "buf" in receiver.lower()
-
-
-def _receiver_chain(node: ast.AST) -> "str | None":
-    """Dotted receiver of an attribute access (``ctx.buffer`` for
-    ``ctx.buffer._slot_of``); ``None`` for computed receivers."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

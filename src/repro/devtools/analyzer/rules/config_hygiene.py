@@ -16,10 +16,10 @@ anywhere in the project (the config's own derived properties count:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Set
 
 from repro.devtools.analyzer import astutil
-from repro.devtools.analyzer.core import Finding, Project, Rule, SourceModule, register
+from repro.devtools.analyzer.core import Finding, Project, Rule, register
 
 #: Methods of the config class whose reads do not count as consumption.
 EXEMPT_METHODS = {"to_dict", "from_dict", "__post_init__"}
@@ -36,7 +36,7 @@ class ConfigHygieneRule(Rule):
     default_options = {"config_class": "HyMMConfig"}
 
     def run(self, project: Project) -> Iterator[Finding]:
-        located = self._locate(project)
+        located = project.dataclasses().get(self.options["config_class"])
         if located is None:
             return
         cfg_mod, cfg_cls = located
@@ -45,7 +45,7 @@ class ConfigHygieneRule(Rule):
 
         reads: Set[str] = set()
         for mod in project.modules:
-            exempt = self._exempt_subtrees(mod, cfg_cls.name)
+            exempt = astutil.methods_named(mod.classes, cfg_cls.name, EXEMPT_METHODS)
             for node in astutil.walk_excluding(mod.tree, exempt):
                 if (
                     isinstance(node, ast.Attribute)
@@ -63,24 +63,3 @@ class ConfigHygieneRule(Rule):
                     f"consume it or delete it",
                     symbol=f"{cfg_cls.name}.{name}:dead-knob",
                 )
-
-    # ------------------------------------------------------------------
-    def _locate(
-        self, project: Project
-    ) -> Optional[Tuple[SourceModule, ast.ClassDef]]:
-        target = self.options["config_class"]
-        for mod in project.modules:
-            for cls in astutil.iter_classes(mod.tree):
-                if cls.name == target and astutil.is_dataclass_def(cls):
-                    return mod, cls
-        return None
-
-    def _exempt_subtrees(self, mod: SourceModule, cls_name: str) -> Set[ast.AST]:
-        exempt: Set[ast.AST] = set()
-        for cls in astutil.iter_classes(mod.tree):
-            if cls.name != cls_name:
-                continue
-            for name, fn in astutil.methods_of(cls).items():
-                if name in EXEMPT_METHODS:
-                    exempt.add(fn)
-        return exempt

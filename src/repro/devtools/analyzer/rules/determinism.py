@@ -28,13 +28,18 @@ Scope: the simulator/model packages (``options["scope"]``).  The
 execution layer (``repro.runtime``), which legitimately timestamps
 manifests and cache records, is outside the scope list.
 
-Since the interprocedural layer landed, the rule also checks *escapes*:
-a call from scope into an out-of-scope helper whose inferred effects
-(:mod:`repro.devtools.analyzer.effects`) include ``reads-wall-clock``
-or ``ambient-entropy`` is flagged at the call site with the witness
+Direct sites come from the effect model
+(:func:`repro.devtools.analyzer.effects.iter_sites`): every
+``reads-wall-clock`` and ``ambient-entropy`` site anywhere in an
+in-scope module -- function bodies, module level, class bodies and
+lambdas alike.  Only the literal-seed check stays lexical, since a
+seeded generator has no effect.
+
+The rule also checks *escapes*: a call from scope into an out-of-scope
+helper whose inferred effects include ``reads-wall-clock`` or
+``ambient-entropy`` is flagged at the call site with the witness
 chain -- moving ``time.time()`` into a utility module no longer hides
-it.  Direct uses inside scope keep their precise intraprocedural
-findings (literal-seed detection needs the call expression itself).
+it.
 """
 
 from __future__ import annotations
@@ -42,60 +47,34 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.analyzer import astutil
-from repro.devtools.analyzer.callgraph import KIND_CALL, get_callgraph
-from repro.devtools.analyzer.core import Finding, Project, Rule, register
+from repro.devtools.analyzer.astutil import call_argument, import_aliases, resolve_imported
+from repro.devtools.analyzer.callgraph import get_callgraph
+from repro.devtools.analyzer.core import Finding, Project, Rule, SourceModule, in_packages, register
 from repro.devtools.analyzer.effects import (
-    AMBIENT_ENTROPY,
+    AMBIENT_READ,
+    GENERATORS,
+    GLOBAL_RNG,
+    LEGACY_RNG,
+    NONDETERMINISM_EFFECTS,
     READS_WALL_CLOCK,
-    get_effects,
+    UNSEEDED_RNG,
+    WALL_CLOCK_READ,
+    effectful_calls,
+    module_sites,
 )
 
-#: Fully qualified callables that read absolute wall-clock time.
-WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.localtime",
-    "time.gmtime",
-    "time.ctime",
-    "time.strftime",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-#: Seedable generator constructors: fine with a non-literal seed
-#: argument, flagged when unseeded or seeded with a literal.
-GENERATORS = {
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "random.Random",
-}
-
-#: Other ambient-entropy reads that can never be replayed.
-AMBIENT = {
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "secrets.token_bytes",
-    "secrets.token_hex",
-    "secrets.randbits",
-    "secrets.choice",
-}
-
-#: numpy.random attributes that are *not* the legacy global-state API.
-NUMPY_RANDOM_OK = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "SFC64",
-    "MT19937",
-    "RandomState",  # explicit instance; construction is checked separately
+#: What to do about each hazard (keyed by :attr:`Site.what`).
+ADVICE = {
+    WALL_CLOCK_READ: "is nondeterministic across runs/hosts; simulated "
+    "results must not depend on it",
+    AMBIENT_READ: "is nondeterministic across runs/hosts; simulated "
+    "results must not depend on it",
+    GLOBAL_RNG: "uses the module-level generator; construct "
+    "random.Random(seed) from the job seed",
+    LEGACY_RNG: "mutates/reads process-global state; use "
+    "numpy.random.default_rng(seed)",
+    UNSEEDED_RNG: "draws fresh OS entropy per call; pass a seed that "
+    "originates in the job spec/config",
 }
 
 
@@ -121,121 +100,58 @@ class DeterminismRule(Rule):
     def run(self, project: Project) -> Iterator[Finding]:
         scope = tuple(self.options["scope"])
         for mod in project.in_package(*scope):
-            aliases = astutil.import_aliases(mod.tree)
-            for node in ast.walk(mod.tree):
-                if isinstance(node, ast.Call):
-                    yield from self._check_call(project, mod, node, aliases)
-                elif isinstance(node, (ast.Attribute, ast.Name)):
-                    yield from self._check_reference(project, mod, node, aliases)
+            for site in module_sites(project, mod):
+                if site.effect in NONDETERMINISM_EFFECTS:
+                    yield self.finding(
+                        project, mod, site.node,
+                        f"{site.what}: {site.target} {ADVICE[site.what]}",
+                        symbol=site.target.removesuffix("()"),
+                    )
+            yield from self._check_literal_seeds(project, mod)
         yield from self._check_escapes(project, scope)
 
     def _check_escapes(
         self, project: Project, scope: "tuple[str, ...]"
     ) -> Iterator[Finding]:
         """Calls out of scope into helpers that carry entropy/clock."""
-        graph = get_callgraph(project)
-        effects = get_effects(project)
-        in_scope = lambda m: any(  # noqa: E731
-            m == p or m.startswith(p + ".") for p in scope
-        )
-        for info in graph.in_package(*scope):
-            for site in graph.sites(info.qname):
-                if site.kind != KIND_CALL or site.callee is None:
-                    continue
-                callee = graph.functions.get(site.callee)
-                if callee is None or in_scope(callee.module.module):
-                    continue  # in-scope callees get their own findings
-                fx = effects.of(site.callee)
-                for effect in (READS_WALL_CLOCK, AMBIENT_ENTROPY):
-                    if effect not in fx.all:
-                        continue
-                    what = (
-                        "wall-clock time"
-                        if effect == READS_WALL_CLOCK
-                        else "ambient entropy"
-                    )
-                    chain = effects.render_chain(site.callee, effect)
-                    yield self.finding(
-                        project, info.module, site.node,
-                        f"`{callee.name}` (outside the determinism scope) "
-                        f"reads {what} [{effect}]: {info.name} -> {chain}; "
-                        "simulated results must not depend on it",
-                        symbol=f"{info.name}->{callee.name}:{effect}",
-                    )
+        for info, call, callee, effect, chain in effectful_calls(
+            project,
+            get_callgraph(project).in_package(*scope),
+            NONDETERMINISM_EFFECTS,
+            # In-scope callees get their own findings.
+            skip=lambda fn: in_packages(fn.module.module, scope),
+        ):
+            what = (
+                "wall-clock time"
+                if effect == READS_WALL_CLOCK
+                else "ambient entropy"
+            )
+            yield self.finding(
+                project, info.module, call.node,
+                f"`{callee.name}` (outside the determinism scope) "
+                f"reads {what} [{effect}]: {info.name} -> {chain}; "
+                "simulated results must not depend on it",
+                symbol=f"{info.name}->{callee.name}:{effect}",
+            )
 
-    # ------------------------------------------------------------------
-    def _check_call(self, project, mod, node: ast.Call, aliases) -> Iterator[Finding]:
-        target = _resolve_imported(node.func, aliases)
-        if target is None:
-            return
-        if target in GENERATORS:
-            if not node.args and not node.keywords:
+    def _check_literal_seeds(
+        self, project: Project, mod: SourceModule
+    ) -> Iterator[Finding]:
+        aliases = import_aliases(mod.tree)
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = resolve_imported(node.func, aliases)
+            if target not in GENERATORS:
+                continue
+            seed = call_argument(node, 0, "seed", "x")
+            if isinstance(seed, ast.Constant) and isinstance(
+                seed.value, (int, float)
+            ):
                 yield self.finding(
                     project, mod, node,
-                    f"unseeded RNG: {target}() draws fresh OS entropy per "
-                    f"call; pass a seed that originates in the job spec/config",
-                    symbol=target,
+                    f"hard-coded RNG seed {seed.value!r} in {target}(): "
+                    f"invisible to the JobSpec fingerprint; thread the "
+                    f"seed in from config/JobSpec",
+                    symbol=f"{target}:literal-seed",
                 )
-            else:
-                seed = node.args[0] if node.args else None
-                if seed is None:
-                    for kw in node.keywords:
-                        if kw.arg in ("seed", "x"):
-                            seed = kw.value
-                if isinstance(seed, ast.Constant) and isinstance(
-                    seed.value, (int, float)
-                ):
-                    yield self.finding(
-                        project, mod, node,
-                        f"hard-coded RNG seed {seed.value!r} in {target}(): "
-                        f"invisible to the JobSpec fingerprint; thread the "
-                        f"seed in from config/JobSpec",
-                        symbol=f"{target}:literal-seed",
-                    )
-
-    def _check_reference(self, project, mod, node, aliases) -> Iterator[Finding]:
-        target = _resolve_imported(node, aliases)
-        if target is None:
-            return
-        if target in WALL_CLOCK or target in AMBIENT:
-            what = "wall-clock read" if target in WALL_CLOCK else "ambient entropy"
-            yield self.finding(
-                project, mod, node,
-                f"{what}: {target} is nondeterministic across runs/hosts; "
-                f"simulated results must not depend on it",
-                symbol=target,
-            )
-            return
-        head, _, attr = target.rpartition(".")
-        if head == "random" and attr not in ("Random", "SystemRandom"):
-            yield self.finding(
-                project, mod, node,
-                f"process-global RNG: random.{attr} uses the module-level "
-                f"generator; construct random.Random(seed) from the job seed",
-                symbol=f"random.{attr}",
-            )
-        elif head == "numpy.random" and attr not in NUMPY_RANDOM_OK:
-            yield self.finding(
-                project, mod, node,
-                f"legacy global RNG: numpy.random.{attr} mutates/reads "
-                f"process-global state; use numpy.random.default_rng(seed)",
-                symbol=f"numpy.random.{attr}",
-            )
-
-
-def _resolve_imported(node: ast.AST, aliases) -> "str | None":
-    """Fully qualified name of a Name/Attribute chain whose head was
-    actually imported in this module; ``None`` otherwise.
-
-    Requiring the head to appear in the import table means a local
-    variable that happens to be called ``time`` or ``random`` can never
-    trigger a false positive.
-    """
-    dotted = astutil.dotted_name(node)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    resolved = aliases.get(head)
-    if resolved is None:
-        return None
-    return f"{resolved}.{rest}" if rest else resolved

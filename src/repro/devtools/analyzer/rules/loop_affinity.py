@@ -44,6 +44,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.devtools.analyzer.astutil import own_nodes, self_slot, store_targets
 from repro.devtools.analyzer.callgraph import (
     KIND_CALL,
     KIND_LOOPSAFE,
@@ -91,24 +92,17 @@ class LoopAffinityRule(Rule):
                 if reader is None:
                     continue
                 chain = " -> ".join(
-                    _short(graph, q) for q in graph.thread_chain(qname, witness)
+                    graph.short_name(q) for q in graph.thread_chain(qname, witness)
                 )
                 yield self.finding(
                     project, info.module, node,
                     f"`self.{attr}` is mutated on a worker thread "
                     f"({chain}) while the event loop touches it via "
-                    f"`{_short(graph, reader)}`; guard both sides with a "
+                    f"`{graph.short_name(reader)}`; guard both sides with a "
                     "lock or marshal the update through "
                     "`loop.call_soon_threadsafe`",
                     symbol=f"{info.class_name}.{attr}",
                 )
-
-
-def _short(graph: CallGraph, qname: str) -> str:
-    info = graph.functions.get(qname)
-    if info is None:
-        return qname
-    return f"{info.class_name}.{info.name}" if info.class_name else info.name
 
 
 def _owning_class(graph: CallGraph, info: FunctionInfo) -> Optional[str]:
@@ -156,25 +150,11 @@ def _loop_reader(
     return None
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Own-body nodes of ``fn``, nested definitions excluded."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _self_attrs(fn: ast.AST) -> Set[str]:
     """First-level ``self.<attr>`` slots loaded or stored in ``fn``'s
     own body (nested defs excluded -- they are separate graph nodes)."""
     attrs: Set[str] = set()
-    for node in _own_nodes(fn):
+    for node in own_nodes(fn):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -208,26 +188,11 @@ def _walk_mutations(
             )
             yield from _walk_mutations(list(node.body), inner)
             continue
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                attr = _self_slot(target)
-                if attr is not None:
-                    yield attr, node, locked
+        for target in store_targets(node):
+            attr = self_slot(target)
+            if attr is not None:
+                yield attr, node, locked
         yield from _walk_mutations(list(ast.iter_child_nodes(node)), locked)
-
-
-def _self_slot(target: ast.AST) -> Optional[str]:
-    """First-level attr of a ``self``-rooted store target, else None."""
-    node: ast.AST = target
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        parent = node.value
-        if isinstance(parent, ast.Name) and parent.id == "self":
-            return node.attr if isinstance(node, ast.Attribute) else None
-        node = parent
-    return None
 
 
 def _is_lockish(expr: ast.AST) -> bool:

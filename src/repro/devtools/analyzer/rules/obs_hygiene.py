@@ -21,6 +21,11 @@ touch ``_events``, and the engine's guarded sites are covered by this
 rule's pattern anyway (``repro.sim`` can be added to the scope once it
 has no audited exceptions).
 
+Unguarded emissions are the ``emits-trace`` sites of the effect model
+(:func:`repro.devtools.analyzer.effects.iter_sites`), which carries
+the ``enabled`` guard down its walk; the guard never crosses a ``def``
+or ``lambda`` boundary.
+
 The interprocedural pass closes the helper loophole: a scope function
 calling a helper whose inferred effects include ``emits-trace`` (an
 *unguarded* emission somewhere below, see
@@ -33,15 +38,17 @@ exempt.
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator
 
-from repro.devtools.analyzer.callgraph import KIND_CALL, get_callgraph
-from repro.devtools.analyzer.core import Finding, Project, Rule, register
-from repro.devtools.analyzer.effects import EMITS_TRACE, get_effects
-
-#: The Tracer API's emitting methods.
-TRACER_METHODS = {"span", "instant", "counter"}
+from repro.devtools.analyzer.astutil import attribute_accesses
+from repro.devtools.analyzer.callgraph import get_callgraph
+from repro.devtools.analyzer.core import Finding, Project, Rule, in_packages, register
+from repro.devtools.analyzer.effects import (
+    EMITS_TRACE,
+    effectful_calls,
+    is_tracer,
+    module_sites,
+)
 
 #: Event-list attributes that only the tracer implementation may touch.
 EVENT_FIELDS = {"events", "_events"}
@@ -72,38 +79,26 @@ class ObsHygieneRule(Rule):
     def run(self, project: Project) -> Iterator[Finding]:
         scope = tuple(self.options["scope"])
         for mod in project.in_package(*scope):
-            parents = _parent_map(mod.tree)
-            for node in ast.walk(mod.tree):
-                if isinstance(node, ast.Attribute):
-                    if node.attr in EVENT_FIELDS:
-                        receiver = _receiver_chain(node.value)
-                        if receiver is not None and _tracer_like(receiver):
-                            yield self.finding(
-                                project, mod, node,
-                                f"direct access to tracer event list "
-                                f"{receiver}.{node.attr}: emit through the "
-                                f"Tracer API (span/instant/counter)",
-                                symbol=f"{receiver}.{node.attr}",
-                            )
+            for site in module_sites(project, mod):
+                if site.effect != EMITS_TRACE:
                     continue
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr not in TRACER_METHODS:
-                    continue
-                receiver = _receiver_chain(func.value)
-                if receiver is None or not _tracer_like(receiver):
-                    continue
-                if _enabled_guarded(node, parents):
-                    continue
+                receiver = site.target.rpartition(".")[0]
                 yield self.finding(
-                    project, mod, node,
-                    f"unguarded tracer call {receiver}.{func.attr}(...): "
+                    project, mod, site.node,
+                    f"unguarded tracer call {site.target}(...): "
                     f"wrap in `if {receiver}.enabled:` so the NullTracer "
                     f"path stays allocation-free",
-                    symbol=f"{receiver}.{func.attr}",
+                    symbol=site.target,
+                )
+            for receiver, node in attribute_accesses(
+                mod.tree, EVENT_FIELDS, is_tracer
+            ):
+                yield self.finding(
+                    project, mod, node,
+                    f"direct access to tracer event list "
+                    f"{receiver}.{node.attr}: emit through the "
+                    f"Tracer API (span/instant/counter)",
+                    symbol=f"{receiver}.{node.attr}",
                 )
         yield from self._check_transitive(project, scope)
 
@@ -111,82 +106,18 @@ class ObsHygieneRule(Rule):
         self, project: Project, scope: "tuple[str, ...]"
     ) -> Iterator[Finding]:
         """Unguarded emissions reached through a helper call."""
-        audited = tuple(self.options["audited"])
-        graph = get_callgraph(project)
-        effects = get_effects(project)
-        in_pkgs = lambda m, pkgs: any(  # noqa: E731
-            m == p or m.startswith(p + ".") for p in pkgs
-        )
-        for info in graph.in_package(*scope):
-            for site in graph.sites(info.qname):
-                if site.kind != KIND_CALL or site.callee is None:
-                    continue
-                callee = graph.functions.get(site.callee)
-                if callee is None:
-                    continue
-                callee_mod = callee.module.module
-                if in_pkgs(callee_mod, audited) or in_pkgs(callee_mod, scope):
-                    continue  # audited, or gets its own direct finding
-                fx = effects.of(site.callee)
-                if EMITS_TRACE not in fx.all:
-                    continue
-                chain = effects.render_chain(site.callee, EMITS_TRACE)
-                yield self.finding(
-                    project, info.module, site.node,
-                    f"`{callee.name}` emits trace events without an "
-                    f"`enabled` guard [emits-trace]: {info.name} -> "
-                    f"{chain}; guard the emission site itself",
-                    symbol=f"{info.name}->{callee.name}:emits-trace",
-                )
-
-
-def _tracer_like(receiver: str) -> bool:
-    """Model code reaches the tracer through names containing
-    ``tracer`` (``tracer``, ``self.tracer``, ``ctx.engine.tracer``);
-    an unrelated ``span``/``counter`` method on a differently named
-    object is not the Tracer API."""
-    return "tracer" in receiver.lower()
-
-
-def _receiver_chain(node: ast.AST) -> Optional[str]:
-    """Dotted receiver of an attribute access; ``None`` if computed."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _mentions_enabled(test: ast.AST) -> bool:
-    return any(
-        isinstance(sub, ast.Attribute) and sub.attr == "enabled"
-        for sub in ast.walk(test)
-    )
-
-
-def _enabled_guarded(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
-    """True when an enclosing ``if``/conditional expression tests
-    ``<something>.enabled``.  Function boundaries stop the walk: a
-    guard around a *call* to a helper does not make the helper's own
-    emissions guarded."""
-    current: Optional[ast.AST] = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return False
-        if isinstance(current, (ast.If, ast.IfExp)) and _mentions_enabled(
-            current.test
+        # Audited callees are exempt; in-scope ones get a direct finding.
+        exempt = (*self.options["audited"], *scope)
+        for info, call, callee, _, chain in effectful_calls(
+            project,
+            get_callgraph(project).in_package(*scope),
+            {EMITS_TRACE},
+            skip=lambda fn: in_packages(fn.module.module, exempt),
         ):
-            return True
-        current = parents.get(current)
-    return False
+            yield self.finding(
+                project, info.module, call.node,
+                f"`{callee.name}` emits trace events without an "
+                f"`enabled` guard [emits-trace]: {info.name} -> "
+                f"{chain}; guard the emission site itself",
+                symbol=f"{info.name}->{callee.name}:emits-trace",
+            )

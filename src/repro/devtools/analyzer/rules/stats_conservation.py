@@ -25,7 +25,7 @@ silently rots:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.devtools.analyzer import astutil
 from repro.devtools.analyzer.core import Finding, Project, Rule, SourceModule, register
@@ -55,7 +55,7 @@ class StatsConservationRule(Rule):
     }
 
     def run(self, project: Project) -> Iterator[Finding]:
-        located = self._locate_stats(project)
+        located = project.dataclasses().get(self.options["stats_class"])
         if located is None:
             return
         stats_mod, stats_cls = located
@@ -71,7 +71,7 @@ class StatsConservationRule(Rule):
         scope = tuple(self.options["scope"])
         field_names = {name for name, _ in fields}
         for mod in project.in_package(*scope):
-            exempt = self._exempt_subtrees(mod, stats_cls.name)
+            exempt = astutil.methods_named(mod.classes, stats_cls.name, EXEMPT_METHODS)
             for node in astutil.walk_excluding(mod.tree, exempt):
                 writes |= _written_fields(node, field_names)
                 if tags is not None:
@@ -91,16 +91,6 @@ class StatsConservationRule(Rule):
         yield from tag_findings
 
     # ------------------------------------------------------------------
-    def _locate_stats(
-        self, project: Project
-    ) -> Optional[Tuple[SourceModule, ast.ClassDef]]:
-        target = self.options["stats_class"]
-        for mod in project.modules:
-            for cls in astutil.iter_classes(mod.tree):
-                if cls.name == target and astutil.is_dataclass_def(cls):
-                    return mod, cls
-        return None
-
     def _declared_tags(self, stats_mod: SourceModule) -> Optional[Set[str]]:
         """The ``TRAFFIC_TAGS`` tuple/set literal, if declared."""
         constant = self.options["tags_constant"]
@@ -125,16 +115,6 @@ class StatsConservationRule(Rule):
                             and isinstance(e.value, str)
                         }
         return None
-
-    def _exempt_subtrees(self, mod: SourceModule, stats_name: str) -> Set[ast.AST]:
-        exempt: Set[ast.AST] = set()
-        for cls in astutil.iter_classes(mod.tree):
-            if cls.name != stats_name:
-                continue
-            for name, fn in astutil.methods_of(cls).items():
-                if name in EXEMPT_METHODS:
-                    exempt.add(fn)
-        return exempt
 
     def _check_tags(
         self,
@@ -189,8 +169,7 @@ def _written_fields(node: ast.AST, field_names: Set[str]) -> Set[str]:
         return None
 
     if isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for tgt in targets:
+        for tgt in astutil.store_targets(node):
             name = attr_field(tgt)
             if name is None and isinstance(tgt, ast.Subscript):
                 name = attr_field(tgt.value)

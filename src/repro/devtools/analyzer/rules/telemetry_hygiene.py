@@ -38,6 +38,7 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.devtools.analyzer.astutil import call_argument, dotted_name
 from repro.devtools.analyzer.core import Finding, Project, Rule, register
 
 #: Registry factory methods that create (or get) an instrument.
@@ -81,7 +82,7 @@ class TelemetryHygieneRule(Rule):
                     continue
                 if func.attr not in REGISTRATION_METHODS:
                     continue
-                receiver = _receiver_chain(func.value)
+                receiver = dotted_name(func.value)
                 if receiver is None or "registry" not in receiver.lower():
                     continue
                 yield from self._check_registration(
@@ -99,7 +100,7 @@ class TelemetryHygieneRule(Rule):
         seen: Dict[str, Tuple[str, int]],
     ) -> Iterator[Finding]:
         method = node.func.attr  # type: ignore[union-attr]
-        name_node = _argument(node, 0, "name")
+        name_node = call_argument(node, 0, "name")
         if name_node is None:
             yield self.finding(
                 project, mod, node,
@@ -206,29 +207,7 @@ class TelemetryHygieneRule(Rule):
                 return
 
 
-def _argument(node: ast.Call, index: int, keyword: str) -> Optional[ast.AST]:
-    """Positional-or-keyword argument of a call, or ``None``."""
-    if len(node.args) > index:
-        return node.args[index]
-    for kw in node.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    return None
-
-
 def _literal_str(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
-    return None
-
-
-def _receiver_chain(node: ast.AST) -> Optional[str]:
-    """Dotted receiver of an attribute access; ``None`` if computed."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
     return None

@@ -31,26 +31,12 @@ from repro.devtools.analyzer import astutil
 from repro.devtools.analyzer.core import Finding, Project, Rule, SourceModule, register
 
 
-def collect_dataclasses(
-    project: Project,
-) -> Dict[str, Tuple[SourceModule, ast.ClassDef]]:
-    """Every ``@dataclass`` in the project, by class name.  A name
-    defined twice keeps its first definition (fixture projects in tests
-    never duplicate; ``src/`` has unique class names)."""
-    found: Dict[str, Tuple[SourceModule, ast.ClassDef]] = {}
-    for mod in project.modules:
-        for cls in astutil.iter_classes(mod.tree):
-            if astutil.is_dataclass_def(cls):
-                found.setdefault(cls.name, (mod, cls))
-    return found
-
-
 def reachable_wire_classes(
     project: Project, roots: List[str]
 ) -> Dict[str, Tuple[SourceModule, ast.ClassDef]]:
     """The wire set: root dataclasses plus every dataclass reachable
     through field annotations."""
-    dataclasses = collect_dataclasses(project)
+    dataclasses = project.dataclasses()
     seen: Set[str] = set()
     frontier = [r for r in roots if r in dataclasses]
     while frontier:

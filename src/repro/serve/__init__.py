@@ -21,8 +21,8 @@ Layout:
 * :mod:`repro.serve.cli` -- ``python -m repro.serve`` subcommands.
 
 The event-loop side never blocks on disk or simulation (cache probes
-and SweepExecutor batches run in worker threads); the ``serve-hygiene``
-analyzer rule enforces that contract statically.
+and SweepExecutor batches run in worker threads); the
+``transitive-blocking`` analyzer rule enforces that contract statically.
 """
 
 from repro.serve.client import ServeClient, ServeError

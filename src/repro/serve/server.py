@@ -29,8 +29,8 @@ which is exactly the "million cached lookups a day" hit path
 
 Blocking work (cache reads, simulation batches) runs in worker threads
 via ``asyncio.to_thread``; the event-loop side never touches the disk
-or the simulator, a contract enforced by the ``serve-hygiene`` analyzer
-rule.
+or the simulator, a contract enforced by the ``transitive-blocking``
+analyzer rule.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ PHASE_ROW_FIELDS = (
     "buffer_hits",
     "buffer_misses",
 )
+
+#: How long shutdown waits for open connections to finish after
+#: waking them (their clients get EOF or a final failed status).
+SHUTDOWN_GRACE_S = 5.0
 
 #: A SweepExecutor-compatible factory (test seam).
 ExecutorFactory = Callable[..., SweepExecutor]
@@ -464,6 +468,8 @@ class SweepServer:
         self._started_monotonic = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
+        #: Open connection handler task -> its stream writer.
+        self._connections: Dict["asyncio.Task[Any]", asyncio.StreamWriter] = {}
         self._stopping = asyncio.Event()
         self.host = ""
         self.port = 0
@@ -505,6 +511,24 @@ class SweepServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        # End every open connection so its handler *returns*: one left
+        # for asyncio.run's teardown ends cancelled, which the stream
+        # machinery logs as a traceback.  Waiters on a job the cancelled
+        # dispatcher will never finish get a failed status; idle
+        # readers get EOF once their writer closes.  This must come
+        # before ``wait_closed()``: from Python 3.12.1 on it waits for
+        # every accepted connection to drop, so an open one would hang
+        # it.
+        for entry in self._jobs.values():
+            if not entry.terminal:
+                entry.fail("server shut down")
+        handlers, self._connections = self._connections, {}
+        if handlers:
+            await asyncio.sleep(0)  # let woken waiters queue their reply
+            for writer in handlers.values():
+                writer.close()
+            await asyncio.wait(set(handlers), timeout=SHUTDOWN_GRACE_S)
+        if server is not None:
             await server.wait_closed()
 
     @property
@@ -523,6 +547,9 @@ class SweepServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -543,6 +570,7 @@ class SweepServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -39,3 +39,15 @@ def fine(seed):
 
 def suppressed():
     return time.time()  # analyzer: allow[determinism] -- fixture suppression
+
+
+LOADED_AT = time.time()                # module level: wall-clock read
+
+
+class Stamped:
+    created = datetime.now()           # class body: wall-clock read
+
+
+def bad_lambda():
+    clock = lambda: time.time()        # noqa: E731 -- lambda: wall-clock read
+    return clock

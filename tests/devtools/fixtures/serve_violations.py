@@ -1,4 +1,4 @@
-"""Fixture for the serve-hygiene rule: blocking calls in async code.
+"""Fixture for transitive-blocking's direct check: blocking calls in async code.
 
 Loaded by the analyzer tests under the module name
 ``repro.serve.fixture`` (in scope) and ``repro.runtime.fixture``
@@ -44,3 +44,11 @@ def sync_helper(path):
     time.sleep(0.0)
     with open(path) as fh:
         return json.load(fh)
+
+
+async def vocabulary_handler(cfg, path):
+    """The direct check uses the effect model's blocking vocabulary."""
+    import shutil
+
+    shutil.rmtree(path)  # VIOLATION: shutil is blocking file I/O
+    return cfg.read_text()  # fine: `cfg` is not a path-like receiver

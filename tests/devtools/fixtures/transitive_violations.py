@@ -1,10 +1,10 @@
-"""Fixture for the ``transitive-blocking`` rule (and the before/after
-demonstration that intraprocedural ``serve-hygiene`` misses blocking
-calls hidden one ``def`` deep).
+"""Fixture for the ``transitive-blocking`` rule: blocking calls hidden
+one ``def`` deep, which a check of each async body on its own would
+miss.
 
 Loaded as ``repro.serve.transitive_fixture``.  No async body here
-contains a *direct* blocking call -- serve-hygiene reports zero
-findings on this module -- yet two handlers freeze the event loop
+contains a *direct* blocking call -- the rule's direct check reports
+nothing on this module -- yet two handlers freeze the event loop
 through sync helpers.  The offloaded and pure variants are clean.
 """
 

@@ -8,6 +8,7 @@ asserts on exit codes and output.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,24 @@ class TestExitCodes:
         code, _, err = run_cli([src, "--rules", "no-such-rule"], capsys)
         assert code == 2
         assert "no-such-rule" in err
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="pyproject config needs tomllib"
+    )
+    def test_unknown_rule_table_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A leftover table for a removed rule must not configure
+        # nothing, silently.
+        src = make_tree(tmp_path, CLEAN_MODULE)
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-analyzer.rules.serve-hygiene]\nseverity = "error"\n',
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli([src], capsys)
+        assert code == 2
+        assert "unknown rule(s): serve-hygiene" in err
 
     def test_syntax_error_is_reported(self, tmp_path, capsys):
         src = make_tree(tmp_path, "def broken(:\n")
@@ -297,7 +316,6 @@ class TestListRules:
             "stats-conservation",
             "config-hygiene",
             "mutable-state",
-            "serve-hygiene",
             "obs-hygiene",
         ):
             assert name in out

@@ -19,9 +19,11 @@ from repro.devtools.analyzer.rules.config_hygiene import ConfigHygieneRule
 from repro.devtools.analyzer.rules.determinism import DeterminismRule
 from repro.devtools.analyzer.rules.mutable_state import MutableStateRule
 from repro.devtools.analyzer.rules.obs_hygiene import ObsHygieneRule
-from repro.devtools.analyzer.rules.serve_hygiene import ServeHygieneRule
 from repro.devtools.analyzer.rules.stats_conservation import StatsConservationRule
 from repro.devtools.analyzer.rules.telemetry_hygiene import TelemetryHygieneRule
+from repro.devtools.analyzer.rules.transitive_blocking import (
+    TransitiveBlockingRule,
+)
 from repro.devtools.analyzer.rules.wire_schema import (
     WireSchemaRule,
     reachable_wire_classes,
@@ -70,6 +72,9 @@ class TestDeterminismRule:
             line_of("det_violations.py", "g1 = np.random.default_rng()"),
             line_of("det_violations.py", "g2 = np.random.default_rng(0xBEEF)"),
             line_of("det_violations.py", "g3 = random.Random()"),
+            line_of("det_violations.py", "LOADED_AT = time.time()"),
+            line_of("det_violations.py", "created = datetime.now()"),
+            line_of("det_violations.py", "clock = lambda: time.time()"),
         }
         assert by_line(findings) == expected
         assert all(f.rule == "determinism" for f in findings)
@@ -426,13 +431,14 @@ class TestObsHygieneRule:
 
 
 # ----------------------------------------------------------------------
-# serve-hygiene
+# serve hygiene: blocking calls written directly in an async handler
+# (the direct half of transitive-blocking)
 # ----------------------------------------------------------------------
 class TestServeHygieneRule:
     @pytest.fixture()
     def findings(self):
         project = load_fixture("serve_violations.py", "repro.serve.fixture")
-        return run_rules(project, [ServeHygieneRule()])
+        return run_rules(project, [TransitiveBlockingRule()])
 
     def test_every_finding_location(self, findings):
         expected = {
@@ -443,9 +449,18 @@ class TestServeHygieneRule:
             line_of("serve_violations.py", 'subprocess.run(["true"])'),
             line_of("serve_violations.py", "os.replace(path, path)"),
             line_of("serve_violations.py", "Path(path).read_text()"),
+            line_of("serve_violations.py", "shutil.rmtree(path)"),
         }
         assert by_line(findings) == expected
-        assert all(f.rule == "serve-hygiene" for f in findings)
+        assert all(f.rule == "transitive-blocking" for f in findings)
+
+    def test_blocking_vocabulary_is_the_effect_models(self, findings):
+        # Convenience-I/O methods block only on a path-like receiver,
+        # as in the transitive effect summaries.
+        flagged = {f.line: f.symbol for f in findings}
+        shutil_line = line_of("serve_violations.py", "shutil.rmtree(path)")
+        assert flagged[shutil_line] == "shutil.rmtree"
+        assert line_of("serve_violations.py", "cfg.read_text()") not in flagged
 
     def test_async_safe_and_nested_sync_allowed(self, findings):
         allowed = {
@@ -465,7 +480,7 @@ class TestServeHygieneRule:
 
     def test_out_of_scope_module_is_clean(self):
         project = load_fixture("serve_violations.py", "repro.runtime.fixture")
-        assert run_rules(project, [ServeHygieneRule()]) == []
+        assert run_rules(project, [TransitiveBlockingRule()]) == []
 
     def test_messages_name_the_fix(self, findings):
         messages = " | ".join(f.message for f in findings)

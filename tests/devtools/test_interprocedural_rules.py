@@ -2,10 +2,9 @@
 
 Every violation in a fixture must be reported at exactly its marked
 line, and every deliberately-clean variant must stay silent.  The
-before/after class at the bottom locks in the motivating gap: the
-intraprocedural ``serve-hygiene`` rule reports *zero* findings on a
-module whose handlers block the event loop through sync helpers, and
-``transitive-blocking`` catches both.
+helper-hidden class locks in the motivating gap: a module whose
+handlers block the event loop only through sync helpers, which
+``transitive-blocking`` catches at both call sites.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.devtools.analyzer.rules.await_atomicity import AwaitAtomicityRule
 from repro.devtools.analyzer.rules.determinism import DeterminismRule
 from repro.devtools.analyzer.rules.loop_affinity import LoopAffinityRule
 from repro.devtools.analyzer.rules.obs_hygiene import ObsHygieneRule
-from repro.devtools.analyzer.rules.serve_hygiene import ServeHygieneRule
 from repro.devtools.analyzer.rules.transitive_blocking import (
     TransitiveBlockingRule,
 )
@@ -165,7 +163,8 @@ class TestTransitiveBlockingRule:
 
 
 # ----------------------------------------------------------------------
-# serve-hygiene before/after: the gap transitive-blocking closes
+# Helper-hidden blocking: no async body blocks *directly*, yet two
+# handlers freeze the loop through sync helpers
 # ----------------------------------------------------------------------
 class TestHelperHiddenBlockingGap:
     @pytest.fixture()
@@ -173,11 +172,6 @@ class TestHelperHiddenBlockingGap:
         return load_fixtures(
             ("transitive_violations.py", "repro.serve.transitive_fixture")
         )
-
-    def test_serve_hygiene_misses_helper_hidden_blocking(self, project):
-        # Before: no async body blocks *directly*, so the lexical rule
-        # is blind to the module even though two handlers freeze the loop.
-        assert run_rules(project, [ServeHygieneRule()]) == []
 
     def test_transitive_blocking_catches_what_it_misses(self, project):
         findings = run_rules(project, [TransitiveBlockingRule()])

@@ -2,11 +2,19 @@
 subcommands against a live test server."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime import JobSpec, ResultCache
 from repro.serve.cli import build_parser, main
+from repro.serve.client import ServeClient
 from repro.serve.server import ServerThread
 
 
@@ -96,3 +104,38 @@ class TestSubmitStatus:
         rc = main(["healthz", "--host", "127.0.0.1", "--port", "1"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestServeProcess:
+    def test_shutdown_with_idle_client_exits_cleanly(self, tmp_path):
+        # An open, idle connection must not outlive shutdown as a
+        # cancelled handler task (asyncio logs those as tracebacks).
+        ready = tmp_path / "ready"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
+             "--no-cache", "--ready-file", str(ready)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists() or not ready.read_text().strip():
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline, "server never came up"
+                time.sleep(0.05)
+            host, port = ready.read_text().split()
+            with socket.create_connection((host, int(port))):
+                with ServeClient(host, int(port)) as client:
+                    assert client.shutdown()["stopping"] is True
+                _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err

@@ -346,6 +346,40 @@ class TestFailureAndOps:
         srv._thread.join(timeout=10)
         assert not srv._thread.is_alive()
 
+    def test_shutdown_answers_a_waiting_submit(self, spec, result):
+        # The cancelled dispatcher never finishes the job, so shutdown
+        # must answer its waiter rather than drop the connection.
+        started, release = threading.Event(), threading.Event()
+
+        def runner(s):
+            started.set()
+            release.wait(timeout=30)
+            return result.to_dict()
+
+        srv = ServerThread(runner=runner).start()
+        replies = []
+
+        def waiter():
+            with ServeClient(srv.host, srv.port) as client:
+                replies.append(client.submit(spec.to_dict()))
+
+        client_thread = threading.Thread(target=waiter, daemon=True)
+        client_thread.start()
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        try:
+            assert started.wait(timeout=30)
+            stopper.start()
+            client_thread.join(timeout=30)
+        finally:
+            release.set()  # the runner's thread holds up asyncio.run's exit
+        stopper.join(timeout=30)
+        assert not client_thread.is_alive()
+        assert [(r["status"], r["error"]) for r in replies] == [
+            ("failed", "server shut down")
+        ]
+        srv._thread.join(timeout=30)
+        assert not srv._thread.is_alive()
+
 
 # ----------------------------------------------------------------------
 # Helpers
