@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.sim.stats import PHASE_ROW_FIELDS
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -59,19 +61,6 @@ def render_series(title: str, series: Dict[str, Dict[str, float]],
     return f"{title}\n{format_table(headers, rows)}"
 
 
-#: Columns of a per-phase breakdown table, in print order (matches
-#: ``repro.obs.report.PHASE_FIELDS`` so bench tables and trace reports
-#: line up).
-PHASE_BREAKDOWN_FIELDS = (
-    "cycles",
-    "busy_cycles",
-    "dram_read_bytes",
-    "dram_write_bytes",
-    "buffer_hits",
-    "buffer_misses",
-)
-
-
 def render_phase_breakdown(
     title: str,
     rows_by_label: Dict[str, List[Tuple[str, Dict[str, int]]]],
@@ -84,18 +73,18 @@ def render_phase_breakdown(
     conservation invariant the TOTAL cycles equal the run's whole-run
     cycle count.
     """
-    headers = ["run", "phase"] + list(PHASE_BREAKDOWN_FIELDS)
+    headers = ["run", "phase"] + list(PHASE_ROW_FIELDS)
     table: List[List[object]] = []
     for label, rows in rows_by_label.items():
-        totals = {f: 0 for f in PHASE_BREAKDOWN_FIELDS}
+        totals = {f: 0 for f in PHASE_ROW_FIELDS}
         for phase, fields in rows:
             table.append(
                 [label, phase]
-                + [fields.get(f, 0) for f in PHASE_BREAKDOWN_FIELDS]
+                + [fields.get(f, 0) for f in PHASE_ROW_FIELDS]
             )
-            for f in PHASE_BREAKDOWN_FIELDS:
+            for f in PHASE_ROW_FIELDS:
                 totals[f] += fields.get(f, 0)
         table.append(
-            [label, "TOTAL"] + [totals[f] for f in PHASE_BREAKDOWN_FIELDS]
+            [label, "TOTAL"] + [totals[f] for f in PHASE_ROW_FIELDS]
         )
     return f"{title}\n{format_table(headers, table)}"

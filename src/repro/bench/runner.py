@@ -5,13 +5,15 @@ bench-facing conveniences: a bounded in-process memo (keyed by the
 runtime job fingerprint, LRU-evicted so unbounded sweeps cannot grow
 memory without limit), an optional process-wide disk cache and worker
 count configured once by the CLI (:func:`configure_runtime`), and the
-aggregation-phase metric helpers the figure generators read.
+aggregation-phase metric helpers the figure generators read.  Every
+simulation goes through :func:`run_sweep`, i.e. one
+:class:`SweepExecutor` run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hymm import HyMMConfig
 from repro.hymm.base import RunResult
@@ -21,7 +23,6 @@ from repro.runtime import (
     ResultCache,
     SweepExecutor,
     SweepResult,
-    execute_spec,
     make_accelerator,
 )
 from repro.bench.workloads import bench_scale
@@ -151,33 +152,17 @@ def run_accelerator(
     n_layers: int = 1,
     seed: int = 0,
     config: Optional[HyMMConfig] = None,
-    cache: bool = True,
 ) -> RunResult:
     """Simulate one accelerator on one dataset (memoised).
 
     ``config=None`` uses each accelerator's paper-default configuration
-    (HyMM unified buffer, baselines split buffers).  With ``cache=True``
-    the in-process memo and, when configured, the persistent disk cache
-    are consulted before simulating.
+    (HyMM unified buffer, baselines split buffers).  The in-process memo
+    is consulted first; a miss is a one-job :func:`run_sweep`, so it
+    takes the executor's path (disk cache when configured, retry).  A
+    job that still fails raises ``RuntimeError`` with its error.
     """
     spec = job_spec(dataset, kind, scale, n_layers, seed, config)
-    fingerprint = spec.fingerprint()
-    if cache and fingerprint in _CACHE:
-        _CACHE.move_to_end(fingerprint)
-        return _CACHE[fingerprint]
-    result: Optional[RunResult] = None
-    if cache and _DISK_CACHE is not None:
-        result = _DISK_CACHE.load(spec)
-    if result is None:
-        if _REPLAY:
-            result = execute_spec(spec)
-        else:
-            result = execute_spec(spec, replay_session=None)
-        if cache and _DISK_CACHE is not None:
-            _DISK_CACHE.store(spec, result)
-    if cache:
-        _memo_put(fingerprint, result)
-    return result
+    return _result_for(run_sweep([spec], n_jobs=1), spec)
 
 
 def run_suite(
@@ -190,20 +175,31 @@ def run_suite(
 ) -> Dict[str, RunResult]:
     """Simulate several accelerators on one dataset.
 
-    ``n_jobs=None`` uses the process-wide default (1 unless the CLI was
-    invoked with ``--jobs``); above 1 the kinds fan out over the
-    runtime's process pool.
+    One :func:`run_sweep` over the kinds: ``n_jobs=None`` uses the
+    process-wide default (1 unless the CLI was invoked with ``--jobs``);
+    above 1 the kinds fan out over the runtime's process pool.
     """
-    workers = _N_JOBS if n_jobs is None else max(1, int(n_jobs))
-    if workers > 1:
-        specs = [
-            job_spec(dataset, kind, scale, n_layers, seed) for kind in kinds
-        ]
-        run_sweep(specs, n_jobs=workers)
-    return {
-        kind: run_accelerator(dataset, kind, scale=scale, n_layers=n_layers, seed=seed)
-        for kind in kinds
+    specs = {
+        kind: job_spec(dataset, kind, scale, n_layers, seed) for kind in kinds
     }
+    sweep = run_sweep(list(specs.values()), n_jobs=n_jobs)
+    return {kind: _result_for(sweep, spec) for kind, spec in specs.items()}
+
+
+def _result_for(sweep: SweepResult, spec: JobSpec) -> RunResult:
+    """``spec``'s result in ``sweep``, or ``RuntimeError`` carrying the
+    error its manifest recorded."""
+    result = sweep.for_spec(spec)
+    if result is not None:
+        return result
+    fingerprint = spec.fingerprint()
+    errors = [
+        record.error for record in sweep.manifest.records
+        if record.fingerprint == fingerprint
+    ]
+    raise RuntimeError(
+        f"{spec.describe()} failed: {errors[-1] if errors else 'no result'}"
+    )
 
 
 def run_sweep(
@@ -219,7 +215,7 @@ def run_sweep(
     :class:`SweepExecutor` (disk cache, process pool, retry) with the
     process-wide defaults unless overridden.  Failed jobs are recorded
     in the returned manifest, not raised -- a later
-    :func:`run_accelerator` call will retry them serially.
+    :func:`run_accelerator` call will retry them.
     """
     workers = _N_JOBS if n_jobs is None else max(1, int(n_jobs))
     sweep = SweepResult()
@@ -227,6 +223,7 @@ def run_sweep(
     for spec in specs:
         fingerprint = spec.fingerprint()
         if fingerprint in _CACHE:
+            _CACHE.move_to_end(fingerprint)
             sweep.results[fingerprint] = _CACHE[fingerprint]
         else:
             todo.append(spec)
@@ -281,22 +278,10 @@ def phase_snapshot_rows(
     """(phase, summed fields) per entry of ``result.phase_snapshots``,
     in execution order -- the rows the bench report tables and the obs
     trace report both print, so the two agree by construction."""
-    rows: List[Tuple[str, Dict[str, int]]] = []
-    for phase, snap in result.phase_snapshots.items():
-        rows.append(
-            (
-                phase,
-                {
-                    "cycles": snap.cycles,
-                    "busy_cycles": snap.busy_cycles,
-                    "dram_read_bytes": sum(snap.dram_read_bytes.values()),
-                    "dram_write_bytes": sum(snap.dram_write_bytes.values()),
-                    "buffer_hits": sum(snap.buffer_hits.values()),
-                    "buffer_misses": sum(snap.buffer_misses.values()),
-                },
-            )
-        )
-    return rows
+    return [
+        (phase, snap.phase_row())
+        for phase, snap in result.phase_snapshots.items()
+    ]
 
 
 def merged_phase_snapshot(result: RunResult, suffix: str = "") -> SimStats:

@@ -26,8 +26,8 @@ The rule cross-references both worlds over the call graph:
    loads or stores.
 
 A thread-side store whose ``(class, attribute)`` -- matched across the
-class hierarchy, so a write in a base class's ``_RecordStore._read``
-meets a read in the subclass's ``ResultCache.stats`` -- is also touched
+class hierarchy, so a write in a base-class method meets a read in a
+subclass method -- is also touched
 loop-side is a finding at the store, with the thread chain from the
 hand-off in the message.
 

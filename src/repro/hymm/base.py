@@ -314,19 +314,7 @@ class AcceleratorBase:
             delta.cycles = cum_now - cum_mark
             phase_snapshots[name] = delta
             if tracer.enabled:
-                tracer.span(
-                    name, mark, now, "phase",
-                    {
-                        "cycles": delta.cycles,
-                        "busy_cycles": delta.busy_cycles,
-                        "dram_read_bytes": sum(delta.dram_read_bytes.values()),
-                        "dram_write_bytes": sum(
-                            delta.dram_write_bytes.values()
-                        ),
-                        "buffer_hits": sum(delta.buffer_hits.values()),
-                        "buffer_misses": sum(delta.buffer_misses.values()),
-                    },
-                )
+                tracer.span(name, mark, now, "phase", delta.phase_row())
                 tracer.counter(
                     "buffer_occupancy_lines", now,
                     dict(buffer.occupancy_by_class()),

@@ -55,18 +55,6 @@ from repro.obs.schema import validate_trace
 from repro.obs.tracer import ChromeTracer
 from repro.telemetry.prometheus import ExpositionError, validate_exposition
 
-#: Whole-run totals stored in a trace's ``otherData`` -- the fields the
-#: report cross-checks against the per-phase sums.
-TOTAL_FIELDS = (
-    "cycles",
-    "busy_cycles",
-    "dram_read_bytes",
-    "dram_write_bytes",
-    "buffer_hits",
-    "buffer_misses",
-)
-
-
 def build_trace(spec: Any) -> Tuple[ChromeTracer, Any, Dict[str, Any]]:
     """Run ``spec`` traced; returns (tracer, result, otherData metadata).
 
@@ -78,19 +66,12 @@ def build_trace(spec: Any) -> Tuple[ChromeTracer, Any, Dict[str, Any]]:
 
     tracer = ChromeTracer()
     result = execute_spec(spec, tracer=tracer)
-    stats = result.stats
-    totals = {
-        "cycles": stats.cycles,
-        "busy_cycles": stats.busy_cycles,
-        "dram_read_bytes": sum(stats.dram_read_bytes.values()),
-        "dram_write_bytes": sum(stats.dram_write_bytes.values()),
-        "buffer_hits": sum(stats.buffer_hits.values()),
-        "buffer_misses": sum(stats.buffer_misses.values()),
-    }
+    # Whole-run totals: the row the report cross-checks against the
+    # per-phase sums.
     metadata = {
         "spec": spec.to_dict(),
         "accelerator": result.accelerator,
-        "totals": totals,
+        "totals": result.stats.phase_row(),
     }
     # Under a bound correlation (serve workers) the trace carries the
     # request's corr_id -- the join key of the two-clocks diff.  Plain

@@ -25,16 +25,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.report import format_table
-
-#: Phase-span args summed by the trace report, in table order.
-PHASE_FIELDS = (
-    "cycles",
-    "busy_cycles",
-    "dram_read_bytes",
-    "dram_write_bytes",
-    "buffer_hits",
-    "buffer_misses",
-)
+from repro.sim.stats import PHASE_ROW_FIELDS
 
 
 def load_json(path: str) -> Dict[str, Any]:
@@ -107,7 +98,7 @@ def phase_rows(doc: Mapping[str, Any]) -> List[Tuple[str, Dict[str, int]]]:
         rows.append(
             (
                 str(event.get("name")),
-                {f: int(args.get(f, 0)) for f in PHASE_FIELDS},
+                {f: int(args.get(f, 0)) for f in PHASE_ROW_FIELDS},
             )
         )
     return rows
@@ -115,9 +106,9 @@ def phase_rows(doc: Mapping[str, Any]) -> List[Tuple[str, Dict[str, int]]]:
 
 def phase_sums(doc: Mapping[str, Any]) -> Dict[str, int]:
     """Per-field totals over every phase row."""
-    sums = {f: 0 for f in PHASE_FIELDS}
+    sums = {f: 0 for f in PHASE_ROW_FIELDS}
     for _, fields in phase_rows(doc):
-        for f in PHASE_FIELDS:
+        for f in PHASE_ROW_FIELDS:
             sums[f] += fields[f]
     return sums
 
@@ -146,7 +137,7 @@ def trace_summary(doc: Mapping[str, Any]) -> Dict[str, Any]:
     if totals is not None:
         summary["totals"] = totals
         summary["sums_match_totals"] = all(
-            sums[f] == totals.get(f, 0) for f in PHASE_FIELDS if f in totals
+            sums[f] == totals.get(f, 0) for f in PHASE_ROW_FIELDS if f in totals
         )
     return summary
 
@@ -155,15 +146,15 @@ def trace_report(doc: Mapping[str, Any]) -> str:
     """Per-phase breakdown table of one trace."""
     rows = phase_rows(doc)
     sums = phase_sums(doc)
-    headers = ["phase"] + list(PHASE_FIELDS)
+    headers = ["phase"] + list(PHASE_ROW_FIELDS)
     table_rows: List[Sequence[object]] = [
-        [name] + [fields[f] for f in PHASE_FIELDS] for name, fields in rows
+        [name] + [fields[f] for f in PHASE_ROW_FIELDS] for name, fields in rows
     ]
-    table_rows.append(["TOTAL"] + [sums[f] for f in PHASE_FIELDS])
+    table_rows.append(["TOTAL"] + [sums[f] for f in PHASE_ROW_FIELDS])
     lines = [format_table(headers, table_rows)]
     totals = trace_totals(doc)
     if totals is not None:
-        checked = [f for f in PHASE_FIELDS if f in totals]
+        checked = [f for f in PHASE_ROW_FIELDS if f in totals]
         ok = all(sums[f] == totals[f] for f in checked)
         lines.append(
             "phase sums match run totals"

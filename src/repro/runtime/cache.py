@@ -1,12 +1,14 @@
 """Persistent on-disk stores: job results and phase traces.
 
 Both stores keep one JSON file per record and share the record I/O
-below (:class:`_RecordStore`).
+below (:func:`_read_record`, :func:`_write_record`).
 
 :class:`ResultCache` maps a job fingerprint to its ``RunResult``
 (``{"fingerprint", "spec", "result", ...}``), sharded into two levels
 of hash-prefix directories so no directory piles up every record of a
-large cache::
+large cache.  ``"result"`` is the wire document the job's worker
+returned, stored as-is; :class:`~repro.runtime.executor.SweepExecutor`
+is the only code that stores records::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
@@ -44,7 +46,7 @@ import pathlib
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, TypeVar, Union
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, TypeVar, Union
 
 from repro.hymm.base import RunResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
@@ -67,10 +69,59 @@ def _evict(path: pathlib.Path) -> None:
         pass
 
 
-class _RecordStore:
-    """JSON record files: evicting reads, atomic writes, counters."""
+def _read_record(
+    path: pathlib.Path, decode: Callable[[Dict[str, Any]], T]
+) -> Tuple[Optional[T], bool]:
+    """``(decode of the JSON object at path, corrupt)``.
 
-    def __init__(self) -> None:
+    A missing record is ``(None, False)``.  A record that cannot be
+    read, is not a JSON object, or that ``decode`` rejects is evicted
+    and reported as ``(None, True)``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ValueError("record is not a JSON object")
+        return decode(record), False
+    except FileNotFoundError:
+        return None, False
+    except (KeyError, TypeError, ValueError, OSError):
+        _evict(path)
+        return None, True
+
+
+def _write_record(path: pathlib.Path, record: Mapping[str, Any]) -> pathlib.Path:
+    """Atomically persist one record; returns ``path``.
+
+    The temp file lives in the record's own directory, so the final
+    ``os.replace`` is a same-filesystem atomic rename: a reader can
+    never see a partial record, and concurrent writers racing the
+    same key resolve last-writer-wins (each publishes a complete
+    record; whichever rename lands last sticks).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=".json"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        os.replace(tmp_name, path)
+    except BaseException:
+        _evict(pathlib.Path(tmp_name))
+        raise
+    return path
+
+
+def _decode_result(record: Dict[str, Any]) -> RunResult:
+    return RunResult.from_dict(record["result"])
+
+
+class ResultCache:
+    """Disk-backed map ``JobSpec fingerprint -> RunResult``."""
+
+    def __init__(self, cache_dir: "Optional[os.PathLike[str]]" = None) -> None:
         #: Counters since construction (surfaced in manifests).  The
         #: serve front end probes the cache from worker threads
         #: (``asyncio.to_thread``) while its event loop renders
@@ -81,69 +132,6 @@ class _RecordStore:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-
-    def _read(
-        self, path: pathlib.Path, decode: Callable[[Dict[str, Any]], T]
-    ) -> Optional[T]:
-        """``decode`` of the JSON object at ``path``, or ``None`` (miss).
-
-        A record that cannot be read, is not a JSON object, or that
-        ``decode`` rejects is evicted and reported as a miss.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-            value = decode(record)
-        except FileNotFoundError:
-            with self._counter_lock:
-                self.misses += 1
-            return None
-        except (KeyError, TypeError, ValueError, OSError):
-            with self._counter_lock:
-                self.corrupt += 1
-                self.misses += 1
-            _evict(path)
-            return None
-        with self._counter_lock:
-            self.hits += 1
-        return value
-
-    def _write(self, path: pathlib.Path, record: Dict[str, Any]) -> pathlib.Path:
-        """Atomically persist one record; returns ``path``.
-
-        The temp file lives in the record's own directory, so the final
-        ``os.replace`` is a same-filesystem atomic rename: a reader can
-        never see a partial record, and concurrent writers racing the
-        same key resolve last-writer-wins (each publishes a complete
-        record; whichever rename lands last sticks).
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
-            os.replace(tmp_name, path)
-        except BaseException:
-            _evict(pathlib.Path(tmp_name))
-            raise
-        with self._counter_lock:
-            self.stores += 1
-        return path
-
-
-def _decode_result(record: Dict[str, Any]) -> RunResult:
-    return RunResult.from_dict(record["result"])
-
-
-class ResultCache(_RecordStore):
-    """Disk-backed map ``JobSpec fingerprint -> RunResult``."""
-
-    def __init__(self, cache_dir: "Optional[os.PathLike[str]]" = None) -> None:
-        super().__init__()
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -159,10 +147,25 @@ class ResultCache(_RecordStore):
         Records that cannot be parsed or no longer match the current
         result schema are evicted and reported as misses.
         """
-        return self._read(self._path(spec.fingerprint()), _decode_result)
+        result, corrupt = _read_record(
+            self._path(spec.fingerprint()), _decode_result
+        )
+        with self._counter_lock:
+            if result is None:
+                self.misses += 1
+                self.corrupt += int(corrupt)
+            else:
+                self.hits += 1
+        return result
 
-    def store(self, spec: JobSpec, result: RunResult) -> pathlib.Path:
-        """Atomically persist one result; returns the record path."""
+    def store(self, spec: JobSpec, doc: Mapping[str, Any]) -> pathlib.Path:
+        """Atomically persist one result; returns the record path.
+
+        ``doc`` is the job's wire document (``RunResult.to_dict()``, as
+        :func:`repro.runtime.execute.execute_job` returns it, minus the
+        executor's ``"replay"`` side-channel); it is written as the
+        record's ``"result"`` without being encoded again.
+        """
         fingerprint = spec.fingerprint()
         spec_doc = spec.to_dict()
         # Cache records are content-addressed and shared across
@@ -174,9 +177,12 @@ class ResultCache(_RecordStore):
             "schema_version": SCHEMA_VERSION,
             "created_unix": time.time(),
             "spec": spec_doc,
-            "result": result.to_dict(),
+            "result": doc,
         }
-        return self._write(self._path(fingerprint), record)
+        path = _write_record(self._path(fingerprint), record)
+        with self._counter_lock:
+            self.stores += 1
+        return path
 
     # ------------------------------------------------------------------
     def _record_paths(self) -> Iterator[pathlib.Path]:
@@ -212,7 +218,7 @@ class ResultCache(_RecordStore):
             return self.hits / lookups if lookups else 0.0
 
 
-class TraceStore(_RecordStore):
+class TraceStore:
     """One job's resolved phase-timing traces (record/replay).
 
     Keys are the 64-hex chained phase signatures :mod:`repro.sim.replay`
@@ -227,13 +233,12 @@ class TraceStore(_RecordStore):
     """
 
     def __init__(self, root: Union[str, os.PathLike[str]]) -> None:
-        super().__init__()
         self.root = pathlib.Path(root)
 
     def load_trace(self, sig: str) -> Optional[Dict[str, Any]]:
         """The stored trace record for ``sig``, or ``None`` (miss)."""
-        return self._read(self.root / f"{sig}.json", dict)
+        return _read_record(self.root / f"{sig}.json", dict)[0]
 
     def store_trace(self, sig: str, record: Dict[str, Any]) -> pathlib.Path:
         """Atomically persist one trace record; returns the path."""
-        return self._write(self.root / f"{sig}.json", record)
+        return _write_record(self.root / f"{sig}.json", record)

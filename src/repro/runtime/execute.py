@@ -187,13 +187,25 @@ def execute_spec(
 
 
 def execute_job(
-    spec: JobSpec, replay: bool = True, trace_root_dir: Optional[str] = None
+    spec: JobSpec,
+    replay: bool = True,
+    trace_root_dir: Optional[str] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Dict[str, object]:
     """Worker entry point: run one job and return its serialised dict.
 
+    This is the only code that runs a job: the sweep executor's serial
+    lane and pool workers, the serve front end and ``repro.bench`` all
+    reach it through :class:`~repro.runtime.executor.SweepExecutor`.
     Returning the wire form (rather than the live object) keeps the
     pool transport, the disk cache, and serial execution on one code
     path, which is what makes ``n_jobs=4`` bit-identical to serial.
+    The executor stores this document as the cache record, so a job is
+    encoded exactly once.
+
+    ``tracer`` is handed to :func:`execute_spec`; the serve front end's
+    serial lane passes a :class:`~repro.obs.tracer.PhaseFeed` to stream
+    per-phase progress while the job runs.
 
     With ``replay`` (the default) the run records/replays phase traces
     through the job's directory under ``trace_root_dir`` (or the
@@ -219,7 +231,9 @@ def execute_job(
     try:
         session = job_trace_session(spec, trace_root_dir) if replay else None
         with span("runtime.execute", job=spec.describe()):
-            doc = execute_spec(spec, replay_session=session).to_dict()
+            doc = execute_spec(
+                spec, tracer=tracer, replay_session=session
+            ).to_dict()
         summary = replay_summary(session)
         if summary is not None:
             doc["replay"] = summary

@@ -17,6 +17,9 @@ a :class:`SweepResult` (results keyed by fingerprint + a
   (:func:`repro.runtime.execute.execute_job`), and the parent rebuilds
   the ``RunResult`` through the same ``from_dict`` path the cache uses,
   so parallel, serial-normalised, and cached results are bit-identical;
+* that wire document is also what the cache stores: this class is the
+  only code that probes and stores results, and the serve front end and
+  ``repro.bench`` run every job through it;
 * executed jobs record/replay phase traces by default (the production
   path): each worker replays phases whose chained signature is already
   in the job's trace directory and records the rest, reporting the
@@ -273,19 +276,20 @@ class SweepExecutor:
     ) -> None:
         if isinstance(raw, Mapping):
             # Strip the runner's replay side-channel (phases replayed
-            # from the trace store vs recorded live) into the manifest
-            # before handing the wire dict to the deserialiser.
-            raw = dict(raw)
-            replay_info = raw.pop("replay", None)
+            # from the trace store vs recorded live) into the manifest;
+            # what is left is the wire document, decoded here and
+            # stored as-is (the job is encoded once, by its worker).
+            doc = dict(raw)
+            replay_info = doc.pop("replay", None)
             if isinstance(replay_info, Mapping):
                 sweep.manifest.replay_hits += int(replay_info.get("replayed", 0))
                 sweep.manifest.replay_misses += int(replay_info.get("recorded", 0))
-            result: object = RunResult.from_dict(raw)
+            result: object = RunResult.from_dict(doc)
+            if self.cache is not None:
+                self.cache.store(spec, doc)
         else:
             result = raw
         sweep.results[spec.fingerprint()] = result
-        if self.cache is not None and isinstance(result, RunResult):
-            self.cache.store(spec, result)
         self._record(sweep, spec, STATUS_DONE, attempts, wall, worker,
                      rss_kb=rss_kb)
 

@@ -15,6 +15,16 @@ Architecture (one process, stdlib only)::
                               (worker thread; process pool when
                                ``workers > 1``, serial + live
                                PhaseFeed progress otherwise)
+                                               │ every job
+                                               v
+                                          execute_job
+
+The server runs no job itself: each batch of misses is one
+:class:`SweepExecutor` run, which probes the cache, runs each job
+through :func:`repro.runtime.execute.execute_job` (in this process or
+a pool worker) and stores the worker's wire document -- the same path a
+``repro.bench`` sweep takes, with the same spans, log records and
+manifest.
 
 Single-flight: every job is keyed by its :class:`JobSpec` content-hash
 fingerprint.  Submissions of a fingerprint that is already queued,
@@ -45,15 +55,16 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.hymm.base import RunResult
 from repro.obs.tracer import PhaseFeed
 from repro.runtime.cache import ResultCache
+from repro.runtime.execute import cache_trace_root, execute_job
 from repro.runtime.executor import SweepExecutor, SweepResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
 from repro.runtime.manifest import STATUS_FAILED
 from repro.sim.replay import TRACE_SCHEMA_VERSION
+from repro.sim.stats import PHASE_ROW_FIELDS
 from repro.telemetry import (
     MetricsRegistry,
     Objective,
     SloTracker,
-    bind_correlation,
     correlation_scope,
     get_logger,
     get_registry,
@@ -85,23 +96,9 @@ from repro.serve.protocol import (
     parse_request,
 )
 
-#: Fields of one per-phase progress row (mirrors the counters the
-#: accelerator's phase spans carry -- see ``repro.obs``).
-PHASE_ROW_FIELDS = (
-    "cycles",
-    "busy_cycles",
-    "dram_read_bytes",
-    "dram_write_bytes",
-    "buffer_hits",
-    "buffer_misses",
-)
-
 #: How long shutdown waits for open connections to finish after
 #: waking them (their clients get EOF or a final failed status).
 SHUTDOWN_GRACE_S = 5.0
-
-#: A SweepExecutor-compatible factory (test seam).
-ExecutorFactory = Callable[..., SweepExecutor]
 
 _log = get_logger("serve.server")
 
@@ -438,7 +435,6 @@ class SweepServer:
         cache: Optional[ResultCache] = None,
         settings: Optional[ServeSettings] = None,
         runner: Optional[Callable[[JobSpec], object]] = None,
-        executor_factory: Optional[ExecutorFactory] = None,
         trace_root: Optional[str] = None,
     ) -> None:
         self.cache = cache
@@ -446,16 +442,11 @@ class SweepServer:
         # Phase-trace replay is on by default, with traces next to the
         # result cache (see ``cache_trace_root``); ``trace_root`` pins
         # the tree explicitly.  ``None`` after resolution = replay off.
-        from repro.runtime.execute import cache_trace_root
-
         if trace_root is None:
             trace_root = cache_trace_root(cache)
         self.trace_root = trace_root
         #: Test seam: forces serial execution through this callable.
         self._runner = runner
-        self._executor_factory: ExecutorFactory = (
-            executor_factory if executor_factory is not None else SweepExecutor
-        )
         #: Per-server instrument namespace: ServerThreads in one test
         #: process must not bleed counts into each other.  Scrapes
         #: export this registry plus the process-global one.
@@ -904,31 +895,20 @@ class SweepServer:
     def _run_batch(
         self, batch: List[JobEntry], loop: asyncio.AbstractEventLoop
     ) -> SweepResult:
-        """Worker thread: one SweepExecutor invocation for the batch."""
-        settings = self.settings
-        n_jobs = min(settings.workers, len(batch))
-        if self._runner is not None:
-            executor = self._executor_factory(
-                n_jobs=1,
-                cache=self.cache,
-                retries=settings.retries,
-                runner=self._runner,
-            )
-        elif n_jobs <= 1:
+        """Worker thread: one SweepExecutor invocation for the batch.
+
+        Two lanes, picked by ``workers``: the process pool, or serial
+        in this thread, where each job runs through ``execute_job`` with
+        a :class:`PhaseFeed` streaming its progress rows (the ``runner``
+        test seam replaces that runner).
+        """
+        n_jobs = min(self.settings.workers, len(batch))
+        runner = self._runner
+        if runner is None and n_jobs <= 1:
             by_fingerprint = {entry.fingerprint: entry for entry in batch}
-            trace_root = self.trace_root
 
-            def traced_runner(spec: JobSpec) -> Dict[str, object]:
-                from repro.runtime.execute import (
-                    execute_spec,
-                    job_trace_session,
-                    replay_summary,
-                )
-
+            def feed_runner(spec: JobSpec) -> Dict[str, object]:
                 entry = by_fingerprint[spec.fingerprint()]
-                # The serial lane bypasses execute_job, so it binds the
-                # request's correlation context itself (worker thread).
-                bind_correlation(spec.corr_id)
 
                 def on_phase(
                     name: str, end_cycle: float, args: Dict[str, Any]
@@ -944,35 +924,24 @@ class SweepServer:
                 # their progress rows as they simulate, replayed phases
                 # stream theirs from the recorded deltas -- followers
                 # see per-phase progress either way.
-                feed = PhaseFeed(on_phase)
-                session = (
-                    job_trace_session(spec, trace_root)
-                    if trace_root is not None
-                    else None
+                return execute_job(
+                    spec,
+                    replay=self.trace_root is not None,
+                    trace_root_dir=self.trace_root,
+                    tracer=PhaseFeed(on_phase),
                 )
-                doc = execute_spec(
-                    spec, tracer=feed, replay_session=session
-                ).to_dict()
-                summary = replay_summary(session)
-                if summary is not None:
-                    doc["replay"] = summary
-                return doc
 
-            executor = self._executor_factory(
-                n_jobs=1,
-                cache=self.cache,
-                retries=settings.retries,
-                runner=traced_runner,
-            )
-        else:
-            executor = self._executor_factory(
-                n_jobs=n_jobs,
-                cache=self.cache,
-                retries=settings.retries,
-                timeout=settings.timeout,
-                replay=self.trace_root is not None,
-                trace_root=self.trace_root,
-            )
+            runner = feed_runner
+
+        executor = SweepExecutor(
+            n_jobs=1 if runner is not None else n_jobs,
+            cache=self.cache,
+            retries=self.settings.retries,
+            timeout=self.settings.timeout,
+            runner=runner,
+            replay=self.trace_root is not None,
+            trace_root=self.trace_root,
+        )
         return executor.run([entry.spec for entry in batch])
 
     def _apply_sweep(self, batch: List[JobEntry], sweep: SweepResult) -> None:
@@ -1021,7 +990,6 @@ class ServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         runner: Optional[Callable[[JobSpec], object]] = None,
-        executor_factory: Optional[ExecutorFactory] = None,
         trace_root: Optional[str] = None,
     ) -> None:
         import threading
@@ -1030,7 +998,6 @@ class ServerThread:
             cache=cache,
             settings=settings,
             runner=runner,
-            executor_factory=executor_factory,
             trace_root=trace_root,
         )
         self.host = host

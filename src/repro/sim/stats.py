@@ -33,6 +33,19 @@ TRAFFIC_TAGS = ("A", "X", "W", "XW", "AXW", "partial", "H")
 
 _TRAFFIC_TAG_SET = frozenset(TRAFFIC_TAGS)
 
+#: The per-phase counter row, in print order: the fields of
+#: :meth:`SimStats.phase_row`, which every phase-level view shares --
+#: the accelerator's phase span args, ``repro.obs`` trace totals and
+#: report tables, serve progress rows and the bench phase tables.
+PHASE_ROW_FIELDS = (
+    "cycles",
+    "busy_cycles",
+    "dram_read_bytes",
+    "dram_write_bytes",
+    "buffer_hits",
+    "buffer_misses",
+)
+
 
 def validate_tags(tags: "Iterable[str]", where: str) -> None:
     """Raise ``ValueError`` if any tag is outside :data:`TRAFFIC_TAGS`.
@@ -114,6 +127,15 @@ class SimStats:
         hits = self.buffer_hits[tag]
         total = hits + self.buffer_misses[tag]
         return hits / total if total else 0.0
+
+    def phase_row(self) -> Dict[str, int]:
+        """:data:`PHASE_ROW_FIELDS` of these stats, per-tag counters
+        summed over their tags."""
+        row: Dict[str, int] = {}
+        for name in PHASE_ROW_FIELDS:
+            value = getattr(self, name)
+            row[name] = sum(value.values()) if isinstance(value, dict) else value
+        return row
 
     def dram_total_bytes(self) -> int:
         """All off-chip traffic, read + write."""

@@ -65,11 +65,20 @@ class TestRunner:
         assert a is b
         assert clear_cache() >= 1
 
-    def test_cache_bypass(self):
-        a = run_accelerator("cora", "rwp", scale=0.05, cache=False)
-        b = run_accelerator("cora", "rwp", scale=0.05, cache=False)
-        assert a is not b
-        assert a.stats.cycles == b.stats.cycles
+    def test_run_accelerator_raises_job_error_after_retry(self, monkeypatch):
+        clear_cache()
+        attempts = []
+
+        def broken(spec, **kwargs):
+            attempts.append(spec)
+            raise ValueError("synthetic simulator fault")
+
+        monkeypatch.setattr("repro.runtime.execute.execute_spec", broken)
+        with pytest.raises(
+            RuntimeError, match="ValueError: synthetic simulator fault"
+        ):
+            run_accelerator("cora", "rwp", scale=0.05)
+        assert len(attempts) == 2  # the first run and the executor's retry
 
     def test_run_suite_keys(self):
         runs = run_suite("cora", kinds=("rwp", "hymm"), scale=0.05)

@@ -170,19 +170,20 @@ class TestSrcSpotChecks:
         graph = get_callgraph(project)
         reachable = graph.thread_reachable("repro.serve")
         # self.cache: Optional[ResultCache] resolves the probe, and the
-        # record read it inherits, from the to_thread site.
+        # record read it calls, from the to_thread site.
         assert "repro.runtime.cache.ResultCache.load" in reachable
-        assert "repro.runtime.cache._RecordStore._read" in reachable
+        assert "repro.runtime.cache._read_record" in reachable
 
     def test_cache_load_effects(self, project):
         effects = get_effects(project)
-        read = effects.of("repro.runtime.cache._RecordStore._read")
+        read = effects.of("repro.runtime.cache._read_record")
         assert BLOCKS_IO in read.direct  # open()
-        assert MUTATES_NONLOCAL in read.direct  # self.hits += 1
-        # ResultCache.load inherits both through its self._read call.
+        # ResultCache.load counts the probe itself (self.hits += 1) and
+        # inherits the blocking read through its _read_record call.
         fx = effects.of("repro.runtime.cache.ResultCache.load")
+        assert MUTATES_NONLOCAL in fx.direct
         assert {BLOCKS_IO, MUTATES_NONLOCAL} <= fx.all
-        assert fx.via[BLOCKS_IO] == "repro.runtime.cache._RecordStore._read"
+        assert fx.via[BLOCKS_IO] == "repro.runtime.cache._read_record"
 
     def test_async_handlers_carry_no_wall_clock_into_sim(self, project):
         effects = get_effects(project)

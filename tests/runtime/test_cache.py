@@ -40,7 +40,7 @@ class TestHitMiss:
     def test_miss_then_hit(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         assert cache.load(spec) is None
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         assert path.exists()
         loaded = cache.load(spec)
         assert loaded is not None
@@ -49,7 +49,7 @@ class TestHitMiss:
 
     def test_round_trip_bit_identical(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         loaded = cache.load(spec)
         for ours, theirs in zip(result.outputs, loaded.outputs):
             assert ours.dtype == theirs.dtype
@@ -59,7 +59,7 @@ class TestHitMiss:
 
     def test_distinct_specs_do_not_collide(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         other = JobSpec(dataset="cora", kind="rwp", scale=0.05, seed=1)
         assert cache.load(other) is None
 
@@ -72,25 +72,25 @@ class TestHitMiss:
 class TestCorruptionRecovery:
     def test_truncated_record_is_evicted_miss(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         path.write_text(path.read_text()[: 40])  # simulate a torn write
         assert cache.load(spec) is None
         assert not path.exists()
         assert cache.corrupt == 1
         # The next store repairs the entry.
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         assert cache.load(spec) is not None
 
     def test_garbage_json_is_evicted(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         path.write_text('{"fingerprint": "x"}')  # wrong shape
         assert cache.load(spec) is None
         assert cache.corrupt == 1
 
     def test_result_schema_mismatch_is_a_miss(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         record = json.loads(path.read_text())
         record["result"]["schema_version"] = RunResult.SCHEMA_VERSION + 1
         path.write_text(json.dumps(record))
@@ -101,7 +101,7 @@ class TestCorruptionRecovery:
 class TestMaintenance:
     def test_clear_and_size(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         assert cache.size() == 1
         assert cache.clear() == 1
         assert cache.size() == 0
@@ -128,18 +128,18 @@ class TestRunResultSchema:
 class TestShardedLayout:
     def test_store_lands_in_hash_prefix_shard(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         fp = spec.fingerprint()
         assert path == tmp_path / fp[:2] / fp[2:4] / f"{fp}.json"
         assert cache.load(spec) is not None
 
     def test_corruption_recovery_in_shard(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result)
+        path = cache.store(spec, result.to_dict())
         path.write_text(path.read_text()[:40])
         assert cache.load(spec) is None
         assert not path.exists()
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         assert cache.load(spec) is not None
 
     def test_trace_store_is_flat_in_the_job_trace_dir(self, tmp_path, spec):
@@ -154,7 +154,7 @@ class TestShardedLayout:
         cache = ResultCache(tmp_path)
         assert cache.hit_rate == 0.0
         cache.load(spec)
-        cache.store(spec, result)
+        cache.store(spec, result.to_dict())
         cache.load(spec)
         assert cache.hit_rate == 0.5
 
@@ -174,7 +174,7 @@ class TestConcurrentWriters:
             try:
                 start.wait(timeout=10)
                 for _ in range(25):
-                    cache.store(spec, result)
+                    cache.store(spec, result.to_dict())
                     loaded = cache.load(spec)
                     assert loaded is not None, "reader saw a torn record"
             except Exception as exc:  # pragma: no cover - failure path

@@ -151,6 +151,49 @@ class TestCacheIntegration:
                 first.for_spec(spec).stats.cycles
             )
 
+    def test_executed_job_is_encoded_once_and_stored_as_is(
+        self, tmp_path, monkeypatch
+    ):
+        """The cache record's ``"result"`` is the worker's wire document:
+        one ``to_dict`` per executed job, and the same bytes a
+        decode-then-encode of that document gives."""
+        import json
+
+        from repro.hymm.base import RunResult
+        from repro.runtime import executor as executor_mod
+
+        worker_docs = []
+        real_execute_job = executor_mod.execute_job
+
+        def capturing_execute_job(spec, **kwargs):
+            doc = real_execute_job(spec, **kwargs)
+            worker_docs.append(json.loads(json.dumps(doc)))
+            return doc
+
+        encodes = []
+        to_dict = RunResult.to_dict
+
+        def counting_to_dict(self):
+            encodes.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(executor_mod, "execute_job", capturing_execute_job)
+        monkeypatch.setattr(RunResult, "to_dict", counting_to_dict)
+        spec = _spec(kind="hymm")
+        sweep = SweepExecutor(n_jobs=1, cache=ResultCache(tmp_path)).run([spec])
+        assert sweep.manifest.executed == 1
+        assert len(encodes) == 1
+
+        fp = spec.fingerprint()
+        record = json.loads(
+            (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").read_text()
+        )
+        [doc] = worker_docs
+        doc.pop("replay", None)
+        assert json.dumps(record["result"]) == json.dumps(
+            RunResult.from_dict(doc).to_dict()
+        )
+
     def test_manifest_reports_cache_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
         sweep = SweepExecutor(n_jobs=1, cache=cache).run([_spec()])

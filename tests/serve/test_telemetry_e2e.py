@@ -107,6 +107,28 @@ class TestEndToEndCorrelation:
         assert shard.exists()
         assert "corr_id" not in shard.read_text(encoding="utf-8")
 
+    def test_executed_submit_runs_through_execute_job(
+        self, tmp_path, spec, log_stream, recorder
+    ):
+        """The default serial lane executes through ``execute_job``: its
+        ``runtime.execute`` span and job log records carry the submit's
+        correlation ID."""
+        with ServerThread(cache=ResultCache(tmp_path)) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                cold = client.submit(spec.to_dict())
+        assert cold["source"] == "executed"
+        corr_id = cold["corr_id"]
+        executes = [
+            event for event in recorder.trace_dict({})["traceEvents"]
+            if event.get("name") == "runtime.execute"
+        ]
+        assert [e["args"].get("corr_id") for e in executes] == [corr_id]
+        job_events = {
+            r["event"] for r in log_records(log_stream)
+            if r.get("corr_id") == corr_id
+        }
+        assert {"job start", "job done"} <= job_events
+
     def test_warm_hit_gets_a_fresh_id(self, tmp_path, spec):
         cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as srv:
