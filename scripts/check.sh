@@ -43,6 +43,17 @@ fi
 
 run python -m pytest -x -q
 
+# Store layout (CI's bench-smoke job): a parallel fig7 run, its cached
+# rerun, then no record or trace may hold an inline array and the
+# output blobs must exist.
+store_dir="$(mktemp -d)"
+run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
+    --cache-dir "$store_dir" --output "$store_dir/out"
+run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
+    --cache-dir "$store_dir"
+run python scripts/check_store.py "$store_dir"
+rm -rf "$store_dir"
+
 # Replay-by-default end to end: a repeated submit against a cache-less
 # server must be served by replaying its recorded phase traces (the
 # smoke asserts it via /metrics) while still streaming progress.

@@ -141,11 +141,8 @@ UNSEEDED_RNG = "unseeded RNG"
 
 #: Nodes that open a new scope for :attr:`Site.scope`.
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-#: The only nodes that can be a site (or declare a name nonlocal).
-_CLASSIFIED = (
-    ast.Call, ast.Attribute, ast.Name, ast.Assign, ast.AugAssign,
-    ast.Global, ast.Nonlocal,
-)
+#: The only nodes that can be a site.
+_CLASSIFIED = (ast.Call, ast.Attribute, ast.Name, ast.Assign, ast.AugAssign)
 
 
 class Site(NamedTuple):
@@ -176,7 +173,7 @@ def iter_sites(tree: ast.Module, aliases: Dict[str, str]) -> Iterator[Site]:
     ``lambda`` boundary -- a guard around a call to a helper does not
     guard the helper's own emissions.
     """
-    # scope -> (parameter names, names declared global/nonlocal so far)
+    # scope -> (parameter names, names the scope declares global/nonlocal)
     frames: Dict[ast.AST, Tuple[Set[str], Set[str]]] = {tree: (set(), set())}
     stack: List[Tuple[ast.AST, ast.AST, bool]] = [
         (child, tree, False) for child in ast.iter_child_nodes(tree)
@@ -184,7 +181,7 @@ def iter_sites(tree: ast.Module, aliases: Dict[str, str]) -> Iterator[Site]:
     while stack:
         node, scope, guarded = stack.pop()
         if isinstance(node, _SCOPES):
-            frames[node] = (_param_names(node), set())
+            frames[node] = (_param_names(node), _declared_names(node))
             scope = node
             guarded = guarded and isinstance(node, ast.ClassDef)
         elif isinstance(node, _CLASSIFIED):
@@ -227,12 +224,14 @@ class FunctionEffects:
     """Effect summary of one function."""
 
     qname: str
-    #: effect -> first direct site in this function's own body.
+    #: effect -> first direct site (in source order) in this
+    #: function's own body.
     direct: Dict[str, Site] = field(default_factory=dict)
     #: Direct plus transitive effects.
     all: Set[str] = field(default_factory=set)
     #: effect -> callee qname the effect was inherited from (absent for
-    #: direct effects).
+    #: direct effects): the first, by name, of the callees on a
+    #: shortest call chain to a direct site.
     via: Dict[str, str] = field(default_factory=dict)
 
 
@@ -280,33 +279,43 @@ class EffectTable:
         for qname, info in graph.functions.items():
             fx = table.by_function[qname] = FunctionEffects(qname=qname)
             owner[info.node] = fx
+        # Witnesses are chosen in a fixed order, never by set or walk
+        # order, so chain text is the same under any PYTHONHASHSEED:
+        # a direct effect's witness is its first site in source order.
         for mod in project.modules:
             for site in module_sites(project, mod):
                 owned = owner.get(site.scope)
-                if owned is not None:
-                    owned.direct.setdefault(site.effect, site)
+                if owned is None:
+                    continue
+                first = owned.direct.get(site.effect)
+                if first is None or _site_key(site) < _site_key(first):
+                    owned.direct[site.effect] = site
         for fx in table.by_function.values():
             fx.all = set(fx.direct)
 
-        # Caller-ward fixpoint over resolved call edges.
-        worklist = [q for q, fx in table.by_function.items() if fx.all]
-        while worklist:
-            callee = worklist.pop()
-            callee_fx = table.by_function[callee]
-            for caller in graph.callers.get(callee, ()):
-                caller_fx = table.by_function.get(caller)
-                if caller_fx is None:
-                    continue
-                if not _has_call_edge(graph, caller, callee):
-                    continue
-                added = False
-                for effect in callee_fx.all:
-                    if effect not in caller_fx.all:
+        # Caller-ward breadth-first search over resolved call edges, one
+        # effect at a time: ``via`` names the callee on a shortest chain
+        # to a direct site, ties broken by qualified name.
+        effects = sorted({e for fx in table.by_function.values() for e in fx.direct})
+        for effect in effects:
+            frontier = sorted(
+                q for q, fx in table.by_function.items() if effect in fx.direct
+            )
+            while frontier:
+                reached = []
+                for callee in frontier:
+                    for caller in sorted(graph.callers.get(callee, ())):
+                        caller_fx = table.by_function.get(caller)
+                        if (
+                            caller_fx is None
+                            or effect in caller_fx.all
+                            or not _has_call_edge(graph, caller, callee)
+                        ):
+                            continue
                         caller_fx.all.add(effect)
                         caller_fx.via[effect] = callee
-                        added = True
-                if added:
-                    worklist.append(caller)
+                        reached.append(caller)
+                frontier = sorted(reached)
         return table
 
 
@@ -333,6 +342,14 @@ def effectful_calls(
                 yield info, call, callee, effect, chain
 
 
+def _site_key(site: Site) -> Tuple[int, int, str]:
+    return (
+        getattr(site.node, "lineno", 0),
+        getattr(site.node, "col_offset", 0),
+        site.target,
+    )
+
+
 def _has_call_edge(graph: CallGraph, caller: str, callee: str) -> bool:
     return any(
         site.callee == callee and site.kind == KIND_CALL
@@ -351,9 +368,7 @@ def _node_effects(
     declared: Set[str],
 ) -> Iterator[Tuple[str, str, str]]:
     """(effect, target, what) for each effect ``node`` itself performs."""
-    if isinstance(node, (ast.Global, ast.Nonlocal)):
-        declared.update(node.names)
-    elif isinstance(node, ast.Call):
+    if isinstance(node, ast.Call):
         found = _call_effect(node, aliases)
         if found is not None:
             yield found
@@ -463,6 +478,24 @@ def _param_names(fn: ast.AST) -> Set[str]:
         names.add(args.vararg.arg)
     if args.kwarg is not None:
         names.add(args.kwarg.arg)
+    return names
+
+
+def _declared_names(scope: ast.AST) -> Set[str]:
+    """Names ``scope``'s own body declares ``global`` or ``nonlocal``.
+
+    Collected before any store in the scope is classified: a
+    declaration covers the whole scope, wherever the walk meets it.
+    Nested scopes keep their own declarations.
+    """
+    names: Set[str] = set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            names.update(node.names)
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
     return names
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,10 +127,21 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunResult":
-        """Inverse of :meth:`to_dict`; raises on schema mismatch."""
+    def from_dict(
+        cls,
+        data: Dict[str, object],
+        decode_array: Optional[Callable[[Any], np.ndarray]] = None,
+    ) -> "RunResult":
+        """Inverse of :meth:`to_dict`; raises on schema mismatch.
+
+        ``decode_array`` turns each entry of ``data["outputs"]`` into
+        its array (default: the wire form's inline
+        :func:`~repro.runtime.serialize.array_from_dict`); the result
+        cache passes its blob reader.
+        """
         from repro.runtime.serialize import array_from_dict
 
+        decode = decode_array if decode_array is not None else array_from_dict
         version = data.get("schema_version")
         if version != cls.SCHEMA_VERSION:
             raise ValueError(
@@ -142,7 +153,7 @@ class RunResult:
             dataset=data["dataset"],
             config=HyMMConfig.from_dict(data["config"]),
             stats=SimStats.from_dict(data["stats"]),
-            outputs=[array_from_dict(a) for a in data["outputs"]],
+            outputs=[decode(a) for a in data["outputs"]],
             phase_cycles=dict(data["phase_cycles"]),
             phase_stats={p: dict(c) for p, c in data["phase_stats"].items()},
             phase_snapshots={
@@ -340,9 +351,8 @@ class AcceleratorBase:
             simulator state, merge the stats delta (cycles zeroed --
             run totals are assigned once, at the end, from the restored
             state), and close the phase exactly as the live path would
-            from that state."""
-            from repro.runtime.serialize import array_from_dict
-
+            from that state.  ``rec["output"]`` is already the array
+            (the trace store resolved its blob)."""
             buffer.restore_state(rec["buffer"])
             engine.restore_state(rec["engine"])
             dram.next_free = float(rec["dram_next_free"])
@@ -350,17 +360,17 @@ class AcceleratorBase:
             delta.cycles = 0
             stats.merge(delta)
             close_phase(name, occupancy=rec["occupancy"])
-            return array_from_dict(rec["output"])
+            return rec["output"]
 
         def trace_record(out: np.ndarray, name: str) -> Dict[str, object]:
             """The phase record `apply_trace` consumes, captured from
-            the live simulator right after the phase closed."""
-            from repro.runtime.serialize import array_to_dict
-
+            the live simulator right after the phase closed.  The
+            output travels as the array itself; the trace store keeps
+            it as a content-addressed blob."""
             return {
                 "stats": phase_snapshots[name].to_dict(),
                 "occupancy": phase_stats[name]["occupancy"],
-                "output": array_to_dict(out),
+                "output": out,
                 "buffer": buffer.snapshot_state(),
                 "engine": engine.snapshot_state(),
                 "dram_next_free": dram.next_free,

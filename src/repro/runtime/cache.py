@@ -1,17 +1,24 @@
-"""Persistent on-disk stores: job results and phase traces.
+"""Persistent on-disk stores: job results, phase traces, output blobs.
 
-Both stores keep one JSON file per record and share the record I/O
-below (:func:`_read_record`, :func:`_write_record`).
+Result and trace records are one JSON file each and share the record
+I/O below (:func:`_read_record`, :func:`_write_record`).  Neither holds
+an output matrix inline: each matrix is written once, as a
+content-addressed ``.npy`` file in a :class:`BlobStore`, and records
+refer to it as ``{"blob": <sha256>, "dtype", "shape"}``.  A sweep that
+computes the same product under several dataflows or timing knobs
+therefore keeps one copy of it, shared by every record that names it.
 
 :class:`ResultCache` maps a job fingerprint to its ``RunResult``
 (``{"fingerprint", "spec", "result", ...}``), sharded into two levels
 of hash-prefix directories so no directory piles up every record of a
 large cache.  ``"result"`` is the wire document the job's worker
-returned, stored as-is; :class:`~repro.runtime.executor.SweepExecutor`
-is the only code that stores records::
+returned, stored as-is except that its ``"outputs"`` are blob
+references; :class:`~repro.runtime.executor.SweepExecutor` is the only
+code that stores records::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
+        blobs/<h[0:2]>/<h>.npy  # output matrices, h = SHA-256 of the file
         manifests/              # sweep manifests (written by the CLI)
         traces/                 # phase traces (see TraceStore)
 
@@ -20,36 +27,53 @@ own directory (``JobSpec.trace_dir``, already sharded by fingerprint)::
 
     <trace root>/<fp[0:2]>/<fingerprint>/<phase signature>.json
 
+With the default trace root, ``<cache_dir>/traces``, trace records use
+the cache's own ``blobs/`` (see
+:func:`repro.runtime.execute.trace_blob_dir`); a relocated
+``REPRO_TRACE_DIR`` keeps its blobs in ``<trace root>/blobs``.
+
 Invalidation rules:
 
 * the fingerprint already encodes the job schema version and the
   ``repro`` package version, so upgrading either simply stops hitting
-  old records;
+  old records (job schema v4 moved outputs into blobs, so records of
+  the inline ``data_b64`` layout are never hit);
 * a record whose embedded ``RunResult`` schema version no longer
   matches the code is treated as a miss and evicted;
 * unreadable/corrupt records (truncated writes, bad JSON, missing
   keys) are evicted on first touch and counted in
   :attr:`ResultCache.corrupt` -- a damaged cache degrades to cold, it
-  never fails a run.
+  never fails a run;
+* every blob read re-hashes the file: a missing, truncated or
+  mismatched blob makes the record naming it corrupt (evicted and
+  counted, as above), and the damaged blob itself is deleted so the
+  next store rewrites it.  A damaged blob is never served.
 
-Writes go through a temp file in the record's *own* directory +
-``os.replace``, so a concurrent reader (or a killed writer) can never
-observe a partial record, and two writers racing the same key resolve
-last-writer-wins with no torn JSON.
+Writes (records and blobs) go through a temp file in the target's
+*own* directory + ``os.replace``, so a concurrent reader (or a killed
+writer) can never observe a partial file, and two writers racing the
+same key resolve last-writer-wins with no torn JSON.  A blob that
+already exists is not rewritten: its name is its content.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import pathlib
+import re
 import tempfile
 import threading
 import time
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, TypeVar, Union
 
+import numpy as np
+
 from repro.hymm.base import RunResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
+from repro.runtime.serialize import array_from_dict
 
 T = TypeVar("T")
 
@@ -91,22 +115,27 @@ def _read_record(
         return None, True
 
 
-def _write_record(path: pathlib.Path, record: Mapping[str, Any]) -> pathlib.Path:
-    """Atomically persist one record; returns ``path``.
+def _write_atomic(
+    path: pathlib.Path, write: Callable[[Any], object], binary: bool = False
+) -> pathlib.Path:
+    """Atomically publish what ``write(fh)`` writes at ``path``;
+    returns ``path``.  ``fh`` is a UTF-8 text file, or a binary one
+    with ``binary``.
 
-    The temp file lives in the record's own directory, so the final
+    The temp file lives in the target's own directory, so the final
     ``os.replace`` is a same-filesystem atomic rename: a reader can
-    never see a partial record, and concurrent writers racing the
-    same key resolve last-writer-wins (each publishes a complete
-    record; whichever rename lands last sticks).
+    never see a partial file, and concurrent writers racing the same
+    key resolve last-writer-wins (each publishes a complete file;
+    whichever rename lands last sticks).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".json"
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh)
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8")) as fh:
+            write(fh)
         os.replace(tmp_name, path)
     except BaseException:
         _evict(pathlib.Path(tmp_name))
@@ -114,8 +143,99 @@ def _write_record(path: pathlib.Path, record: Mapping[str, Any]) -> pathlib.Path
     return path
 
 
-def _decode_result(record: Dict[str, Any]) -> RunResult:
-    return RunResult.from_dict(record["result"])
+def _write_record(path: pathlib.Path, record: Mapping[str, Any]) -> pathlib.Path:
+    """Atomically persist one JSON record; returns ``path``.
+
+    ``json.dump`` streams the record to the file; ``json.dumps`` would
+    hold the whole text (and its over-allocated buffer) at once.
+    """
+    return _write_atomic(path, lambda fh: json.dump(record, fh))
+
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+class BlobStore:
+    """Content-addressed ``.npy`` files, one per distinct array::
+
+        <root>/<h[0:2]>/<h>.npy     # h = SHA-256 of the file's bytes
+
+    :meth:`put` returns the reference a record stores in place of the
+    array, ``{"blob": h, "dtype", "shape"}``; :meth:`get` turns it back
+    into the bit-identical array, or raises ``ValueError`` when the
+    blob is missing or damaged.
+    """
+
+    def __init__(self, root: Union[str, os.PathLike[str]]) -> None:
+        self.root = pathlib.Path(root)
+
+    def _path(self, digest: str) -> pathlib.Path:
+        return self.root / digest[:2] / f"{digest}.npy"
+
+    def put(self, array: np.ndarray) -> Dict[str, Any]:
+        """Store ``array`` (once per content); returns its reference."""
+        contiguous = np.asarray(array, order="C")
+        little = contiguous.astype(contiguous.dtype.newbyteorder("<"), copy=False)
+        if little.dtype.hasobject:
+            raise ValueError("object arrays are not stored as blobs")
+        # The file is the .npy header followed by the array's own
+        # buffer: hashed and written without copying the array.
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(little)
+        )
+        chunks = [header.getvalue(), little.reshape(-1).view(np.uint8).data]
+        sha = hashlib.sha256()
+        for chunk in chunks:
+            sha.update(chunk)
+        digest = sha.hexdigest()
+        path = self._path(digest)
+        if not path.exists():
+            _write_atomic(path, lambda fh: fh.writelines(chunks), binary=True)
+        return {
+            "blob": digest,
+            "dtype": contiguous.dtype.name,
+            "shape": list(contiguous.shape),
+        }
+
+    def get(self, ref: Mapping[str, Any]) -> np.ndarray:
+        """The array ``ref`` names, re-hashed on every read.
+
+        A blob whose bytes no longer hash to its name is deleted (so
+        the next :meth:`put` of that content rewrites it) before the
+        ``ValueError`` is raised.
+        """
+        digest = ref["blob"]
+        if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+            raise ValueError(f"malformed blob reference {digest!r}")
+        path = self._path(digest)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise ValueError(f"blob {digest} is missing") from None
+        if hashlib.sha256(data).hexdigest() != digest:
+            _evict(path)
+            raise ValueError(f"blob {digest} is damaged")
+        array = _npy_view(data)
+        dtype = np.dtype(ref["dtype"])
+        if array.dtype.name != dtype.name or list(array.shape) != list(ref["shape"]):
+            raise ValueError(f"blob {digest} does not match its reference")
+        return array.astype(dtype, copy=False)
+
+
+def _npy_view(data: bytes) -> np.ndarray:
+    """The array an ``.npy`` file holds, as a read-only view of
+    ``data`` (no copy; the inline wire decode is read-only too)."""
+    fmt = np.lib.format
+    header = io.BytesIO(data)
+    if fmt.read_magic(header) != (1, 0):
+        raise ValueError("blobs are written as .npy format 1.0")
+    shape, fortran_order, dtype = fmt.read_array_header_1_0(header)
+    if dtype.hasobject:
+        raise ValueError("object arrays are not stored as blobs")
+    flat = np.frombuffer(data, dtype=dtype, offset=header.tell())
+    return flat.reshape(shape, order="F" if fortran_order else "C")
 
 
 class ResultCache:
@@ -134,6 +254,9 @@ class ResultCache:
         self.corrupt = 0
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        #: Output matrices of every record (and, with the default trace
+        #: root, of every phase trace): ``<cache_dir>/blobs``.
+        self.blobs = BlobStore(self.cache_dir / "blobs")
 
     def _path(self, fingerprint: str) -> pathlib.Path:
         return (
@@ -144,11 +267,13 @@ class ResultCache:
     def load(self, spec: JobSpec) -> Optional[RunResult]:
         """The cached result for ``spec``, or ``None`` (miss).
 
-        Records that cannot be parsed or no longer match the current
-        result schema are evicted and reported as misses.
+        Records that cannot be parsed, no longer match the current
+        result schema, or name a missing or damaged output blob are
+        evicted and reported as misses.  Outputs are read (and
+        re-hashed) here, eagerly.
         """
         result, corrupt = _read_record(
-            self._path(spec.fingerprint()), _decode_result
+            self._path(spec.fingerprint()), self._decode
         )
         with self._counter_lock:
             if result is None:
@@ -158,14 +283,23 @@ class ResultCache:
                 self.hits += 1
         return result
 
+    def _decode(self, record: Dict[str, Any]) -> RunResult:
+        return RunResult.from_dict(record["result"], decode_array=self.blobs.get)
+
     def store(self, spec: JobSpec, doc: Mapping[str, Any]) -> pathlib.Path:
         """Atomically persist one result; returns the record path.
 
         ``doc`` is the job's wire document (``RunResult.to_dict()``, as
         :func:`repro.runtime.execute.execute_job` returns it, minus the
         executor's ``"replay"`` side-channel); it is written as the
-        record's ``"result"`` without being encoded again.
+        record's ``"result"`` without being encoded again, except that
+        each output matrix goes to :attr:`blobs` and the record keeps
+        its reference.  ``doc`` itself is not modified.
         """
+        result = dict(doc)
+        result["outputs"] = [
+            self.blobs.put(array_from_dict(a)) for a in doc["outputs"]
+        ]
         fingerprint = spec.fingerprint()
         spec_doc = spec.to_dict()
         # Cache records are content-addressed and shared across
@@ -177,7 +311,7 @@ class ResultCache:
             "schema_version": SCHEMA_VERSION,
             "created_unix": time.time(),
             "spec": spec_doc,
-            "result": doc,
+            "result": result,
         }
         path = _write_record(self._path(fingerprint), record)
         with self._counter_lock:
@@ -222,23 +356,40 @@ class TraceStore:
     """One job's resolved phase-timing traces (record/replay).
 
     Keys are the 64-hex chained phase signatures :mod:`repro.sim.replay`
-    computes; records are raw JSON dicts carrying the phase's resolved
+    computes; records are JSON dicts carrying the phase's resolved
     timing -- stats delta, output matrix, and post-phase simulator
     state -- stored flat as ``<root>/<sig>.json``, where ``root`` is the
-    job's own trace directory.  Corrupt records are evicted, the same
-    degradation contract as the result cache.  Invalidation is
-    structural: the signature chain hashes the trace schema version,
-    the model fingerprint, and every timing-relevant config knob, so
-    any change simply stops hitting old records.
+    job's own trace directory.  The output matrix goes to a
+    :class:`BlobStore` under ``blob_dir`` (default ``<root>/blobs``):
+    :meth:`store_trace` takes it as an array and :meth:`load_trace`
+    hands it back as one, so replay never encodes or decodes it as
+    text.  Corrupt records -- and records whose output blob is missing
+    or damaged -- are evicted and read as misses, the same degradation
+    contract as the result cache.  Invalidation is structural: the
+    signature chain hashes the trace schema version, the model
+    fingerprint, and every timing-relevant config knob, so any change
+    simply stops hitting old records.
     """
 
-    def __init__(self, root: Union[str, os.PathLike[str]]) -> None:
+    def __init__(
+        self,
+        root: Union[str, os.PathLike[str]],
+        blob_dir: Optional[Union[str, os.PathLike[str]]] = None,
+    ) -> None:
         self.root = pathlib.Path(root)
+        self.blobs = BlobStore(blob_dir if blob_dir is not None else self.root / "blobs")
+
+    def _decode(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        if "output" in record:
+            record["output"] = self.blobs.get(record["output"])
+        return record
 
     def load_trace(self, sig: str) -> Optional[Dict[str, Any]]:
         """The stored trace record for ``sig``, or ``None`` (miss)."""
-        return _read_record(self.root / f"{sig}.json", dict)[0]
+        return _read_record(self.root / f"{sig}.json", self._decode)[0]
 
     def store_trace(self, sig: str, record: Dict[str, Any]) -> pathlib.Path:
         """Atomically persist one trace record; returns the path."""
+        if "output" in record:
+            record = dict(record, output=self.blobs.put(np.asarray(record["output"])))
         return _write_record(self.root / f"{sig}.json", record)

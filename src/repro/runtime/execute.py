@@ -119,12 +119,30 @@ def cache_trace_root(cache: Optional[ResultCache]) -> Optional[str]:
     return str(cache.cache_dir / "traces")
 
 
+def trace_blob_dir(root: str) -> str:
+    """Where the phase traces under ``root`` keep their output blobs.
+
+    The default layout, ``<cache_dir>/traces`` (no ``REPRO_TRACE_DIR``),
+    shares ``<cache_dir>/blobs`` with the result records, so an output
+    matrix that is both a phase output and a job output is stored once.
+    Any other root -- a relocated ``REPRO_TRACE_DIR`` or an explicit
+    ``trace_root`` not named ``traces`` -- keeps ``<root>/blobs``.
+    """
+    import os
+
+    parent, name = os.path.split(os.path.normpath(root))
+    if name == "traces" and os.environ.get("REPRO_TRACE_DIR") is None:
+        return os.path.join(parent, "blobs")
+    return os.path.join(root, "blobs")
+
+
 def job_trace_session(
     spec: JobSpec, root: Optional[str] = None
 ) -> Optional[object]:
     """A :class:`repro.sim.replay.TraceSession` over ``spec``'s own
     trace directory (``JobSpec.trace_dir``), or ``None`` when replay is
-    disabled.  ``root`` overrides the process-wide :func:`trace_root`.
+    disabled.  ``root`` overrides the process-wide :func:`trace_root`;
+    output blobs go to :func:`trace_blob_dir` of it.
     """
     root = root if root is not None else trace_root()
     if root is None:
@@ -132,7 +150,7 @@ def job_trace_session(
     from repro.runtime.cache import TraceStore
     from repro.sim.replay import TraceSession
 
-    return TraceSession(TraceStore(spec.trace_dir(root)))
+    return TraceSession(TraceStore(spec.trace_dir(root), trace_blob_dir(root)))
 
 
 def replay_summary(session: Optional[object]) -> Optional[Dict[str, int]]:

@@ -119,6 +119,11 @@ class SweepResult:
 
     results: Dict[str, RunResult] = field(default_factory=dict)
     manifest: RunManifest = field(default_factory=RunManifest)
+    #: Wire documents (``RunResult.to_dict()`` form) of the jobs this
+    #: sweep executed, by fingerprint -- only when the executor was
+    #: built with ``keep_docs=True``, so a front end that answers with
+    #: the document need not encode the result a second time.
+    docs: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     def for_spec(self, spec: JobSpec) -> Optional[RunResult]:
         return self.results.get(spec.fingerprint())
@@ -148,6 +153,7 @@ class SweepExecutor:
         batch_by_workload: bool = True,
         replay: bool = True,
         trace_root: Optional[str] = None,
+        keep_docs: bool = False,
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
@@ -180,6 +186,11 @@ class SweepExecutor:
         #: per job.  ``False`` submits one pool task per job (finer
         #: timeout granularity, more duplicated model synthesis).
         self.batch_by_workload = batch_by_workload
+        #: Keep each executed job's wire document on
+        #: :attr:`SweepResult.docs` (the serve front end replies with
+        #: it); off by default, so a long sweep does not hold every
+        #: result twice.
+        self.keep_docs = keep_docs
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> SweepResult:
@@ -287,6 +298,8 @@ class SweepExecutor:
             result: object = RunResult.from_dict(doc)
             if self.cache is not None:
                 self.cache.store(spec, doc)
+            if self.keep_docs:
+                sweep.docs[spec.fingerprint()] = doc
         else:
             result = raw
         sweep.results[spec.fingerprint()] = result

@@ -30,7 +30,9 @@ from repro.hymm.config import HyMMConfig
 #: v3: ``RunResult`` gained per-phase SimStats snapshots
 #: (``phase_snapshots``), so v2 cache records lack fields the current
 #: deserialiser requires.
-SCHEMA_VERSION = 3
+#: v4: cache records keep output matrices as content-addressed ``.npy``
+#: blobs (``{"blob", "dtype", "shape"}``) instead of inline base64.
+SCHEMA_VERSION = 4
 
 
 def _package_version() -> str:

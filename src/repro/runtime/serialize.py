@@ -3,9 +3,11 @@
 Two concerns live here:
 
 * **Exact array round-trips** -- simulated outputs must survive
-  disk/process boundaries bit-identically, so arrays travel as
-  base64-encoded little-endian raw bytes plus dtype/shape, not as
-  decimal text.
+  process boundaries bit-identically, so in the wire form (pool
+  transport, serve replies) arrays travel as base64-encoded
+  little-endian raw bytes plus dtype/shape, not as decimal text.  On
+  disk the stores keep them as ``.npy`` blobs instead
+  (:class:`repro.runtime.cache.BlobStore`).
 * **Best-effort JSON sanitising** -- experiment dicts and
   ``RunResult.extra`` mix scalars with live objects (region plans, CSR
   matrices, callables).  :func:`sanitize_extra` keeps what JSON can

@@ -941,6 +941,7 @@ class SweepServer:
             runner=runner,
             replay=self.trace_root is not None,
             trace_root=self.trace_root,
+            keep_docs=True,
         )
         return executor.run([entry.spec for entry in batch])
 
@@ -959,7 +960,13 @@ class SweepServer:
                     if rec is not None and rec.worker == "cache"
                     else SOURCE_EXECUTED
                 )
-                entry.complete(result.to_dict(), source, attempts, wall)
+                # An executed job replies with its worker's wire
+                # document (the one the cache stored from), so the job
+                # is encoded once.
+                doc = sweep.docs.get(entry.fingerprint)
+                if doc is None:
+                    doc = result.to_dict()
+                entry.complete(doc, source, attempts, wall)
             else:
                 error = rec.error if rec is not None else None
                 if rec is not None and rec.status == STATUS_FAILED:

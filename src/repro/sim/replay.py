@@ -37,11 +37,18 @@ accelerators extend the exemption set via
 ``AcceleratorBase.phase_config_exempt`` for knobs their dataflow never
 reads, widening trace sharing across ablation sweeps.
 
-Storage is a :class:`repro.runtime.cache.TraceStore` (one
-``<sig>.json`` per phase in the job's own trace directory, atomic
-writes, corrupt-record eviction); invalidation is structural --
-the chain hashes :data:`TRACE_SCHEMA_VERSION`, so any layout change
-simply stops hitting old records.
+Storage is a :class:`repro.runtime.cache.TraceStore`: one
+``<sig>.json`` per phase in the job's own trace directory, with the
+phase's output matrix stored once as a content-addressed ``.npy`` blob
+that the record names by hash (with the default trace root, in the
+result cache's own ``blobs/``, so a job output and the phase output it
+came from share one file).  Writes are atomic; a corrupt record, or
+one whose blob is missing or fails its hash check, is evicted and the
+phase simulates live.  The run loop hands the store the output array
+and gets the array back, so replay never encodes it as text.
+Invalidation is structural -- the chain hashes
+:data:`TRACE_SCHEMA_VERSION`, so any layout change simply stops
+hitting old records.
 
 Replay is read-only by construction: applying a record only calls the
 ``restore_state`` methods and merges stats; it never touches buffer
@@ -87,8 +94,9 @@ _RECORD_MS = _registry.histogram(
 
 #: Bump on any change to the trace record layout or the snapshot wire
 #: formats; hashed into the signature chain so stale records become
-#: structural misses instead of wrong replays.
-TRACE_SCHEMA_VERSION = 1
+#: structural misses instead of wrong replays.  v2: the phase output is
+#: a content-addressed ``.npy`` blob reference, not inline base64.
+TRACE_SCHEMA_VERSION = 2
 
 #: Config fields with no effect on simulated timing for *any*
 #: accelerator: the engine choice (scalar/batched are bit-identical by

@@ -153,6 +153,84 @@ class TestFixtureEffects:
         assert EMITS_TRACE not in effects.of(f"{h}.emit_guarded").all
 
 
+class TestDeclaredStores:
+    """``global``/``nonlocal`` cover their whole scope, whatever order
+    the walk meets the declaration and the store in."""
+
+    @pytest.fixture()
+    def effects(self):
+        return get_effects(
+            load(("declared_stores.py", "repro.util.declared_fixture"))
+        )
+
+    def test_declared_stores_are_nonlocal(self, effects):
+        d = "repro.util.declared_fixture"
+        for name in (
+            "bump_global", "bump_global_aug", "bump_in_branch",
+            "make_adder.add",
+        ):
+            site = effects.of(f"{d}.{name}").direct.get(MUTATES_NONLOCAL)
+            assert site is not None, name
+            text = (FIXTURES / "declared_stores.py").read_text().splitlines()
+            assert "# MUTATES" in text[site.node.lineno - 1], name
+
+    def test_undeclared_and_nested_stores_stay_local(self, effects):
+        d = "repro.util.declared_fixture"
+        for name in (
+            "shadowing_local", "inner_scope_keeps_its_own",
+            "inner_scope_keeps_its_own.inner", "make_adder",
+        ):
+            assert MUTATES_NONLOCAL not in effects.of(f"{d}.{name}").all, name
+
+    def test_callers_inherit_the_declared_store(self, effects):
+        fx = effects.of("repro.util.declared_fixture.calls_mutator")
+        assert MUTATES_NONLOCAL not in fx.direct
+        assert fx.via[MUTATES_NONLOCAL] == (
+            "repro.util.declared_fixture.bump_global"
+        )
+
+
+class TestWitnessDeterminism:
+    def test_witnesses_take_the_first_callee_on_a_shortest_chain(self):
+        effects = get_effects(
+            load(("witness_order.py", "repro.serve.witness_fixture"))
+        )
+        w = "repro.serve.witness_fixture"
+        assert effects.render_chain(f"{w}.combined", BLOCKS_IO) == (
+            "combined -> via_alpha -> load -> open"
+        )
+
+    def test_output_is_identical_under_any_hash_seed(self, tmp_path):
+        """The analyzer's findings are byte-identical across
+        ``PYTHONHASHSEED`` values (set iteration never picks a
+        witness)."""
+        import os
+        import subprocess
+        import sys
+
+        pkg = tmp_path / "src" / "repro" / "serve"
+        pkg.mkdir(parents=True)
+        for init in (pkg.parent / "__init__.py", pkg / "__init__.py"):
+            init.write_text("", encoding="utf-8")
+        (pkg / "witness.py").write_text(
+            (FIXTURES / "witness_order.py").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(SRC))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.devtools.analyzer",
+                 str(tmp_path / "src"), "--format", "json"],
+                capture_output=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert proc.stdout, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert b"combined -> via_alpha -> load -> open" in outputs.pop()
+
+
 class TestSrcSpotChecks:
     """The graph must keep resolving the real serve/runtime stack."""
 

@@ -1,5 +1,7 @@
-"""ResultCache: hit/miss, corruption recovery, schema invalidation."""
+"""ResultCache: hit/miss, corruption recovery, schema invalidation, and
+the content-addressed output blobs result and trace records share."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ from repro.runtime import (
     default_cache_dir,
     execute_spec,
 )
-from repro.runtime.cache import TraceStore
+from repro.runtime.cache import BlobStore, TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +193,200 @@ class TestConcurrentWriters:
         final = ResultCache(tmp_path)
         assert final.load(spec) is not None
         assert final.size() == 1
+        # Every file is a published record or output blob: no temp-file
+        # litter (``.tmp-*``) and nothing else.
+        blob_dir = tmp_path / "blobs"
         leftovers = [
-            p for p in tmp_path.rglob("*") if p.is_file()
-            and not p.name.endswith(".json")
+            p for p in tmp_path.rglob("*") if p.is_file() and (
+                p.name.startswith(".tmp-")
+                or not (p.suffix == ".json"
+                        or (p.suffix == ".npy" and p.parent.parent == blob_dir))
+            )
         ]
         assert leftovers == []
+
+
+def _damage(path, how):
+    """Bit-flip, truncate or delete one blob file."""
+    if how == "deleted":
+        path.unlink()
+        return
+    data = bytearray(path.read_bytes())
+    if how == "bit-flipped":
+        data[-1] ^= 0x01
+    else:  # truncated
+        data = data[: len(data) // 2]
+    path.write_bytes(bytes(data))
+
+
+def _blob_files(root):
+    return sorted((root / "blobs").glob("??/*.npy"))
+
+
+def _stored_json(root):
+    return [p for p in root.rglob("*.json") if "manifests" not in p.parts]
+
+
+class TestOutputBlobs:
+    def test_record_names_its_outputs_by_content_hash(
+        self, tmp_path, spec, result
+    ):
+        cache = ResultCache(tmp_path)
+        record = json.loads(cache.store(spec, result.to_dict()).read_text())
+        refs = record["result"]["outputs"]
+        assert len(refs) == len(result.outputs)
+        for ref, array in zip(refs, result.outputs):
+            assert set(ref) == {"blob", "dtype", "shape"}
+            assert ref["dtype"] == array.dtype.name
+            assert ref["shape"] == list(array.shape)
+            path = tmp_path / "blobs" / ref["blob"][:2] / f"{ref['blob']}.npy"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["blob"]
+            assert np.array_equal(np.load(path), array)
+
+    def test_store_leaves_the_wire_document_inline(self, tmp_path, spec, result):
+        doc = result.to_dict()
+        before = json.dumps(doc)
+        ResultCache(tmp_path).store(spec, doc)
+        assert json.dumps(doc) == before
+
+    @pytest.mark.parametrize("how", ["bit-flipped", "truncated", "deleted"])
+    def test_damaged_blob_evicts_the_record(self, tmp_path, spec, result, how):
+        cache = ResultCache(tmp_path)
+        path = cache.store(spec, result.to_dict())
+        [blob, *_] = _blob_files(tmp_path)
+        _damage(blob, how)
+        assert cache.load(spec) is None
+        assert not path.exists()
+        assert cache.corrupt == 1
+        # The damaged blob is gone too, so the next store rewrites it
+        # and the entry heals.
+        assert not blob.exists()
+        cache.store(spec, result.to_dict())
+        loaded = cache.load(spec)
+        assert loaded is not None
+        for ours, theirs in zip(result.outputs, loaded.outputs):
+            assert np.array_equal(ours, theirs)
+
+    def test_malformed_reference_is_corrupt_and_touches_no_file(
+        self, tmp_path, spec, result
+    ):
+        cache = ResultCache(tmp_path)
+        path = cache.store(spec, result.to_dict())
+        bait = tmp_path / "bait.npy"
+        bait.write_bytes(b"not a blob")
+        record = json.loads(path.read_text())
+        record["result"]["outputs"][0]["blob"] = "../bait"
+        path.write_text(json.dumps(record))
+        assert cache.load(spec) is None
+        assert cache.corrupt == 1
+        assert bait.exists()
+
+    def test_racing_blob_writers_never_tear(self, tmp_path):
+        """Writers racing to publish the same blob, with readers
+        re-hashing it in between: every read sees the whole array."""
+        import threading
+
+        array = np.arange(64 * 1024, dtype=np.float64).reshape(256, 256)
+        stores = [BlobStore(tmp_path / "blobs") for _ in range(4)]
+        errors = []
+        start = threading.Barrier(len(stores))
+
+        def hammer(store):
+            try:
+                start.wait(timeout=10)
+                for _ in range(25):
+                    ref = store.put(array)
+                    assert np.array_equal(store.get(ref), array)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in stores]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not errors
+        files = [p for p in (tmp_path / "blobs").rglob("*") if p.is_file()]
+        assert len(files) == 1 and files[0].suffix == ".npy"
+
+    def test_round_trip_keeps_dtype_shape_and_bits(self, tmp_path):
+        store = BlobStore(tmp_path)
+        arrays = [
+            np.array([[0.1, -0.0], [np.inf, np.nan]]),
+            np.arange(6, dtype=np.float32).reshape(3, 2),
+            np.asfortranarray(np.arange(12, dtype=np.int64).reshape(3, 4)),
+            np.zeros((0, 5)),
+        ]
+        for array in arrays:
+            back = store.get(store.put(array))
+            assert back.dtype == array.dtype and back.shape == array.shape
+            assert back.tobytes() == np.ascontiguousarray(array).tobytes()
+
+    def test_timing_knob_variants_share_output_blobs(self, tmp_path):
+        """Two points that differ only in buffer size compute the same
+        product: their records name the same blobs, stored once."""
+        from repro.runtime import SweepExecutor
+
+        small = JobSpec("cora", "rwp", 0.05).with_overrides(dmb_bytes=32 * 1024)
+        large = JobSpec("cora", "rwp", 0.05).with_overrides(dmb_bytes=256 * 1024)
+        cache = ResultCache(tmp_path)
+        sweep = SweepExecutor(cache=cache).run([small, large])
+        assert sweep.manifest.executed == 2
+        assert (sweep.for_spec(small).stats.cycles
+                != sweep.for_spec(large).stats.cycles)
+
+        def refs(spec):
+            fp = spec.fingerprint()
+            path = tmp_path / fp[:2] / fp[2:4] / f"{fp}.json"
+            return json.loads(path.read_text())["result"]["outputs"]
+
+        shared = refs(small)
+        assert shared == refs(large)
+        assert {r["blob"] for r in shared} <= {
+            p.stem for p in _blob_files(tmp_path)
+        }
+        # The phase traces share the cache's blob directory too: no
+        # other directory holds a blob.
+        assert all(
+            p.parent.parent == tmp_path / "blobs"
+            for p in tmp_path.rglob("*.npy")
+        )
+
+    def test_relocated_trace_root_keeps_its_own_blobs(
+        self, tmp_path, monkeypatch, spec
+    ):
+        from repro.runtime import SweepExecutor
+
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
+        cache = ResultCache(tmp_path / "cache")
+        SweepExecutor(cache=cache).run([spec])
+        assert _blob_files(elsewhere) and _blob_files(tmp_path / "cache")
+        assert not (tmp_path / "cache" / "traces").exists()
+
+    def test_replay_off_still_stores_and_returns_outputs(
+        self, tmp_path, monkeypatch, spec, result
+    ):
+        from repro.runtime import SweepExecutor
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", "off")
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache).run([spec])
+        assert not (tmp_path / "traces").exists()
+        assert _blob_files(tmp_path)
+        loaded = ResultCache(tmp_path).load(spec)
+        assert loaded is not None
+        for ours, theirs in zip(result.outputs, loaded.outputs):
+            assert np.array_equal(ours, theirs)
+
+    def test_no_record_or_trace_holds_inline_arrays(self, tmp_path):
+        from repro.runtime import SweepExecutor
+
+        specs = [JobSpec("cora", kind, 0.05, n_layers=2)
+                 for kind in ("rwp", "hymm")]
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache).run(specs)
+        traces = list((tmp_path / "traces").rglob("*.json"))
+        assert traces and cache.size() == 2
+        for path in _stored_json(tmp_path):
+            assert "data_b64" not in path.read_text(), path

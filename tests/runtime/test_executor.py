@@ -190,9 +190,47 @@ class TestCacheIntegration:
         )
         [doc] = worker_docs
         doc.pop("replay", None)
-        assert json.dumps(record["result"]) == json.dumps(
+        # Outputs are stored as blob references; resolved back to the
+        # wire form, the stored result is the worker's document.
+        from repro.runtime.serialize import array_to_dict
+
+        stored = record["result"]
+        blobs = ResultCache(tmp_path).blobs
+        stored["outputs"] = [
+            array_to_dict(blobs.get(ref)) for ref in stored["outputs"]
+        ]
+        assert json.dumps(stored) == json.dumps(
             RunResult.from_dict(doc).to_dict()
         )
+
+    def test_executed_serve_job_is_encoded_once(self, tmp_path, monkeypatch):
+        """On the serve lane the reply is the worker's document too: one
+        ``to_dict`` per executed submit, and ``include_result`` returns
+        exactly the stored result."""
+        from repro.hymm.base import RunResult
+        from repro.serve.client import ServeClient
+        from repro.serve.server import ServerThread
+
+        encodes = []
+        to_dict = RunResult.to_dict
+
+        def counting_to_dict(self):
+            encodes.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(RunResult, "to_dict", counting_to_dict)
+        spec = _spec(kind="hymm")
+        cache = ResultCache(tmp_path)
+        with ServerThread(cache=cache) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                reply = client.submit(spec.to_dict(), include_result=True)
+        assert reply["source"] == "executed"
+        assert len(encodes) == 1
+        stored = cache.load(spec)
+        served = RunResult.from_dict(reply["result"])
+        assert served.stats.to_dict() == stored.stats.to_dict()
+        for ours, theirs in zip(served.outputs, stored.outputs):
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_manifest_reports_cache_stats(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -11,7 +11,7 @@ cycles/stats/snapshots, and output matrices).
 
 Also covered: the exemption semantics (engine / clock / dead tiling
 knobs share traces; timing-relevant knobs must miss), corrupt-record
-degradation to live simulation, the no-replay-under-tracer contract,
+and damaged-output-blob degradation to live simulation, the no-replay-under-tracer contract,
 and the signature chain's sensitivity to model content and phase
 order.
 """
@@ -160,6 +160,60 @@ def test_corrupt_record_degrades_to_live(tmp_path, model):
     s2 = TraceSession(store)
     _run(model, "rwp", session=s2, **SMALL)
     assert s2.replayed == s.recorded
+
+
+def _trace_blobs(root):
+    return sorted((root / "blobs").glob("??/*.npy"))
+
+
+def test_trace_records_name_their_output_blob(tmp_path, model):
+    """The stored record holds ``{"blob", "dtype", "shape"}``, never the
+    matrix inline; replay hands back the bit-identical array."""
+    root = tmp_path / "traces"
+    store = TraceStore(root)
+    recording = TraceSession(store)
+    live = _run(model, "hymm", session=recording, **SMALL)
+    paths = sorted(root.glob("*.json"))
+    assert len(paths) == len(recording.recorded)
+    for p in paths:
+        text = p.read_text(encoding="utf-8")
+        assert "data_b64" not in text
+        assert set(json.loads(text)["output"]) == {"blob", "dtype", "shape"}
+    assert _trace_blobs(root)
+    replaying = TraceSession(store)
+    _assert_identical(
+        live, _run(model, "hymm", session=replaying, **SMALL), "hymm replay"
+    )
+    assert replaying.replayed == recording.recorded
+
+
+@pytest.mark.parametrize("how", ["bit-flipped", "truncated", "deleted"])
+def test_damaged_output_blob_simulates_live(tmp_path, model, how):
+    """A trace whose output blob is damaged is a clean miss: the phase
+    simulates live, the run is bit-identical, and the trace heals."""
+    root = tmp_path / "traces"
+    store = TraceStore(root)
+    recording = TraceSession(store)
+    live = _run(model, "rwp", session=recording, **SMALL)
+    blobs = _trace_blobs(root)
+    assert blobs
+    for blob in blobs:
+        if how == "deleted":
+            blob.unlink()
+            continue
+        data = bytearray(blob.read_bytes())
+        if how == "bit-flipped":
+            data[len(data) // 2] ^= 0x10
+        else:
+            data = data[:-8]
+        blob.write_bytes(bytes(data))
+    s = TraceSession(store)
+    result = _run(model, "rwp", session=s, **SMALL)
+    assert not s.replayed and s.recorded == recording.recorded
+    _assert_identical(live, result, f"{how} blob")
+    s2 = TraceSession(store)
+    _assert_identical(live, _run(model, "rwp", session=s2, **SMALL), "healed")
+    assert s2.replayed == recording.recorded
 
 
 def test_no_replay_under_tracer(tmp_path, model):
