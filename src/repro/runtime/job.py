@@ -122,8 +122,8 @@ class JobSpec:
             "corr_id": self.corr_id,
         }
         if self.corr_id is None:
-            # Telemetry off (or a spec that never passed through /submit)
-            # serialises byte-identically to the pre-telemetry format.
+            # A spec that never passed through /submit serialises
+            # byte-identically to the pre-telemetry format.
             del doc["corr_id"]
         return doc
 

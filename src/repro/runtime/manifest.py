@@ -59,9 +59,9 @@ class JobRecord:
     max_rss_kb: Optional[int] = None
     timed_out: bool = False
     #: Telemetry correlation ID of the request that caused this job
-    #: (``JobSpec.corr_id``); ``None`` outside the serve path or with
-    #: telemetry off -- and then absent from the serialised record, so
-    #: pre-telemetry manifests are byte-identical.
+    #: (``JobSpec.corr_id``); ``None`` outside the serve path -- and
+    #: then absent from the serialised record, so pre-telemetry
+    #: manifests are byte-identical.
     corr_id: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:

@@ -13,12 +13,13 @@ Layout:
   endpoint and job-state vocabulary;
 * :mod:`repro.serve.server` -- the asyncio server, single-flight job
   table, metrics, and the :class:`~repro.serve.server.ServerThread`
-  test/bench harness;
-* :mod:`repro.serve.client` -- the blocking client the CLI, bench and
-  tests use;
-* :mod:`repro.serve.bench` -- the hit-path latency benchmark feeding
-  the ``BENCH_serve.json`` trajectory;
+  harness that tests and ``repro.serve smoke`` run in-process;
+* :mod:`repro.serve.client` -- the blocking client the CLI and tests
+  use;
 * :mod:`repro.serve.cli` -- ``python -m repro.serve`` subcommands.
+
+The hit path is benchmarked by ``python3 perf/run.py --workload
+serve-hit``, which drives a fresh ``repro.serve`` process.
 
 The event-loop side never blocks on disk or simulation (cache probes
 and SweepExecutor batches run in worker threads); the

@@ -1,17 +1,16 @@
-"""``python -m repro.serve`` -- serve, submit, status, metrics, bench.
+"""``python -m repro.serve`` -- serve, submit, status, metrics, smoke.
 
 Subcommands:
 
 ``serve [--host H] [--port P] [--cache-dir DIR] [--no-cache]
 [--workers N] [--max-batch N] [--retries N] [--timeout S]
-[--ready-file PATH] [--log PATH] [--span-file PATH] [--no-telemetry]``
+[--ready-file PATH] [--log PATH] [--span-file PATH]``
     Run the sweep server in the foreground until SIGINT or a
     ``/shutdown`` request.  ``--ready-file`` writes ``host port`` once
     the socket is accepting (the CI smoke job's handshake).  ``--log``
-    turns on NDJSON structured logging, ``--span-file`` records
-    wall-clock spans into a Chrome-trace file at shutdown, and
-    ``--no-telemetry`` disables correlation IDs for byte-identical
-    pre-telemetry responses (see ``docs/observability.md``).
+    turns on NDJSON structured logging and ``--span-file`` records
+    wall-clock spans into a Chrome-trace file at shutdown (see
+    ``docs/observability.md``).
 ``submit DATASET [--kind hymm] [--scale S] [--layers N] [--seed N]
 [--no-wait] [--include-result] [--json]``
     Build the bench :class:`~repro.runtime.job.JobSpec` and submit it;
@@ -24,9 +23,6 @@ Subcommands:
     ``python -m repro.obs validate -`` checker).
 ``shutdown``
     Ask a running server to exit.
-``bench-hitpath [--requests N] [--dataset D] [--kind K] ...``
-    Measure the warm served-lookup path and append an entry to the
-    ``BENCH_serve.json`` trajectory (see :mod:`repro.serve.bench`).
 ``smoke``
     Self-hosted replay smoke: run a cache-less server with a throwaway
     trace tree, execute a tiny job, force it out of the terminal-job
@@ -99,8 +95,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # path, or '-' for stderr; the REPRO_TELEMETRY_LOG env var is the
     # equivalent switch for pool workers), --span-file records the
     # server's wall-clock spans and writes the Chrome-trace file at
-    # shutdown, --no-telemetry restores pre-telemetry byte-identical
-    # submit/status responses (no correlation IDs minted).
+    # shutdown.
     if args.log:
         configure_logging(args.log)
         os.environ.setdefault("REPRO_TELEMETRY_LOG", args.log)
@@ -115,7 +110,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         retries=args.retries,
         timeout=args.timeout,
-        telemetry=not args.no_telemetry,
     )
     server = SweepServer(cache=cache, settings=settings)
 
@@ -290,24 +284,6 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_hitpath(args: argparse.Namespace) -> int:
-    from repro.serve.bench import bench_hitpath_main
-
-    bench_hitpath_main(
-        dataset=args.dataset,
-        kind=args.kind,
-        scale=args.scale,
-        n_layers=args.layers,
-        seed=args.seed,
-        requests=args.requests,
-        host=args.host,
-        port=args.port,
-        output=args.output,
-        dry_run=args.dry_run,
-    )
-    return 0
-
-
 def _add_endpoint_args(
     parser: argparse.ArgumentParser, default_port: Optional[int] = DEFAULT_PORT
 ) -> None:
@@ -348,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span-file", default=None, metavar="PATH",
                    help="record wall-clock spans, write the Chrome-trace "
                    "JSON here at shutdown")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="disable correlation IDs (pre-telemetry "
-                   "byte-identical submit/status responses)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("submit", help="submit one bench job spec")
@@ -397,27 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="op")
     p.add_argument("--scale", type=float, default=0.3)
     p.set_defaults(fn=cmd_smoke)
-
-    p = sub.add_parser(
-        "bench-hitpath",
-        help="measure the warm served-lookup path, append to BENCH_serve.json",
-    )
-    p.add_argument("--host", default=None,
-                   help="target a running server (default: self-host)")
-    p.add_argument("--port", type=int, default=None)
-    p.add_argument("--dataset", default="cora")
-    p.add_argument("--kind", default="hymm")
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument(
-        "--output", type=Path,
-        default=Path(__file__).resolve().parents[3] / "BENCH_serve.json",
-    )
-    p.add_argument("--dry-run", action="store_true",
-                   help="print the measurement, skip the trajectory write")
-    p.set_defaults(fn=cmd_bench_hitpath)
 
     return parser
 

@@ -68,15 +68,6 @@ class ServeClient:
             raise ServeError(response)
         return response
 
-    def request_raw(self, payload: Dict[str, Any]) -> bytes:
-        """Like :meth:`request` but returns the raw response line
-        (newline included) -- the byte-identity test's probe."""
-        self._sock.sendall(encode(payload))
-        line = self._rfile.readline(MAX_LINE_BYTES)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return line
-
     # ------------------------------------------------------------------
     # Endpoint helpers
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ receive the same terminal answer.  Once an entry reaches a terminal
 state it stops absorbing submissions: the next identical submission
 performs a fresh cache lookup (by then the executed result is on disk),
 which is exactly the "million cached lookups a day" hit path
-``bench-hitpath`` measures.
+``perf/run.py --workload serve-hit`` measures.
 
 Blocking work (cache reads, simulation batches) runs in worker threads
 via ``asyncio.to_thread``; the event-loop side never touches the disk
@@ -101,28 +101,6 @@ from repro.serve.protocol import (
 SHUTDOWN_GRACE_S = 5.0
 
 _log = get_logger("serve.server")
-
-
-def percentiles(
-    values: List[float], points: Tuple[float, ...] = (50.0, 90.0, 99.0)
-) -> Dict[str, float]:
-    """Nearest-rank percentiles of ``values`` (e.g. ``{"p50": ...}``).
-
-    Empty input yields an empty dict.  Used for *client-side* sample
-    lists (the bench CLI); the server's own ``/metrics`` hit-path
-    figures come from the O(buckets) telemetry histogram instead of
-    sorting a sample window per scrape.
-    """
-    if not values:
-        return {}
-    ordered = sorted(values)
-    out: Dict[str, float] = {}
-    for point in points:
-        rank = max(0, min(len(ordered) - 1, int(round(point / 100.0 * len(ordered))) - 1))
-        out[f"p{point:g}"] = ordered[rank]
-    out["max"] = ordered[-1]
-    out["mean"] = sum(ordered) / len(ordered)
-    return out
 
 
 #: Default service-level objectives the server's /healthz verdict
@@ -203,11 +181,6 @@ class ServeSettings:
     #: Terminal jobs kept addressable by ``/status`` (LRU-bounded;
     #: in-flight jobs are never evicted).
     registry_limit: int = 512
-    #: Wall-clock telemetry (correlation IDs on jobs/events/records,
-    #: structured log emission, span recording).  ``False`` restores
-    #: pre-telemetry byte-identical submit/status responses; metrics
-    #: counters stay on either way (they are the /metrics payload).
-    telemetry: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -231,12 +204,12 @@ class JobEntry:
         self,
         spec: JobSpec,
         fingerprint: str,
-        corr_id: Optional[str] = None,
+        corr_id: str,
     ) -> None:
         self.spec = spec
         self.fingerprint = fingerprint
-        #: Telemetry correlation ID minted at /submit (None with
-        #: telemetry off); stamped on every event/status payload and
+        #: Telemetry correlation ID minted (or adopted from the client)
+        #: at /submit; stamped on every event/status payload and
         #: carried into workers via ``spec.corr_id``.
         self.corr_id = corr_id
         self.status = JOB_QUEUED
@@ -271,8 +244,7 @@ class JobEntry:
     def add_event(self, payload: Dict[str, Any]) -> None:
         payload = dict(payload)
         payload["seq"] = len(self.events)
-        if self.corr_id is not None:
-            payload["corr_id"] = self.corr_id
+        payload["corr_id"] = self.corr_id
         self.events.append(payload)
         self._rotate()
 
@@ -621,7 +593,6 @@ class SweepServer:
             )
             return
         self.metrics.submitted.inc()
-        telemetry = self.settings.telemetry
 
         prior = self._jobs.get(fingerprint)
         if prior is not None and not prior.terminal:
@@ -629,7 +600,7 @@ class SweepServer:
             entry = prior
             entry.submits += 1
             self.metrics.deduped.inc()
-            if telemetry and _log.isEnabledFor(logging.INFO):
+            if _log.isEnabledFor(logging.INFO):
                 _log.info(
                     "submit join",
                     extra={
@@ -644,7 +615,7 @@ class SweepServer:
             # records, the manifest JobRecord, and the replay session
             # all carry the same ID.
             corr_id = spec.corr_id
-            if corr_id is None and telemetry:
+            if corr_id is None:
                 corr_id = new_correlation_id()
             entry = JobEntry(spec, fingerprint, corr_id=corr_id)
             self._register(entry)
@@ -679,10 +650,10 @@ class SweepServer:
                     # Tag the spec only when it actually travels to a
                     # worker (corr_id is excluded from the fingerprint;
                     # the hit path never needs the copy).
-                    if corr_id is not None and entry.spec.corr_id is None:
+                    if entry.spec.corr_id is None:
                         entry.spec = dc_replace(spec, corr_id=corr_id)
                     self._queue.put_nowait(entry)
-                if telemetry and _log.isEnabledFor(logging.INFO):
+                if _log.isEnabledFor(logging.INFO):
                     _log.info(
                         "submit",
                         extra={
@@ -744,11 +715,7 @@ class SweepServer:
             "ok": True,
             "job_id": entry.fingerprint,
             "label": entry.spec.describe(),
-            **(
-                {"corr_id": entry.corr_id}
-                if entry.corr_id is not None
-                else {}
-            ),
+            "corr_id": entry.corr_id,
             "status": entry.status,
             "source": entry.source,
             "submits": entry.submits,
@@ -977,7 +944,7 @@ class SweepServer:
 
 
 class ServerThread:
-    """A sweep server on a daemon thread (tests, self-hosted bench).
+    """A sweep server on a daemon thread (tests, ``repro.serve smoke``).
 
     Runs the server's event loop off the caller's thread and hands back
     the bound ``(host, port)`` once accepting::

@@ -58,7 +58,7 @@ _LANE_MIN = 48
 #: cluster at 8-16 with a long tail; the tail is where epochs pay).
 _MERGE_HIT_MIN = 64
 
-#: Minimum store/accumulate *hit* run length, same reasoning as
+#: Minimum accumulate *hit* run length, same reasoning as
 #: ``_MERGE_HIT_MIN`` (one leg per frame instead of two, so the
 #: break-even sits lower).
 _HIT_RUN_MIN = 24
@@ -461,21 +461,23 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
     whole batch once at its end; merges probe inside the batch and
     record each store as it happens.
 
-    On top of the flat loops, each batch primitive makes *lazy*
-    attempts at one hit-side shape at the cursor -- no
+    On top of the flat loops, each load, accumulate and merge batch
+    makes *lazy* attempts at one hit-side shape at the cursor -- no
     pre-classification pass over the batch.  Loads try the numpy
     all-hit lane (:meth:`_all_hit_lane`): when a run is entirely
     resident, ready in time, and outside the forwarding window, the
     uniform-latency timeline recurrence is computed elementwise in
     closed form and the LRU touches applied as one run of C-level list
-    splices.  Stores and accumulates try the store-hit run
+    splices.  Accumulates try the accumulate-hit run
     (:meth:`_hit_run_epoch`), merges the read-modify-write hit run
     (:meth:`_merge_hit_epoch`); both replay the flat loop's float
-    recurrence and commit the run's slot state in bulk.  Each shape
-    verifies its own run and declines in O(1) probes, so an attempt is
-    nearly free; the lane additionally only engages when an exactness
-    gate proves the closed form bit-identical to the sequential loop
-    (all operands on a dyadic grid, see ``_LANE_MAG``).  Everything
+    recurrence and commit the run's slot state in bulk.  Store batches
+    take one flat pass: no measured workload issues a store batch long
+    enough to attempt a hit run.  Each shape verifies its own run and
+    declines in O(1) probes, so an attempt is nearly free; the lane
+    additionally only engages when an exactness gate proves the closed
+    form bit-identical to the sequential loop (all operands on a dyadic
+    grid, see ``_LANE_MAG``).  Everything
     else, misses included, takes the flat loop, which performs the
     *same scalar operations in the same order* as the reference engine.
     Either way every cycle value is bit-identical to the scalar engine
@@ -812,37 +814,36 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         return m
 
     # ------------------------------------------------------------------
-    # Store- and merge-hit runs
+    # Accumulate- and merge-hit runs
     # ------------------------------------------------------------------
     def _hit_run_epoch(
-        self, buf: CacheBuffer, addr_list: List[int], i: int, tag: str,
-        partial: bool,
+        self, buf: CacheBuffer, addr_list: List[int], i: int
     ) -> int:
-        """Process a run of store hits as one epoch.
+        """Process a run of near-memory accumulate hits as one epoch.
 
-        The steady-state store shape: a run of
-        consecutive *distinct resident* addresses, each a store (or
-        near-memory accumulate) hit.  The exactness cut is residency:
-        within such a run nothing inserts, evicts or spills, so no
-        element's processing can change the classification of the ones
-        after it, the partial footprint is constant, and the only state
-        the run touches is the run's own slots -- distinct, so the
-        dirty/ready/LRU mutations commute into the bulk
-        :meth:`CacheBuffer._commit_hit_epoch`.  The write-timeline
+        The steady-state accumulate shape: a run of consecutive
+        *distinct resident* addresses, each an accumulate hit.  The
+        exactness cut is residency: within such a run nothing inserts,
+        evicts or spills, so no element's processing can change the
+        classification of the ones after it, the partial footprint is
+        constant, and the only state the run touches is the run's own
+        slots -- distinct, so the dirty/ready/LRU mutations commute
+        into the bulk :meth:`CacheBuffer._commit_hit_epoch`.  The
+        write-timeline
         recurrence runs flat-in-locals with the exact float op order of
         the flat hit branch (LSQ slot floor, constant exec floor); the
         run ends at the first duplicate or non-resident address, where
         the flat path's insert/refetch machinery takes over.
 
-        ``partial=True`` (the accumulate path) reproduces the per-hit
-        footprint bookkeeping against the stats object at the constant
-        footprint -- the caller syncs ``partials_produced`` /
-        ``partial_peak_bytes`` around the call, exactly as around the
-        flat spilled-refetch branch.  Returns addresses consumed (0 if
-        below ``_HIT_RUN_MIN``); the caller owns the hit counter.
+        The run reproduces the per-hit footprint bookkeeping against
+        the stats object at the constant footprint -- the caller syncs
+        ``partials_produced`` / ``partial_peak_bytes`` around the call,
+        exactly as around the flat spilled-refetch branch.  Returns
+        addresses consumed (0 if below ``_HIT_RUN_MIN``); the caller
+        owns the hit counter.
 
         On grid-exact configurations the whole write recurrence takes
-        a closed form, the store-side analogue of :meth:`_all_hit_lane`:
+        a closed form, the write-side analogue of :meth:`_all_hit_lane`:
         for the first ``w = min(m, depth)`` frames the slot floors are
         the pre-epoch ring values ``S_j``, so
         ``b_f = max(b_(f-1) + 1, S_f)`` unrolls to the prefix maximum
@@ -902,8 +903,8 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         depth = self.lsq_depth
         k = self._k % depth
         write_t = self.write_t
-        # Stores never advance the backend: constant exec floor, like
-        # the flat store loop.
+        # Accumulates never advance the backend: constant exec floor,
+        # like the flat accumulate loop.
         exec_t = self.exec_t
         readies: Optional[List[float]] = None
         if self._lane_grid_exact and m >= 64:
@@ -976,23 +977,22 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                     k = 0
         self.write_t = write_t
         self._k += m
-        if partial:
-            # Hits never change the partial footprint, so every per-hit
-            # peak check and strided timeline sample in the run sees the
-            # same value.
-            stats = self.stats
-            footprint = (
-                buf._class_count[_PARTIAL_IDX] + len(buf._spilled_partials)
-            ) * buf.line_bytes
-            if footprint > stats.partial_peak_bytes:
-                stats.partial_peak_bytes = footprint
-            stride = stats.PARTIAL_TIMELINE_STRIDE
-            timeline = stats.partial_timeline
-            pp0 = stats.partials_produced
-            first = pp0 + 1
-            for p in range(first + (-first) % stride, pp0 + m + 1, stride):
-                timeline.append((p, footprint))
-            stats.partials_produced = pp0 + m
+        # Hits never change the partial footprint, so every per-hit
+        # peak check and strided timeline sample in the run sees the
+        # same value.
+        stats = self.stats
+        footprint = (
+            buf._class_count[_PARTIAL_IDX] + len(buf._spilled_partials)
+        ) * buf.line_bytes
+        if footprint > stats.partial_peak_bytes:
+            stats.partial_peak_bytes = footprint
+        stride = stats.PARTIAL_TIMELINE_STRIDE
+        timeline = stats.partial_timeline
+        pp0 = stats.partials_produced
+        first = pp0 + 1
+        for p in range(first + (-first) % stride, pp0 + m + 1, stride):
+            timeline.append((p, footprint))
+        stats.partials_produced = pp0 + m
         buf._commit_hit_epoch(slots, readies)
         return m
 
@@ -1507,65 +1507,46 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
         hits = 0
         misses = 0
         posted = 0
-        i = 0
-        # Lazy hit-run attempts with a decline budget; see
-        # :meth:`_load_batch`.  Misses always take the flat loop.
-        rounds = 2
-        while i < n:
-            target = n
-            if rounds and n - i >= _HIT_RUN_MIN:
-                consumed = self._hit_run_epoch(
-                    buf, addr_list, i, tag, partial=False
-                )
-                if consumed:
-                    hits += consumed
-                    i += consumed
-                    rounds = 2
-                    continue
-                rounds -= 1
-                if rounds:
-                    target = _residency_run_end(slot_of, addr_list, i)
-            k = self._k % depth
-            write_t = self.write_t
-            for addr in addr_list[i:target]:
-                slot = ring[k]
-                issue = write_t + 1.0
-                if slot > issue:
-                    issue = slot
-                s = slot_of.get(addr)
-                if s is not None:
-                    hits += 1
-                    slot_dirty[s] = True
-                    r = issue + hit_lat
-                    if r > slot_ready[s]:
-                        slot_ready[s] = r
-                        if r > mr:
-                            mr = r
-                    if lru:
-                        ods[cls_arr[s]](s)
-                elif allocate:
-                    misses += 1
-                    insert(issue, addr, cls, True, issue + hit_lat)
-                else:
-                    # Write-through/no-allocate: DRAM.write, inlined; the
-                    # byte counter is batched below.
-                    misses += 1
-                    posted += 1
-                    start = dram.next_free
-                    if issue > start:
-                        start = issue
-                    dram.next_free = start + line_cost
-                write_t = issue
-                r2 = issue + 1.0
-                if exec_t > r2:
-                    r2 = exec_t
-                ring[k] = r2
-                k += 1
-                if k == depth:
-                    k = 0
-            self.write_t = write_t
-            self._k += target - i
-            i = target
+        k = self._k % depth
+        write_t = self.write_t
+        for addr in addr_list:
+            slot = ring[k]
+            issue = write_t + 1.0
+            if slot > issue:
+                issue = slot
+            s = slot_of.get(addr)
+            if s is not None:
+                hits += 1
+                slot_dirty[s] = True
+                r = issue + hit_lat
+                if r > slot_ready[s]:
+                    slot_ready[s] = r
+                    if r > mr:
+                        mr = r
+                if lru:
+                    ods[cls_arr[s]](s)
+            elif allocate:
+                misses += 1
+                insert(issue, addr, cls, True, issue + hit_lat)
+            else:
+                # Write-through/no-allocate: DRAM.write, inlined; the
+                # byte counter is batched below.
+                misses += 1
+                posted += 1
+                start = dram.next_free
+                if issue > start:
+                    start = issue
+                dram.next_free = start + line_cost
+            write_t = issue
+            r2 = issue + 1.0
+            if exec_t > r2:
+                r2 = exec_t
+            ring[k] = r2
+            k += 1
+            if k == depth:
+                k = 0
+        self.write_t = write_t
+        self._k += n
         if self.forwarding:
             # No load probes the window inside a store batch, and every
             # store in it forwards the same ``exec_t``: record the whole
@@ -1633,9 +1614,7 @@ class BatchedAccessExecuteEngine(AccessExecuteEngine):
                 # spilled-refetch branch does.
                 stats.partials_produced = pp
                 stats.partial_peak_bytes = peak
-                consumed = self._hit_run_epoch(
-                    buf, addr_list, i, tag, partial=True
-                )
+                consumed = self._hit_run_epoch(buf, addr_list, i)
                 if consumed:
                     hits += consumed
                     pp = stats.partials_produced

@@ -15,7 +15,7 @@ span close.
 Everything here is plain stdlib ``logging``: handlers attach only when
 :func:`configure_logging` is called (or ``REPRO_TELEMETRY_LOG`` is set
 at first use), and a ``NullHandler`` on the ``repro`` root keeps the
-no-telemetry path silent -- no lastResort stderr spray, no measurable
+unconfigured path silent -- no lastResort stderr spray, no measurable
 cost beyond an isEnabledFor check.
 """
 

@@ -44,7 +44,7 @@ class TestParser:
             ["healthz"],
             ["metrics"],
             ["shutdown"],
-            ["bench-hitpath", "--requests", "3"],
+            ["smoke"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.fn)

@@ -8,6 +8,7 @@ control exactly when an "execution" finishes.
 """
 
 import json
+import statistics
 import threading
 import time
 
@@ -21,7 +22,6 @@ from repro.serve.server import (
     ServeSettings,
     ServerThread,
     SweepServer,
-    percentiles,
     phase_rows_from_record,
 )
 
@@ -43,6 +43,26 @@ def wait_until(predicate, timeout=20.0, interval=0.01):
             return True
         time.sleep(interval)
     return False
+
+
+WARM_HITS = 20
+
+
+def warm_hits(cache_dir, spec, requests):
+    """Prime ``spec`` on a fresh server, then submit it ``requests``
+    times; returns the client's per-submit ms and the final /metrics."""
+    with ServerThread(cache=ResultCache(cache_dir)) as srv:
+        with ServeClient(srv.host, srv.port) as client:
+            prime = client.submit(spec.to_dict())
+            assert prime["source"] == "executed"
+            client_ms = []
+            for _ in range(requests):
+                t0 = time.perf_counter()
+                warm = client.submit(spec.to_dict())
+                client_ms.append((time.perf_counter() - t0) * 1000.0)
+                assert warm["cache"] == "hit"
+            metrics = client.metrics()
+    return client_ms, metrics
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +124,19 @@ class TestColdWarm:
         assert warm_names == cold_names
         for c, w in zip(cold["phases"], warm["phases"]):
             assert c["cycles"] == w["cycles"]
+
+    def test_hit_path_meets_latency_target(self, tmp_path, spec):
+        """Twenty warm submits of a primed spec: the client sees each
+        in well under 5 ms at the median."""
+        client_ms, _ = warm_hits(tmp_path, spec, WARM_HITS)
+        assert statistics.median(client_ms) < 5.0
+
+    def test_server_side_hitpath_recorded(self, tmp_path, spec):
+        """Every one of twenty warm submits is a cache hit timed by the
+        server's cache probe in ``/metrics``."""
+        _, metrics = warm_hits(tmp_path, spec, WARM_HITS)
+        assert metrics["hitpath_ms"]["count"] == WARM_HITS
+        assert metrics["cache"]["hits"] == WARM_HITS
 
     def test_no_wait_returns_queued_ack(self, tmp_path, spec, result):
         release = threading.Event()
@@ -385,16 +418,6 @@ class TestFailureAndOps:
 # Helpers
 # ----------------------------------------------------------------------
 class TestHelpers:
-    def test_percentiles_empty(self):
-        assert percentiles([]) == {}
-
-    def test_percentiles_ranked(self):
-        stats = percentiles([float(i) for i in range(1, 101)])
-        assert stats["p50"] == 50.0
-        assert stats["p90"] == 90.0
-        assert stats["p99"] == 99.0
-        assert stats["max"] == 100.0
-
     def test_phase_rows_from_record_sums_dict_counters(self, result):
         rows = phase_rows_from_record(result.to_dict())
         assert rows

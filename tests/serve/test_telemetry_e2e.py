@@ -5,10 +5,6 @@ leave the SAME correlation ID in every observability surface: the
 submit response, the event stream, the NDJSON log records, the
 recorded wall-clock spans, and the executor's manifest JobRecord --
 that join key is the whole point of the spine.
-
-And the inverse contract: with ``telemetry=False`` the wire responses
-carry no correlation material at all (byte-level check), so a
-pre-telemetry client sees byte-identical payloads.
 """
 
 import io
@@ -23,7 +19,7 @@ from repro.obs.tracer import ChromeTracer
 from repro.runtime import JobSpec, ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.serve.client import ServeClient
-from repro.serve.server import ServeSettings, ServerThread
+from repro.serve.server import ServerThread
 from repro.telemetry import bind_correlation, configure_logging, install_recorder
 
 CORR_RE = re.compile(r"^[0-9a-f]{16}$")
@@ -169,63 +165,6 @@ class TestManifestJobRecord:
         [record] = sweep.manifest.records
         assert record.corr_id is None
         assert "corr_id" not in record.to_dict()
-
-
-class TestTelemetryOffByteIdentity:
-    def test_no_correlation_material_on_the_wire(self, tmp_path, spec):
-        cache = ResultCache(tmp_path)
-        settings = ServeSettings(telemetry=False)
-        with ServerThread(cache=cache, settings=settings) as srv:
-            with ServeClient(srv.host, srv.port) as client:
-                cold = client.request_raw(
-                    {"op": "submit", "spec": spec.to_dict(), "wait": True}
-                )
-                assert b"corr_id" not in cold
-                job_id = json.loads(cold)["job_id"]
-                status = client.request_raw(
-                    {"op": "status", "job_id": job_id}
-                )
-                assert b"corr_id" not in status
-                warm = client.request_raw(
-                    {"op": "submit", "spec": spec.to_dict(), "wait": True}
-                )
-                assert b"corr_id" not in warm
-                events = list(client.follow(job_id))
-        assert all("corr_id" not in e for e in events)
-
-    def test_off_and_on_serve_identical_results(self, tmp_path, spec):
-        """The simulated answer itself is clock-free: telemetry on/off
-        must not change a byte of the result record (wall_seconds is
-        real measured host time, nondeterministic since before this
-        subsystem, and excluded)."""
-        payloads = {}
-        for mode, telemetry in (("off", False), ("on", True)):
-            cache = ResultCache(tmp_path / mode)
-            settings = ServeSettings(telemetry=telemetry)
-            with ServerThread(cache=cache, settings=settings) as srv:
-                with ServeClient(srv.host, srv.port) as client:
-                    response = client.submit(
-                        spec.to_dict(), include_result=True
-                    )
-                    record = dict(response["result"])
-                    record.pop("wall_seconds", None)
-                    payloads[mode] = json.dumps(record, sort_keys=True)
-        assert payloads["off"] == payloads["on"]
-
-    def test_metrics_still_counted_with_telemetry_off(self, tmp_path, spec):
-        cache = ResultCache(tmp_path)
-        settings = ServeSettings(telemetry=False)
-        with ServerThread(cache=cache, settings=settings) as srv:
-            with ServeClient(srv.host, srv.port) as client:
-                client.submit(spec.to_dict())
-                client.submit(spec.to_dict())
-                metrics = client.metrics()
-                health = client.healthz()
-        assert metrics["jobs"]["submitted"] == 2
-        assert metrics["hitpath_ms"]["count"] == 1
-        # /healthz keeps its SLO verdict either way.
-        assert health["status"] == "ok"
-        assert health["versions"]["protocol"] == health["protocol"]
 
 
 class TestHealthzShape:

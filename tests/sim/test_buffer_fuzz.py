@@ -277,7 +277,7 @@ class TestEpochEngineDifferential:
     def test_store_epoch_with_dirty_victims(self):
         """Store bursts that evict dirty lines (writeback channel bumps
         must serialize like the scalar path), then a re-store of the
-        resident lines (a store-hit run)."""
+        resident lines (the flat loop's hit branch)."""
         pair = _make_engine_pair(capacity_lines=24)
         first = np.asarray([self._saddr(i) for i in range(24)], dtype=np.int64)
         second = np.asarray(
@@ -319,7 +319,8 @@ class TestEpochEngineDifferential:
                 [self._saddr(base + i) for i in idx], dtype=np.int64
             )
             # First pass misses (flat loop); the second re-stores
-            # resident lines (a hit run that overlaps the window).
+            # resident lines (for accumulates, a hit run that overlaps
+            # the window).
             for rnd in ("miss", "hit"):
                 self._both(pair, method, addrs, *extra)
                 _assert_engines_agree(pair, f"{method} {rnd}")
@@ -576,7 +577,7 @@ class TestEpochEngineDifferential:
         [
             ("_all_hit_lane", "test_miss_burst_then_refeed"),
             ("_all_hit_lane", "test_load_burst_then_refeed"),
-            ("_hit_run_epoch", "test_store_epoch_with_dirty_victims"),
+            ("_hit_run_epoch", "test_store_runs_forward_to_loads"),
             ("_merge_hit_epoch", "test_merge_first_touch_then_steady_state"),
         ],
     )
