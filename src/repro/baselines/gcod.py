@@ -58,15 +58,12 @@ class GCoDAccelerator(AcceleratorBase):
         )
         n = sorted_norm.shape[0]
         sparse_cluster = sorted_norm.submatrix(plan.threshold, n, 0, n)
-        features_sorted = model.dataset.features.to_coo().permute(row_perm=perm)
-
-        from repro.sparse import coo_to_csr
 
         def unpermute(matrix: np.ndarray) -> np.ndarray:
             return matrix[perm]
 
         return {
-            "features": coo_to_csr(features_sorted),
+            "features": dataset.features.permute_rows(perm),
             "sort_ms": sort.elapsed_ms,  # partitioning cost proxy
             "unpermute": unpermute,
             "plan": plan,

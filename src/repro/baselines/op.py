@@ -22,7 +22,7 @@ from repro.gcn.model import GCNModel
 from repro.hymm.base import AcceleratorBase
 from repro.hymm.config import HyMMConfig
 from repro.hymm.kernels import KernelContext, aggregation_op, combination_op
-from repro.sparse import CSRMatrix, coo_to_csc
+from repro.sparse import CSRMatrix, coo_to_csc, csr_to_csc
 
 
 class OPAccelerator(AcceleratorBase):
@@ -42,7 +42,7 @@ class OPAccelerator(AcceleratorBase):
     def prepare(self, model: GCNModel) -> dict:
         prep = super().prepare(model)
         prep["adj_csc"] = coo_to_csc(model.norm_adj)
-        prep["features_csc"] = coo_to_csc(model.dataset.features.to_coo())
+        prep["features_csc"] = csr_to_csc(model.dataset.features)
         return prep
 
     def phase_config_exempt(self) -> frozenset:

@@ -26,19 +26,18 @@ from repro.gcn.model import GCNModel
 from repro.hymm.base import AcceleratorBase
 from repro.hymm.config import HyMMConfig
 from repro.hymm.kernels import KernelContext, aggregation_op, combination_op
-from repro.sparse import COOMatrix, CSCMatrix, CSRMatrix, coo_to_csc
+from repro.sparse import CSCMatrix, CSRMatrix, coo_to_csr, csr_to_csc
 from repro.sparse.coo import VALUE_DTYPE
 
 
-def _row_bands(coo: COOMatrix, band_rows: int) -> List[Tuple[int, CSCMatrix]]:
+def _row_bands(csr: CSRMatrix, band_rows: int) -> List[Tuple[int, CSCMatrix]]:
     """Slice a matrix into row bands, each in CSC for the OP engine."""
-    n = coo.shape[0]
+    n = csr.shape[0]
     bands = []
     for lo in range(0, n, band_rows):
-        hi = min(lo + band_rows, n)
-        block = coo.submatrix(lo, hi, 0, coo.shape[1])
+        block = csr.row_block(lo, min(lo + band_rows, n))
         if block.nnz:
-            bands.append((lo, coo_to_csc(block)))
+            bands.append((lo, csr_to_csc(block)))
     return bands
 
 
@@ -81,8 +80,8 @@ class TiledOPAccelerator(AcceleratorBase):
         prep = super().prepare(model)
         h = model.dataset.hidden_dim
         band = self.band_rows(h)
-        prep["adj_bands"] = _row_bands(model.norm_adj, band)
-        prep["feature_bands"] = _row_bands(model.dataset.features.to_coo(), band)
+        prep["adj_bands"] = _row_bands(coo_to_csr(model.norm_adj), band)
+        prep["feature_bands"] = _row_bands(model.dataset.features, band)
         prep["band_rows"] = band
         return prep
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse import COOMatrix, CSRMatrix, coo_to_csr
+from repro.sparse import COOMatrix, CSRMatrix
 from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 
 #: Power-law exponent giving a top-20% edge share of roughly 0.7 (see
@@ -126,11 +126,20 @@ def sparse_feature_matrix(
 ) -> CSRMatrix:
     """Sample a sparse node-feature matrix with the given density.
 
-    Non-zero positions are uniform over the matrix; values are uniform
-    in ``[0.1, 1.0)`` (bounded away from zero so no sampled non-zero
-    collapses to an actual zero).  Density 1.0 produces a fully dense
-    CSR matrix -- Table II datasets range from 0.01% (Yelp) to ~35%
-    (Amazon) dense.
+    Positions are *not* uniform over the matrix.  Flat cell indices are
+    drawn uniformly with 1.4x oversampling (redrawing until enough
+    distinct cells exist), and the lowest ``round(cells * density)``
+    distinct ones are kept, so the non-zeros pack into the leading rows
+    and the trailing rows come out empty (``tests/graphs/
+    test_synthetic.py::TestFeatureMatrix::test_last_row_has_features``
+    is a strict xfail recording this; fixing it changes every golden
+    statistic).  Values are uniform in ``[0.1, 1.0)`` (bounded away from
+    zero so no sampled non-zero collapses to an actual zero).  Density
+    1.0 produces a fully dense CSR matrix -- Table II datasets range
+    from 0.01% (Yelp) to ~35% (Amazon) dense.
+
+    The CSR arrays are built straight from the sorted flat indices, with
+    no COO copy and no buffer sized to the full ``cells``.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
@@ -144,11 +153,21 @@ def sparse_feature_matrix(
         while flat.size < target:
             need = target - flat.size
             batch = rng.integers(0, cells, size=max(1024, int(need * 1.4)))
-            flat = np.unique(np.concatenate([flat, batch]))
+            if flat.size:
+                batch = np.concatenate([flat, batch])
+            batch.sort()
+            keep = np.empty(batch.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(batch[1:], batch[:-1], out=keep[1:])
+            flat = batch[keep]
+            # Drop each buffer once consumed: they bound peak memory.
+            del batch, keep
         # Deterministically thin the oversampled set back to the target.
         flat = flat[:target]
-    rows = (flat // feature_length).astype(INDEX_DTYPE)
-    cols = (flat % feature_length).astype(INDEX_DTYPE)
+    rows, cols = np.divmod(flat, feature_length)
+    del flat
+    indptr = np.zeros(n_nodes + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    del rows
     values = rng.uniform(0.1, 1.0, size=target).astype(VALUE_DTYPE)
-    coo = COOMatrix((n_nodes, feature_length), rows, cols, values)
-    return coo_to_csr(coo)
+    return CSRMatrix((n_nodes, feature_length), indptr, cols, values)

@@ -82,9 +82,7 @@ class HyMMAccelerator(AcceleratorBase):
         )
         n = sorted_norm.shape[0]
         low_rows = sorted_norm.submatrix(plan.threshold, n, 0, n)
-        features_sorted = coo_to_csr(
-            dataset.features.to_coo().permute(row_perm=perm)
-        )
+        features_sorted = dataset.features.permute_rows(perm)
 
         def unpermute(matrix: np.ndarray) -> np.ndarray:
             # Row `perm[old]` of the sorted result belongs to node `old`.

@@ -1,15 +1,16 @@
 """Conversions between the sparse formats.
 
 All conversions round-trip exactly (the property-based tests in
-``tests/sparse/test_convert.py`` assert this): COO is the canonical hub
-format and every path goes through it.
+``tests/sparse/test_convert.py`` assert this).  COO is the canonical hub
+format; :func:`csr_to_csc` skips it, because a canonical CSR matrix is
+already row-major sorted and a stable sort by column finishes the job.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, INDEX_DTYPE
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -35,8 +36,18 @@ def csc_to_coo(csc: CSCMatrix) -> COOMatrix:
 
 
 def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
-    """Re-compress a CSR matrix in column-major order."""
-    return CSCMatrix.from_coo(csr.to_coo())
+    """Re-compress a CSR matrix in column-major order.
+
+    A stable sort of the column indices keeps each column's entries in
+    ascending row order, so the result equals
+    ``CSCMatrix.from_coo(csr.to_coo())`` without the COO copy.
+    """
+    n_rows, n_cols = csr.shape
+    order = np.argsort(csr.indices, kind="stable")
+    rows = np.repeat(np.arange(n_rows, dtype=INDEX_DTYPE), csr.row_degrees())[order]
+    indptr = np.zeros(n_cols + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(csr.indices, minlength=n_cols), out=indptr[1:])
+    return CSCMatrix(csr.shape, indptr, rows, csr.values[order])
 
 
 def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:

@@ -1,8 +1,8 @@
 """Coordinate-format (COO) sparse matrix.
 
 COO is the interchange format of this package: the synthetic graph
-generators emit COO, and every compressed format (CSR/CSC, the tiled
-region format) is derived from it.  Entries are canonicalised --
+generator emits COO, and the adjacency's compressed formats (CSR/CSC,
+the tiled region format) are derived from it.  Entries are canonicalised --
 row-major sorted with duplicates summed -- on construction so that
 format conversions and equality checks are deterministic.
 """

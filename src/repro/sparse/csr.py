@@ -21,7 +21,10 @@ class CSRMatrix:
 
     ``indptr`` has ``shape[0] + 1`` entries; row ``i`` owns the slice
     ``indices[indptr[i]:indptr[i+1]]`` / ``values[...]`` with column
-    indices sorted ascending within each row.
+    indices strictly ascending within each row (sorted, no duplicates).
+    Construction rejects any other layout: :meth:`permute_rows`,
+    :meth:`row_block` and :func:`repro.sparse.convert.csr_to_csc` rely
+    on it instead of re-sorting through COO.
     """
 
     shape: tuple
@@ -50,6 +53,17 @@ class CSRMatrix:
             raise ValueError("indices and values must have equal length")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_cols):
             raise ValueError("column index out of bounds")
+        if self.indices.size > 1:
+            ascending = self.indices[1:] > self.indices[:-1]
+            # A step across a row boundary (entry p - 1 ends a row, entry
+            # p starts the next) may go down; empty rows repeat a boundary.
+            starts = self.indptr[1:-1]
+            starts = starts[(starts > 0) & (starts < self.indices.size)]
+            ascending[starts - 1] = True
+            if not ascending.all():
+                raise ValueError(
+                    "column indices must be strictly increasing within each row"
+                )
 
     @property
     def nnz(self) -> int:
@@ -86,6 +100,46 @@ class CSRMatrix:
             self.indptr.size * pointer_bytes
             + self.nnz * INDEX_BYTES
             + self.nnz * VALUE_BYTES
+        )
+
+    def permute_rows(self, row_perm: np.ndarray) -> "CSRMatrix":
+        """Relabel rows: row ``i`` moves to row ``row_perm[i]``.
+
+        ``row_perm`` maps *old* index -> *new* index, as in
+        :meth:`repro.sparse.coo.COOMatrix.permute`.  Each row's column
+        run is copied whole, so the result stays canonical without a
+        sort: one gather of ``indices`` and ``values``.
+        """
+        n_rows = self.shape[0]
+        row_perm = np.asarray(row_perm, dtype=INDEX_DTYPE)
+        if row_perm.shape != (n_rows,) or not np.array_equal(
+            np.bincount(row_perm, minlength=n_rows), np.ones(n_rows, dtype=INDEX_DTYPE)
+        ):
+            raise ValueError(f"row_perm must be a permutation of {n_rows} rows")
+        old_of_new = np.empty(n_rows, dtype=INDEX_DTYPE)
+        old_of_new[row_perm] = np.arange(n_rows, dtype=INDEX_DTYPE)
+        counts = np.diff(self.indptr)[old_of_new]
+        indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(counts, out=indptr[1:])
+        # Entry k of new row r reads old entry k - indptr[r] + old start.
+        take = np.repeat(self.indptr[:-1][old_of_new] - indptr[:-1], counts)
+        take += np.arange(self.nnz, dtype=INDEX_DTYPE)
+        return CSRMatrix(self.shape, indptr, self.indices[take], self.values[take])
+
+    def row_block(self, lo: int, hi: int) -> "CSRMatrix":
+        """Rows ``[lo, hi)`` as a CSR matrix of views.
+
+        ``indices``/``values`` are views into this matrix; only the
+        pointer array is new (rebased to start at 0).
+        """
+        if not 0 <= lo <= hi <= self.shape[0]:
+            raise ValueError(f"row range [{lo}, {hi}) out of bounds")
+        start, stop = self.indptr[lo], self.indptr[hi]
+        return CSRMatrix(
+            (hi - lo, self.shape[1]),
+            self.indptr[lo:hi + 1] - start,
+            self.indices[start:stop],
+            self.values[start:stop],
         )
 
     def to_coo(self) -> COOMatrix:

@@ -9,7 +9,34 @@ from repro.graphs.synthetic import (
     power_law_graph,
     sparse_feature_matrix,
 )
+from repro.sparse import COOMatrix, coo_to_csr
+from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 from repro.sparse.stats import edge_share_of_top_fraction
+
+
+def _reference_feature_matrix(n_nodes, feature_length, density, seed=0):
+    """The original ``np.unique``-and-COO synthesis, kept as an oracle.
+
+    ``sparse_feature_matrix`` must make the same RNG draws and return
+    byte-identical arrays: golden statistics and the benchmark's output
+    digests are built on it.
+    """
+    rng = np.random.default_rng(seed)
+    cells = n_nodes * feature_length
+    target = int(round(cells * density))
+    if target == cells:
+        flat = np.arange(cells, dtype=np.int64)
+    else:
+        flat = np.zeros(0, dtype=np.int64)
+        while flat.size < target:
+            need = target - flat.size
+            batch = rng.integers(0, cells, size=max(1024, int(need * 1.4)))
+            flat = np.unique(np.concatenate([flat, batch]))
+        flat = flat[:target]
+    rows = (flat // feature_length).astype(INDEX_DTYPE)
+    cols = (flat % feature_length).astype(INDEX_DTYPE)
+    values = rng.uniform(0.1, 1.0, size=target).astype(VALUE_DTYPE)
+    return coo_to_csr(COOMatrix((n_nodes, feature_length), rows, cols, values))
 
 
 class TestWeights:
@@ -122,6 +149,33 @@ class TestFeatureMatrix:
     def test_invalid_density(self):
         with pytest.raises(ValueError):
             sparse_feature_matrix(10, 10, density=1.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_nodes, feature_length, density, seed",
+        [
+            (10, 8, 0.0, 0),
+            (10, 8, 1.0, 0),
+            (37, 23, 1.0, 2),
+            (40, 30, 0.5, 1),  # 600 cells: one 1,024-draw minimum batch
+            (64, 32, 0.9, 3),  # 1,843 distinct of 2,048 cells: two rounds
+            (1912, 745, 0.347, 0),  # amazon-photo@0.25 features
+            (3667, 6805, 0.0088, 0),  # coauthor-cs@0.2 features
+        ],
+    )
+    def test_matches_reference_algorithm(self, n_nodes, feature_length, density, seed):
+        got = sparse_feature_matrix(n_nodes, feature_length, density, seed=seed)
+        want = _reference_feature_matrix(n_nodes, feature_length, density, seed=seed)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_high_density_needs_second_round(self):
+        """The 0.9 grid point above really exercises the redraw loop."""
+        rng = np.random.default_rng(3)
+        first = np.unique(rng.integers(0, 64 * 32, size=max(1024, int(1843 * 1.4))))
+        assert first.size < round(64 * 32 * 0.9)
 
     @pytest.mark.xfail(
         strict=True,

@@ -86,6 +86,47 @@ class TestCSR:
         with pytest.raises(ValueError, match="column index"):
             CSRMatrix((2, 2), [0, 1, 2], [0, 5], [1.0, 2.0])
 
+    def test_columns_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CSRMatrix((2, 3), [0, 2, 3], [2, 0, 1], [1.0, 2.0, 3.0])
+
+    def test_duplicate_column_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CSRMatrix((2, 3), [0, 1, 3], [0, 1, 1], [1.0, 2.0, 3.0])
+
+    def test_out_of_order_after_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CSRMatrix((4, 3), [0, 0, 0, 0, 2], [1, 0], [1.0, 2.0])
+
+    def test_columns_may_drop_across_rows(self):
+        # Each row ascends; steps down only at row starts, past empty rows.
+        m = CSRMatrix((5, 3), [0, 2, 2, 3, 3, 5], [1, 2, 0, 0, 2], np.ones(5))
+        assert m.nnz == 5
+
+    def test_permute_rows(self, csr, small_coo):
+        perm = np.array([2, 0, 3, 1])
+        got = csr.permute_rows(perm)
+        np.testing.assert_array_equal(got.to_dense()[perm], csr.to_dense())
+        assert got.to_coo().allclose(small_coo.permute(row_perm=perm))
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2], [0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]])
+    def test_permute_rows_rejects_non_permutation(self, csr, perm):
+        with pytest.raises(ValueError):
+            csr.permute_rows(np.array(perm))
+
+    def test_row_block_views(self, csr):
+        block = csr.row_block(1, 3)
+        assert block.shape == (2, 5)
+        np.testing.assert_array_equal(block.to_dense(), csr.to_dense()[1:3])
+        assert np.shares_memory(block.indices, csr.indices)
+        assert np.shares_memory(block.values, csr.values)
+
+    def test_row_block_empty_and_bounds(self, csr):
+        assert csr.row_block(3, 3).shape == (0, 5)
+        assert csr.row_block(3, 4).nnz == 0
+        with pytest.raises(ValueError, match="out of bounds"):
+            csr.row_block(2, 5)
+
     def test_repr(self, csr):
         assert "CSRMatrix" in repr(csr)
 
