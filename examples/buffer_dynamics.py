@@ -6,7 +6,7 @@ buffers because each phase can claim the space its dataflow reuses:
 during row-wise phases the buffer fills with XW (the reused input),
 during outer-product phases with partial outputs.  This example runs
 HyMM and prints the end-of-phase buffer composition recorded in
-``RunResult.phase_stats``, then quantifies what a fixed 50/50 split
+``RunResult.phase_occupancy``, then quantifies what a fixed 50/50 split
 would cost.
 
 Run:  python examples/buffer_dynamics.py
@@ -18,8 +18,7 @@ from repro.bench import format_table
 
 def occupancy_rows(result, capacity_lines):
     rows = []
-    for phase, stats in result.phase_stats.items():
-        occ = stats["occupancy"]
+    for phase, occ in result.phase_occupancy.items():
         total = sum(occ.values())
         rows.append([
             phase,

@@ -31,8 +31,8 @@ def main() -> None:
         print(f"  layer {idx}: max abs error {err:.2e}  [{status}]")
 
     print("\nPhase breakdown (cycles):")
-    rows = [[name, int(cycles), f"{100 * cycles / result.stats.cycles:.1f}%"]
-            for name, cycles in result.phase_cycles.items()]
+    rows = [[name, snap.cycles, f"{100 * snap.cycles / result.stats.cycles:.1f}%"]
+            for name, snap in result.phase_snapshots.items()]
     print(format_table(["phase", "cycles", "share"], rows))
 
     print(f"\nTotal: {result.stats.cycles:,} cycles "

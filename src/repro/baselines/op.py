@@ -45,14 +45,6 @@ class OPAccelerator(AcceleratorBase):
         prep["features_csc"] = csr_to_csc(model.dataset.features)
         return prep
 
-    def phase_config_exempt(self) -> frozenset:
-        """OP never tiles, so the partition knobs are dead config here
-        and sweeps over them share this accelerator's traces."""
-        return super().phase_config_exempt() | {
-            "threshold_fraction",
-            "resident_fraction",
-        }
-
     def run_combination(
         self, ctx: KernelContext, prep: dict, features: CSRMatrix, weights: np.ndarray
     ) -> np.ndarray:

@@ -41,13 +41,5 @@ class RWPAccelerator(AcceleratorBase):
         prep["adj_csr"] = coo_to_csr(model.norm_adj)
         return prep
 
-    def phase_config_exempt(self) -> frozenset:
-        """RWP never tiles, so the partition knobs are dead config here
-        and sweeps over them share this accelerator's traces."""
-        return super().phase_config_exempt() | {
-            "threshold_fraction",
-            "resident_fraction",
-        }
-
     def run_aggregation(self, ctx: KernelContext, prep: dict, xw: np.ndarray) -> np.ndarray:
         return aggregation_rwp(ctx, prep["adj_csr"], xw)

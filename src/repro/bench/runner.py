@@ -244,32 +244,21 @@ def run_sweep(
     return sweep
 
 
-def aggregation_cycles(result: RunResult) -> float:
+def aggregation_cycles(result: RunResult) -> int:
     """Cycles spent in aggregation phases (the SpDeMM under study)."""
-    return sum(v for k, v in result.phase_cycles.items() if k.endswith("aggregation"))
-
-
-def _aggregation_phase_sums(result: RunResult) -> Dict[str, float]:
-    phases = [v for k, v in result.phase_stats.items() if k.endswith("aggregation")]
-    return {
-        key: sum(p[key] for p in phases)
-        for key in ("cycles", "busy", "hits", "misses", "forwards")
-    }
+    return merged_phase_snapshot(result, "aggregation").cycles
 
 
 def aggregation_utilization(result: RunResult) -> float:
     """ALU utilisation within the aggregation phases (Fig. 8's subject:
     the SpDeMM dataflow, uncontaminated by the shared combination)."""
-    sums = _aggregation_phase_sums(result)
-    return sums["busy"] / sums["cycles"] if sums["cycles"] else 0.0
+    return merged_phase_snapshot(result, "aggregation").alu_utilization()
 
 
 def aggregation_hit_rate(result: RunResult) -> float:
     """Buffer hit rate within the aggregation phases (Fig. 9's subject);
     LSQ forwards count as on-chip hits."""
-    sums = _aggregation_phase_sums(result)
-    total = sums["hits"] + sums["forwards"] + sums["misses"]
-    return (sums["hits"] + sums["forwards"]) / total if total else 0.0
+    return merged_phase_snapshot(result, "aggregation").hit_rate()
 
 
 def phase_snapshot_rows(

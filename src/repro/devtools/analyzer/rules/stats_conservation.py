@@ -12,7 +12,7 @@ silently rots:
   assignment, an augmented assignment, a subscript store, or an
   in-place mutator call (``update``/``append``/``extend``/``add``) --
   anywhere except ``SimStats``'s own bulk-copy methods (``merge``,
-  ``to_dict``/``from_dict``/``as_dict``, ``copy``/``delta_since``),
+  ``to_dict``/``from_dict``, ``copy``/``delta_since``),
   which touch every field by construction and would make the check
   vacuous;
 * a breakdown is keyed with a tag outside the declared traffic-tag
@@ -35,7 +35,7 @@ MUTATORS = {"update", "append", "extend", "add", "subtract", "clear", "insert"}
 
 #: SimStats methods whose writes do not count (bulk copies by design).
 EXEMPT_METHODS = {
-    "merge", "to_dict", "from_dict", "as_dict", "__init__",
+    "merge", "to_dict", "from_dict", "__init__",
     "copy", "delta_since",
 }
 

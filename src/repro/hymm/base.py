@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -51,20 +51,18 @@ class RunResult:
     config: HyMMConfig
     stats: SimStats
     outputs: List[np.ndarray]
-    phase_cycles: Dict[str, float] = field(default_factory=dict)
-    #: Per-phase counter deltas: phase -> {"cycles", "busy", "hits",
-    #: "misses", "forwards", "occupancy"}.  Lets experiments separate
-    #: combination behaviour from the aggregation SpDeMM the paper's
-    #: Figs. 8/9 characterise, and exposes the end-of-phase buffer
-    #: composition (Section III's dynamic space management).
-    phase_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: Full per-phase :class:`SimStats` deltas (phase -> snapshot),
+    #: Per-phase :class:`SimStats` deltas (phase -> snapshot),
     #: including a trailing ``"drain"`` pseudo-phase when DRAM finishes
-    #: after the engine.  Conservation invariant: folding every snapshot
+    #: after the engine.  Lets experiments separate combination
+    #: behaviour from the aggregation SpDeMM the paper's Figs. 7b/8/9
+    #: characterise.  Conservation invariant: folding every snapshot
     #: with :meth:`SimStats.merge` reproduces :attr:`stats` exactly --
     #: cycles sum, counters sum, the peak is the max of running peaks,
     #: and the timeline concatenates.
     phase_snapshots: Dict[str, SimStats] = field(default_factory=dict)
+    #: End-of-phase buffer composition, phase -> {class: lines}
+    #: (Section III's dynamic space management).
+    phase_occupancy: Dict[str, Dict[str, int]] = field(default_factory=dict)
     sort_ms: float = 0.0
     wall_seconds: float = 0.0
     extra: Dict[str, object] = field(default_factory=dict)
@@ -88,8 +86,10 @@ class RunResult:
 
     #: Wire-format version of :meth:`to_dict`.  Bump on layout changes;
     #: the runtime's disk cache treats records of any other version as
-    #: misses.  v2: added ``phase_snapshots``.
-    SCHEMA_VERSION = 2
+    #: misses.  v2: added ``phase_snapshots``.  v3: ``phase_snapshots``
+    #: is the only per-phase counter record, with ``phase_occupancy``
+    #: beside it.
+    SCHEMA_VERSION = 3
 
     # ------------------------------------------------------------------
     # Serialisation (runtime disk cache + cross-process transport)
@@ -111,15 +111,12 @@ class RunResult:
             "config": self.config.to_dict(),
             "stats": self.stats.to_dict(),
             "outputs": [array_to_dict(a) for a in self.outputs],
-            "phase_cycles": dict(self.phase_cycles),
-            "phase_stats": {
-                phase: {k: (dict(v) if isinstance(v, dict) else v)
-                        for k, v in counters.items()}
-                for phase, counters in self.phase_stats.items()
-            },
             "phase_snapshots": {
                 phase: snap.to_dict()
                 for phase, snap in self.phase_snapshots.items()
+            },
+            "phase_occupancy": {
+                phase: dict(occ) for phase, occ in self.phase_occupancy.items()
             },
             "sort_ms": self.sort_ms,
             "wall_seconds": self.wall_seconds,
@@ -154,11 +151,12 @@ class RunResult:
             config=HyMMConfig.from_dict(data["config"]),
             stats=SimStats.from_dict(data["stats"]),
             outputs=[decode(a) for a in data["outputs"]],
-            phase_cycles=dict(data["phase_cycles"]),
-            phase_stats={p: dict(c) for p, c in data["phase_stats"].items()},
             phase_snapshots={
                 p: SimStats.from_dict(s)
                 for p, s in data["phase_snapshots"].items()
+            },
+            phase_occupancy={
+                p: dict(o) for p, o in data["phase_occupancy"].items()
             },
             sort_ms=data["sort_ms"],
             wall_seconds=data["wall_seconds"],
@@ -198,28 +196,6 @@ class AcceleratorBase:
     def run_aggregation(self, ctx: KernelContext, prep: dict, xw: np.ndarray) -> np.ndarray:
         """Aggregation dataflow; must be provided by the subclass."""
         raise NotImplementedError
-
-    def phase_config_exempt(self) -> frozenset:
-        """Config fields this dataflow's simulated timing never reads.
-
-        Trace replay (:mod:`repro.sim.replay`) drops these from the
-        phase-signature chain, so sweeps that vary only exempt knobs
-        share recorded phases.  Subclasses may widen the set for knobs
-        their dataflow provably ignores; never list a field any code
-        path between ``prepare`` and the last phase can read.
-        """
-        from repro.sim.replay import BASE_TIMING_EXEMPT
-
-        return BASE_TIMING_EXEMPT
-
-    @staticmethod
-    def _snapshot(stats: SimStats) -> Tuple[int, int, int, int]:
-        return (
-            stats.busy_cycles,
-            sum(stats.buffer_hits.values()),
-            sum(stats.buffer_misses.values()),
-            stats.lsq_forwards,
-        )
 
     # ------------------------------------------------------------------
     # The run loop
@@ -282,39 +258,28 @@ class AcceleratorBase:
         unpermute = prep.get("unpermute")
 
         outputs: List[np.ndarray] = []
-        phase_cycles: Dict[str, float] = {}
-        phase_stats: Dict[str, Dict[str, float]] = {}
         phase_snapshots: Dict[str, SimStats] = {}
+        phase_occupancy: Dict[str, Dict[str, int]] = {}
         dense_h: Optional[np.ndarray] = None
         mark = 0.0
-        snap = self._snapshot(stats)
         base_snapshot = stats.copy()
         cum_mark = 0
 
         def close_phase(
             name: str, occupancy: Optional[Dict[str, int]] = None
         ) -> None:
-            nonlocal mark, snap, base_snapshot, cum_mark
+            nonlocal mark, base_snapshot, cum_mark
             now = engine.drain()
-            new_snap = self._snapshot(stats)
-            phase_cycles[name] = now - mark
-            phase_stats[name] = {
-                "cycles": now - mark,
-                "busy": new_snap[0] - snap[0],
-                "hits": new_snap[1] - snap[1],
-                "misses": new_snap[2] - snap[2],
-                "forwards": new_snap[3] - snap[3],
-                # End-of-phase buffer composition (Section III
-                # dynamics).  Replayed aggregation phases pass the
-                # recorded composition: their restored state is already
-                # past the W/XW invalidates, so reading the live buffer
-                # here would under-count what the live phase saw.
-                "occupancy": (
-                    {k: int(v) for k, v in occupancy.items()}
-                    if occupancy is not None
-                    else buffer.occupancy_by_class()
-                ),
-            }
+            # End-of-phase buffer composition (Section III dynamics).
+            # Replayed aggregation phases pass the recorded composition:
+            # their restored state is already past the W/XW invalidates,
+            # so reading the live buffer here would under-count what the
+            # live phase saw.
+            phase_occupancy[name] = (
+                {k: int(v) for k, v in occupancy.items()}
+                if occupancy is not None
+                else buffer.occupancy_by_class()
+            )
             # Full SimStats delta for this phase.  Phase cycles use the
             # cumulative-ceil scheme (ceil of the running drain, minus
             # the previous mark) so integer per-phase cycles sum to the
@@ -333,11 +298,10 @@ class AcceleratorBase:
             base_snapshot = stats.copy()
             cum_mark = cum_now
             mark = now
-            snap = new_snap
 
         replay = replay_session
         if replay is not None:
-            replay.open(self.name, cfg, model, self.phase_config_exempt())
+            replay.open(self.name, cfg, model)
         # Replay would skip the live simulation a full tracer narrates,
         # so a traced run records but never replays -- unless the
         # tracer only consumes phase-boundary events (PhaseFeed), which
@@ -369,7 +333,7 @@ class AcceleratorBase:
             it as a content-addressed blob."""
             return {
                 "stats": phase_snapshots[name].to_dict(),
-                "occupancy": phase_stats[name]["occupancy"],
+                "occupancy": phase_occupancy[name],
                 "output": out,
                 "buffer": buffer.snapshot_state(),
                 "engine": engine.snapshot_state(),
@@ -435,9 +399,8 @@ class AcceleratorBase:
             config=cfg,
             stats=stats,
             outputs=outputs,
-            phase_cycles=phase_cycles,
-            phase_stats=phase_stats,
             phase_snapshots=phase_snapshots,
+            phase_occupancy=phase_occupancy,
             sort_ms=prep.get("sort_ms", 0.0),
             wall_seconds=time.perf_counter() - wall_start,
             extra={k: v for k, v in prep.items()

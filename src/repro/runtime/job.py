@@ -32,7 +32,10 @@ from repro.hymm.config import HyMMConfig
 #: deserialiser requires.
 #: v4: cache records keep output matrices as content-addressed ``.npy``
 #: blobs (``{"blob", "dtype", "shape"}``) instead of inline base64.
-SCHEMA_VERSION = 4
+#: v5: ``RunResult`` keeps one per-phase counter record
+#: (``phase_snapshots`` plus ``phase_occupancy``); v4 records carry
+#: ``phase_cycles``/``phase_stats`` and lack ``phase_occupancy``.
+SCHEMA_VERSION = 5
 
 
 def _package_version() -> str:

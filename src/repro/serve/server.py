@@ -126,41 +126,39 @@ DEFAULT_SLOS = (
 )
 
 
-def phase_rows_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Per-phase progress rows from a serialised ``RunResult`` dict.
+def phase_row(
+    name: str, counters: Mapping[str, Any], rows: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The progress row for phase ``name`` following ``rows``.
 
-    The same rows :class:`PhaseFeed` streams live, rebuilt from the
-    wire form's ``phase_snapshots`` for answers served from the cache
-    (end cycles are the running sum of per-phase cycles -- the
-    conservation invariant makes that exact).
+    ``counters`` is a phase snapshot, either the live
+    :class:`PhaseFeed` counters or the wire form of a
+    ``phase_snapshots`` entry (per-tag counters are summed).
+    ``end_cycle`` is the previous row's end plus this phase's integer
+    cycles, so a job's rows are the same whether it ran live or came
+    from the cache, and the last one equals ``stats.cycles`` (the
+    snapshots' conservation invariant).
     """
+    row: Dict[str, Any] = {"phase": str(name)}
+    for fld in PHASE_ROW_FIELDS:
+        value = counters.get(fld, 0)
+        row[fld] = sum(value.values()) if isinstance(value, dict) else value
+    row["end_cycle"] = (rows[-1]["end_cycle"] if rows else 0.0) + row["cycles"]
+    return row
+
+
+def phase_rows_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """Per-phase progress rows from a serialised ``RunResult`` dict:
+    the rows :class:`PhaseFeed` streams live, rebuilt from the wire
+    form's ``phase_snapshots`` for answers served from the cache."""
     rows: List[Dict[str, Any]] = []
-    end = 0.0
     snapshots = record.get("phase_snapshots")
     if not isinstance(snapshots, dict):
         return rows
     for name, snap in snapshots.items():
-        if not isinstance(snap, dict):
-            continue
-        row: Dict[str, Any] = {"phase": str(name)}
-        for fld in PHASE_ROW_FIELDS:
-            value = snap.get(fld, 0)
-            row[fld] = sum(value.values()) if isinstance(value, dict) else value
-        end += float(row["cycles"])
-        row["end_cycle"] = end
-        rows.append(row)
+        if isinstance(snap, dict):
+            rows.append(phase_row(name, snap, rows))
     return rows
-
-
-def phase_row_from_feed(
-    name: str, end_cycle: float, args: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """One progress row from a live :class:`PhaseFeed` callback."""
-    row: Dict[str, Any] = {"phase": name}
-    for fld in PHASE_ROW_FIELDS:
-        row[fld] = args.get(fld, 0)
-    row["end_cycle"] = float(end_cycle)
-    return row
 
 
 @dataclass
@@ -254,8 +252,8 @@ class JobEntry:
         if status in TERMINAL_STATES:
             self.done.set()
 
-    def add_phase(self, name: str, end_cycle: float, args: Dict[str, Any]) -> None:
-        row = phase_row_from_feed(name, end_cycle, args)
+    def add_phase(self, name: str, args: Dict[str, Any]) -> None:
+        row = phase_row(name, args, self.phases)
         self.phases.append(row)
         self.add_event({"event": "phase", **row})
 
@@ -881,9 +879,7 @@ class SweepServer:
                     name: str, end_cycle: float, args: Dict[str, Any]
                 ) -> None:
                     try:
-                        loop.call_soon_threadsafe(
-                            entry.add_phase, name, end_cycle, args
-                        )
+                        loop.call_soon_threadsafe(entry.add_phase, name, args)
                     except RuntimeError:
                         pass  # loop shutting down: drop progress, keep the run
 

@@ -8,18 +8,17 @@ the output matrix, the end-of-phase occupancy, and the complete
 post-phase simulator state (buffer arena, engine timelines, DRAM
 channel clock).  Any later run that reaches the same phase *with the
 same pre-state* replays the record instead of simulating: restore
-state, merge the stats delta, hand back the output.  Ablation sweeps
-that share a prefix of phases (or differ only in timing-exempt knobs
-like the reporting clock) skip the buffer model entirely for the
-shared phases.
+state, merge the stats delta, hand back the output.  A repeated job
+(a sweep re-run after its result records were dropped, a cache entry
+evicted and asked for again) skips the buffer model entirely.
 
 Why this is exact
 -----------------
 The simulator is deterministic: a phase's outcome is a pure function of
-(model operands, timing-relevant config, pre-phase simulator state).
-Phase identity is established by a *chained signature*::
+(model operands, config, pre-phase simulator state).  Phase identity
+is established by a *chained signature*::
 
-    sig_0 = H(schema || model fingerprint || accelerator || timing cfg)
+    sig_0 = H(schema || model fingerprint || accelerator || config)
     sig_k = H(sig_{k-1} || phase name)
 
 ``sig_k`` therefore commits to the entire phase history from reset.  By
@@ -30,12 +29,10 @@ phase would produce.  Every float in the snapshots is a dyadic
 rational (the simulator builds cycle values from ``max`` and additions
 of on-grid quantities), so JSON round-trips the state exactly.
 
-The timing config drops fields with no effect on simulated cycles
-(``engine`` -- the scalar and batched engines are bit-identical by the
-equivalence contract -- and ``clock_ghz``, a pure reporting scale);
-accelerators extend the exemption set via
-``AcceleratorBase.phase_config_exempt`` for knobs their dataflow never
-reads, widening trace sharing across ablation sweeps.
+The seed hashes the whole ``config.to_dict()``.  Each job keeps its
+traces in its own fingerprint directory (``JobSpec.trace_dir``), and
+the fingerprint hashes the whole config too, so two jobs never share a
+trace whatever knobs they differ in.
 
 Storage is a :class:`repro.runtime.cache.TraceStore`: one
 ``<sig>.json`` per phase in the job's own trace directory, with the
@@ -98,11 +95,6 @@ _RECORD_MS = _registry.histogram(
 #: a content-addressed ``.npy`` blob reference, not inline base64.
 TRACE_SCHEMA_VERSION = 2
 
-#: Config fields with no effect on simulated timing for *any*
-#: accelerator: the engine choice (scalar/batched are bit-identical by
-#: the equivalence contract) and the reporting clock.
-BASE_TIMING_EXEMPT = frozenset({"engine", "clock_ghz"})
-
 #: Keys every applicable phase record must carry.  ``lookup`` verifies
 #: them *before* handing the record to the run loop, so a truncated or
 #: hand-edited record (valid JSON, wrong shape) is a clean miss -- the
@@ -143,13 +135,6 @@ def model_fingerprint(model: GCNModel) -> str:
     return h.hexdigest()
 
 
-def timing_config_dict(
-    config: HyMMConfig, exempt: frozenset = BASE_TIMING_EXEMPT
-) -> Dict[str, object]:
-    """``config.to_dict()`` minus the timing-exempt fields."""
-    return {k: v for k, v in config.to_dict().items() if k not in exempt}
-
-
 class TraceSession:
     """One run's view of the trace store: signature chain + counters.
 
@@ -157,7 +142,7 @@ class TraceSession:
     it the store, then let the run loop drive it::
 
         session = TraceSession(store)
-        session.open(accelerator.name, config, model, exempt)
+        session.open(accelerator.name, config, model)
         sig = session.next_signature("layer0.combination")
         rec = session.lookup(sig)      # None -> simulate live + record
 
@@ -179,21 +164,13 @@ class TraceSession:
         self.corr_id: Optional[str] = current_correlation_id()
 
     # ------------------------------------------------------------------
-    def open(
-        self,
-        accelerator: str,
-        config: HyMMConfig,
-        model: GCNModel,
-        exempt: frozenset = BASE_TIMING_EXEMPT,
-    ) -> str:
+    def open(self, accelerator: str, config: HyMMConfig, model: GCNModel) -> str:
         """Seed the signature chain for one inference run."""
         seed = hashlib.sha256()
         seed.update(str(TRACE_SCHEMA_VERSION).encode())
         seed.update(accelerator.encode())
         seed.update(model_fingerprint(model).encode())
-        seed.update(
-            json.dumps(timing_config_dict(config, exempt), sort_keys=True).encode()
-        )
+        seed.update(json.dumps(config.to_dict(), sort_keys=True).encode())
         self._sig = seed.hexdigest()
         return self._sig
 

@@ -264,8 +264,7 @@ class SimStats:
     # Lossless serialisation (runtime result cache / cross-process)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Every counter, round-trippable through :meth:`from_dict`
-        (unlike :meth:`as_dict`, which is a report-oriented summary)."""
+        """Every counter, round-trippable through :meth:`from_dict`."""
         return {
             "cycles": self.cycles,
             "busy_cycles": self.busy_cycles,
@@ -298,30 +297,3 @@ class SimStats:
             requests_issued=data["requests_issued"],
             partial_timeline=[tuple(pair) for pair in data["partial_timeline"]],
         )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Flat dictionary for report tables.
-
-        Carries the same counter set as :meth:`to_dict` (plus derived
-        metrics); the raw timeline is compressed to a summary since
-        reports never replay individual samples.
-        """
-        return {
-            "cycles": self.cycles,
-            "busy_cycles": self.busy_cycles,
-            "alu_utilization": self.alu_utilization(),
-            "hit_rate": self.hit_rate(),
-            "dram_total_bytes": self.dram_total_bytes(),
-            "dram_breakdown": self.dram_breakdown(),
-            "lsq_forwards": self.lsq_forwards,
-            "partial_peak_bytes": self.partial_peak_bytes,
-            "partial_spill_bytes": self.partial_spill_bytes,
-            "partials_produced": self.partials_produced,
-            "requests_issued": self.requests_issued,
-            "partial_timeline": {
-                "samples": len(self.partial_timeline),
-                "peak_footprint_bytes": max(
-                    (fp for _, fp in self.partial_timeline), default=0
-                ),
-            },
-        }

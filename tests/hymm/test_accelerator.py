@@ -25,9 +25,9 @@ class TestRunResult:
         assert len(result.outputs) == tiny_model.n_layers
 
     def test_phase_cycles_cover_both_phases(self, result):
-        assert "layer0.combination" in result.phase_cycles
-        assert "layer0.aggregation" in result.phase_cycles
-        assert all(v >= 0 for v in result.phase_cycles.values())
+        assert "layer0.combination" in result.phase_snapshots
+        assert "layer0.aggregation" in result.phase_snapshots
+        assert all(s.cycles >= 0 for s in result.phase_snapshots.values())
 
     def test_sort_cost_recorded(self, result):
         assert result.sort_ms > 0
@@ -114,9 +114,11 @@ class TestConfigVariants:
 
     def test_phase_stats_carry_occupancy(self, tiny_model):
         result = HyMMAccelerator().run_inference(tiny_model)
-        for phase in result.phase_stats.values():
-            assert "occupancy" in phase
-            assert sum(phase["occupancy"].values()) >= 0
+        assert set(result.phase_occupancy) == {
+            phase for phase in result.phase_snapshots if phase != "drain"
+        }
+        for occupancy in result.phase_occupancy.values():
+            assert sum(occupancy.values()) >= 0
 
     def test_narrow_pe_array_costs_cycles(self, tiny_model):
         """Halving the MAC count doubles compute passes per non-zero."""

@@ -89,7 +89,8 @@ class TestPaperShapes:
 
     def test_hymm_fastest_aggregation(self, ap_runs):
         agg = {
-            k: r.phase_cycles["layer0.aggregation"] for k, r in ap_runs.items()
+            k: r.phase_snapshots["layer0.aggregation"].cycles
+            for k, r in ap_runs.items()
         }
         assert agg["hymm"] < agg["rwp"]
         assert agg["hymm"] < agg["op"]

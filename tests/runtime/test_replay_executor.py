@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.hymm.config import HyMMConfig
 from repro.runtime import JobSpec, SweepExecutor, execute_job
 from repro.runtime.cache import TraceStore
 from repro.sim.replay import RECORD_REQUIRED_KEYS, TraceSession
@@ -85,6 +86,17 @@ class TestExecutorRecordThenReplay:
         assert second["replay"]["replayed"] == first["replay"]["recorded"]
         assert second["replay"]["recorded"] == 0
         assert _canon(first) == _canon(second)
+
+    def test_traces_are_per_job(self, tmp_path):
+        """Jobs that differ in any config field keep separate traces,
+        even a field with no effect on simulated cycles."""
+        base = _spec(kind="op", config=HyMMConfig(unified_buffer=False))
+        variant = base.with_overrides(clock_ghz=2.0)
+        recorded = execute_job(base, trace_root_dir=str(tmp_path))["replay"]
+        first = execute_job(variant, trace_root_dir=str(tmp_path))["replay"]
+        assert first == {"replayed": 0, "recorded": recorded["recorded"]}
+        again = execute_job(variant, trace_root_dir=str(tmp_path))["replay"]
+        assert again == {"replayed": recorded["recorded"], "recorded": 0}
 
     def test_execute_job_replay_off_has_no_side_channel(self):
         doc = execute_job(_spec(), replay=False)

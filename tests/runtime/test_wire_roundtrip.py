@@ -60,14 +60,13 @@ def make_result() -> RunResult:
         config=HyMMConfig(n_pes=8),
         stats=make_stats(),
         outputs=[np.arange(6, dtype=np.float64).reshape(2, 3)],
-        phase_cycles={"combination": 10.0, "aggregation": 20.0},
-        phase_stats={"aggregation": {"cycles": 20, "hits": 4}},
         phase_snapshots={
             "layer0.aggregation": SimStats(
                 cycles=20, busy_cycles=9, buffer_hits=Counter({"X": 4})
             ),
             "drain": SimStats(cycles=3),
         },
+        phase_occupancy={"layer0.aggregation": {"W": 2, "XW": 5, "AXW": 0, "partial": 1}},
         sort_ms=1.5,
         wall_seconds=0.25,
         extra={"note": "fixture"},

@@ -103,23 +103,6 @@ class TestMerge:
         with pytest.raises(ValueError, match="bogus"):
             populated.merge(other)
 
-    def test_as_dict_keys(self, populated):
-        d = populated.as_dict()
-        for key in (
-            "cycles",
-            "alu_utilization",
-            "hit_rate",
-            "dram_total_bytes",
-            "requests_issued",
-            "partial_timeline",
-        ):
-            assert key in d
-
-    def test_as_dict_timeline_summary(self, populated):
-        populated.partial_timeline = [(64, 100), (128, 640), (192, 320)]
-        summary = populated.as_dict()["partial_timeline"]
-        assert summary == {"samples": 3, "peak_footprint_bytes": 640}
-
 
 class TestPhaseAttribution:
     def test_copy_is_independent(self, populated):
