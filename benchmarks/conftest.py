@@ -6,11 +6,10 @@ survive the run.  Simulations are memoised in-process
 (``repro.bench.runner``), so benches that read the same runs (Fig. 7,
 8, 9, 11) only pay for them once per session.
 
-Executions also record/replay phase traces through the shared trace
-tree by default (replay is bit-identical to live simulation), so
-re-running a bench after the first session replays instead of
-re-simulating.  ``pytest benchmarks --no-replay`` forces every run
-fully live -- the escape hatch for timing the simulator itself.
+The suite attaches no result cache, so every run simulates live and
+writes nothing: phase traces are recorded and replayed only through a
+cache, and a session never checks numbers replayed from traces that
+older code recorded.
 """
 
 from __future__ import annotations
@@ -20,22 +19,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--no-replay",
-        action="store_true",
-        default=False,
-        help="disable phase-trace record/replay; simulate every run live",
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    if config.getoption("--no-replay"):
-        from repro.bench.runner import configure_runtime
-
-        configure_runtime(replay=False)
 
 
 @pytest.fixture(scope="session")

@@ -44,8 +44,9 @@ fi
 run python -m pytest -x -q
 
 # Store layout (CI's bench-smoke job): a parallel fig7 run, its cached
-# rerun, then no record or trace may hold an inline array and the
-# output blobs must exist.
+# rerun, then no record or trace may hold an inline array, the output
+# blobs must exist, and no blob or trace may lie outside the cache's
+# own layout.
 store_dir="$(mktemp -d)"
 run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
     --cache-dir "$store_dir" --output "$store_dir/out"
@@ -54,9 +55,9 @@ run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
 run python scripts/check_store.py "$store_dir"
 rm -rf "$store_dir"
 
-# Replay-by-default end to end: a repeated submit against a cache-less
-# server must be served by replaying its recorded phase traces (the
-# smoke asserts it via /metrics) while still streaming progress.
+# Replay end to end: with its result record cleared, a repeated submit
+# must replay exactly the phases its first run recorded in the cache
+# (the smoke asserts it via /metrics) while still streaming progress.
 run python -m repro.serve smoke
 
 # Engine gate (CI's perf-smoke job): the batched engine must beat the

@@ -19,7 +19,7 @@ simulations the requested experiments need are collected up front and
 fanned out over ``--jobs`` worker processes, with results persisted in
 an on-disk cache (``~/.cache/hymm-repro`` or ``--cache-dir``) so a
 re-run completes without re-simulating.  ``--no-cache`` disables the
-disk cache for the invocation.
+cache, and with it phase-trace replay: nothing is written.
 """
 
 from __future__ import annotations

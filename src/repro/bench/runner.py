@@ -56,12 +56,9 @@ _MEMO_LIMIT = 256
 
 #: Process-wide execution defaults (set by :func:`configure_runtime`).
 _N_JOBS = 1
+#: Also where executions record and replay phase traces; without it
+#: every run simulates live.
 _DISK_CACHE: Optional[ResultCache] = None
-#: Phase-trace record/replay through the shared trace tree.  On (the
-#: production default) every uncached execution records its phase
-#: traces and repeated executions replay them; ``False`` forces every
-#: run fully live (the benchmarks' ``--no-replay`` escape hatch).
-_REPLAY = True
 
 
 def configure_runtime(
@@ -69,7 +66,6 @@ def configure_runtime(
     cache_dir: Optional[str] = None,
     disk_cache: Optional[bool] = None,
     memo_limit: Optional[int] = None,
-    replay: Optional[bool] = None,
 ) -> None:
     """Set process-wide execution defaults (used by the CLI).
 
@@ -77,12 +73,9 @@ def configure_runtime(
     :func:`run_sweep`; ``disk_cache=True`` attaches a persistent
     :class:`ResultCache` (at ``cache_dir`` or the default location),
     ``disk_cache=False`` detaches it; ``memo_limit`` resizes the
-    in-process memo; ``replay=False`` turns phase-trace record/replay
-    off for every execution lane this module drives (replay never
-    changes results -- see :mod:`repro.sim.replay` -- so this is a
-    performance-measurement knob, not a correctness one).
+    in-process memo.
     """
-    global _N_JOBS, _DISK_CACHE, _MEMO_LIMIT, _REPLAY
+    global _N_JOBS, _DISK_CACHE, _MEMO_LIMIT
     if n_jobs is not None:
         _N_JOBS = max(1, int(n_jobs))
     if disk_cache is True or (disk_cache is None and cache_dir is not None):
@@ -95,8 +88,6 @@ def configure_runtime(
         _MEMO_LIMIT = memo_limit
         while len(_CACHE) > _MEMO_LIMIT:
             _CACHE.popitem(last=False)
-    if replay is not None:
-        _REPLAY = bool(replay)
 
 
 def runtime_settings() -> Dict[str, object]:
@@ -106,7 +97,6 @@ def runtime_settings() -> Dict[str, object]:
         "disk_cache": _DISK_CACHE,
         "memo_limit": _MEMO_LIMIT,
         "memo_size": len(_CACHE),
-        "replay": _REPLAY,
     }
 
 
@@ -234,7 +224,6 @@ def run_sweep(
             timeout=timeout,
             retries=retries,
             progress=progress,
-            replay=_REPLAY,
         )
         executed = executor.run(todo)
         sweep.manifest = executed.manifest

@@ -13,7 +13,8 @@ and *which* experiments need the results (``repro.bench``):
   created.
 * :class:`ResultCache` -- persistent on-disk JSON records keyed by job
   fingerprint + schema/code version, so repeated figure/table runs and
-  CI re-runs skip already-simulated points.
+  CI re-runs skip already-simulated points, and the only home of
+  phase traces.
 * :class:`RunManifest` -- per-sweep accounting (queued/done/failed,
   cache hit rate, wall-clock per job) surfaced by the bench CLI.
 
@@ -27,13 +28,10 @@ from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.manifest import JobRecord, RunManifest
 from repro.runtime.executor import SweepExecutor, SweepResult
 from repro.runtime.execute import (
-    cache_trace_root,
     execute_job,
     execute_spec,
-    job_trace_session,
     make_accelerator,
     replay_summary,
-    trace_root,
 )
 
 __all__ = [
@@ -45,12 +43,9 @@ __all__ = [
     "RunManifest",
     "SweepExecutor",
     "SweepResult",
-    "cache_trace_root",
     "execute_job",
     "execute_spec",
-    "job_trace_session",
     "make_accelerator",
     "replay_summary",
-    "trace_root",
     "to_jsonable",
 ]

@@ -20,17 +20,17 @@ code that stores records::
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
         blobs/<h[0:2]>/<h>.npy  # output matrices, h = SHA-256 of the file
         manifests/              # sweep manifests (written by the CLI)
-        traces/                 # phase traces (see TraceStore)
+        traces/                 # phase traces (see job_trace_store)
 
 :class:`TraceStore` holds one job's phase traces flat in that job's
-own directory (``JobSpec.trace_dir``, already sharded by fingerprint)::
+own directory, sharded by fingerprint, and their output matrices in
+the cache's own ``blobs/`` (:func:`job_trace_store`)::
 
-    <trace root>/<fp[0:2]>/<fingerprint>/<phase signature>.json
+    <cache_dir>/traces/<fp[0:2]>/<fingerprint>/<phase signature>.json
 
-With the default trace root, ``<cache_dir>/traces``, trace records use
-the cache's own ``blobs/`` (see
-:func:`repro.runtime.execute.trace_blob_dir`); a relocated
-``REPRO_TRACE_DIR`` keeps its blobs in ``<trace root>/blobs``.
+Traces live only here: a job records and replays them exactly when it
+runs against a cache, and a job without one simulates live and writes
+nothing.
 
 Invalidation rules:
 
@@ -254,8 +254,8 @@ class ResultCache:
         self.corrupt = 0
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: Output matrices of every record (and, with the default trace
-        #: root, of every phase trace): ``<cache_dir>/blobs``.
+        #: Output matrices of every record and every phase trace:
+        #: ``<cache_dir>/blobs``.
         self.blobs = BlobStore(self.cache_dir / "blobs")
 
     def _path(self, fingerprint: str) -> pathlib.Path:
@@ -393,3 +393,15 @@ class TraceStore:
         if "output" in record:
             record = dict(record, output=self.blobs.put(np.asarray(record["output"])))
         return _write_record(self.root / f"{sig}.json", record)
+
+
+def job_trace_store(
+    cache_dir: Union[str, os.PathLike[str]], spec: JobSpec
+) -> TraceStore:
+    """``spec``'s phase traces in the cache at ``cache_dir``:
+    ``<cache_dir>/traces/<fp[0:2]>/<fp>``, one directory per job (so its
+    traces can be inspected, sized or evicted as a unit), with output
+    matrices in the result records' own ``<cache_dir>/blobs``."""
+    root = pathlib.Path(cache_dir)
+    fp = spec.fingerprint()
+    return TraceStore(root / "traces" / fp[:2] / fp, root / "blobs")

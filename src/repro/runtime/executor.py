@@ -20,11 +20,12 @@ a :class:`SweepResult` (results keyed by fingerprint + a
 * that wire document is also what the cache stores: this class is the
   only code that probes and stores results, and the serve front end and
   ``repro.bench`` run every job through it;
-* executed jobs record/replay phase traces by default (the production
-  path): each worker replays phases whose chained signature is already
-  in the job's trace directory and records the rest, reporting the
-  counts back through a side channel the parent folds into the
-  manifest's ``replay_hits``/``replay_misses``.
+* with a cache, executed jobs record/replay phase traces in it: each
+  worker replays phases whose chained signature is already in the
+  job's trace directory and records the rest, reporting the counts
+  back through a side channel the parent folds into the manifest's
+  ``replay_hits``/``replay_misses``.  Without a cache, jobs simulate
+  live and nothing is written.
 
 A failed job (after retries) is recorded in the manifest and simply
 absent from the results -- callers decide whether that is fatal.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.hymm.base import RunResult
-from repro.runtime.execute import cache_trace_root, execute_job
+from repro.runtime.execute import execute_job
 from repro.runtime.cache import ResultCache
 from repro.runtime.job import JobSpec
 from repro.runtime.manifest import (
@@ -151,8 +152,6 @@ class SweepExecutor:
         runner: Optional[Callable[[JobSpec], object]] = None,
         progress: Optional[ProgressFn] = None,
         batch_by_workload: bool = True,
-        replay: bool = True,
-        trace_root: Optional[str] = None,
         keep_docs: bool = False,
     ):
         if timeout is not None and timeout <= 0:
@@ -163,21 +162,12 @@ class SweepExecutor:
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
-        #: Phase-trace record/replay is the production path: the
-        #: default runner records each executed phase and replays it on
-        #: the next execution of the same signature (see
-        #: :func:`repro.runtime.execute.execute_job`).  ``replay=False``
-        #: forces fully live simulation; ``trace_root`` redirects the
-        #: trace tree (default: next to the result cache).  A custom
-        #: ``runner`` manages its own replay sessions -- both knobs
-        #: apply only to the built-in runner.
-        self.replay = replay
-        if replay and trace_root is None:
-            trace_root = cache_trace_root(cache)
-        self.trace_root = trace_root
+        #: The built-in runner records and replays phase traces in the
+        #: cache (a picklable directory string reaches pool workers).
         self.runner: Callable[[JobSpec], object] = (
             runner if runner is not None else functools.partial(
-                execute_job, replay=replay, trace_root_dir=trace_root
+                execute_job,
+                cache_dir=str(cache.cache_dir) if cache is not None else None,
             )
         )
         self.progress = progress

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -144,18 +143,6 @@ class JobSpec:
             feature_length=data.get("feature_length"),
             corr_id=data.get("corr_id"),
         )
-
-    def trace_dir(self, root: str) -> str:
-        """This job's phase-trace directory under ``root``.
-
-        One directory per job fingerprint, hash-prefixed one level so a
-        long-lived trace tree never piles every job into one flat dir.
-        The chained phase signatures inside are already collision-free
-        across jobs; the per-job directory exists so a job's traces can
-        be inspected, sized, or evicted as a unit.
-        """
-        fp = self.fingerprint()
-        return os.path.join(root, fp[:2], fp)
 
     def with_overrides(self, **config_overrides) -> "JobSpec":
         """A copy whose config applies ``config_overrides`` on top of the

@@ -93,8 +93,8 @@ class RunManifest:
     #: Phase-trace replay accounting across every executed job: phases
     #: served from the trace store vs simulated live and recorded (the
     #: record-on-miss, replay-on-hit production path).  Both stay zero
-    #: when replay is disabled (``REPRO_TRACE_DIR=off``) or every job
-    #: was a result-cache hit.
+    #: when the sweep has no result cache (no traces without one) or
+    #: every job was a result-cache hit.
     replay_hits: int = 0
     replay_misses: int = 0
 

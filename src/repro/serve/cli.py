@@ -24,12 +24,12 @@ Subcommands:
 ``shutdown``
     Ask a running server to exit.
 ``smoke``
-    Self-hosted replay smoke: run a cache-less server with a throwaway
-    trace tree, execute a tiny job, force it out of the terminal-job
-    registry, submit it again, and assert via ``/metrics`` that the
-    repeat was *replayed* from its recorded phase traces (and still
-    streamed per-phase progress).  The CI guard for the
-    replay-by-default serving path.
+    Self-hosted replay smoke: run a server over a throwaway result
+    cache, execute a tiny job, force it out of the terminal-job
+    registry, clear the cache's result records (its phase traces
+    stay), submit it again, and assert via ``/metrics`` that the
+    repeat replayed exactly the phases the first run recorded (and
+    still streamed per-phase progress).
 
 Runtime/bench imports happen inside the handlers -- the CLI must be
 importable (e.g. for ``--help``) without dragging the workload layer
@@ -83,13 +83,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.cache import ResultCache
     from repro.serve.server import ServeSettings, SweepServer
     from repro.telemetry import configure_logging, install_recorder
-
-    # Replay knobs ride on the env var so pool workers (which re-derive
-    # their trace sessions process-locally) see the same setting.
-    if args.no_replay:
-        os.environ["REPRO_TRACE_DIR"] = "off"
-    elif args.trace_dir:
-        os.environ["REPRO_TRACE_DIR"] = args.trace_dir
 
     # Telemetry wiring: --log enables NDJSON structured logging (a
     # path, or '-' for stderr; the REPRO_TELEMETRY_LOG env var is the
@@ -200,10 +193,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_smoke(args: argparse.Namespace) -> int:
     """Self-hosted replay smoke (see the module doc)."""
-    import os
     import tempfile
 
     from repro.bench.runner import job_spec
+    from repro.runtime.cache import ResultCache
     from repro.serve.client import ServeClient
     from repro.serve.server import ServerThread, ServeSettings
 
@@ -215,13 +208,10 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     evictor = job_spec(args.dataset, args.kind, scale=args.scale, n_layers=1, seed=1)
     settings = ServeSettings(registry_limit=1)
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
-        server = ServerThread(
-            cache=None,
-            settings=settings,
-            trace_root=os.path.join(tmp, "traces"),
-        )
-        with server as srv:
+        cache = ResultCache(tmp)
+        with ServerThread(cache=cache, settings=settings) as srv:
             with ServeClient(srv.host, srv.port) as client:
+                recorded = 0
                 for label, spec in (("probe", probe), ("evictor", evictor)):
                     response = client.submit(spec.to_dict(), wait=True)
                     if response.get("status") != "done":
@@ -231,6 +221,12 @@ def cmd_smoke(args: argparse.Namespace) -> int:
                             file=sys.stderr,
                         )
                         return 1
+                    if label == "probe":
+                        metrics = client.request({"op": "metrics"})
+                        recorded = metrics.get("replay", {}).get("misses", 0)
+                # Delete the result records and keep the traces: the
+                # only way a job run against a cache reaches replay.
+                cache.clear()
                 repeat = client.submit(probe.to_dict(), wait=True)
                 metrics = client.request({"op": "metrics"})
                 exposition = client.metrics_prometheus()
@@ -248,13 +244,13 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         )
         return 1
     replay = metrics.get("replay", {})
-    hits, misses = replay.get("hits", 0), replay.get("misses", 0)
-    # The two first executions record every phase (misses); the repeat
-    # must replay every one of its phases (hits).
-    if not replay.get("enabled") or hits < 1 or misses < 1:
+    hits = replay.get("hits", 0)
+    # The probe records every phase live; its repeat must replay exactly
+    # those phases.
+    if not replay.get("enabled") or recorded < 1 or hits != recorded:
         print(
-            f"SMOKE FAIL: repeated submit did not replay "
-            f"(replay metrics: {replay})",
+            f"SMOKE FAIL: repeated submit replayed {hits} phase(s), "
+            f"the probe recorded {recorded} (replay metrics: {replay})",
             file=sys.stderr,
         )
         return 1
@@ -276,7 +272,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         return 1
     print(
         f"serve smoke ok: repeat of {probe.describe()} re-executed with "
-        f"{hits} phase(s) replayed ({misses} recorded live), "
+        f"{hits} phase(s) replayed ({recorded} recorded by the probe), "
         f"{len(repeat['phases'])} progress rows streamed; prometheus "
         f"scrape valid ({exposition_stats['families']} families, "
         f"{exposition_stats['samples']} samples)"
@@ -304,13 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: repo cache)")
     p.add_argument("--no-cache", action="store_true",
-                   help="serve without a result cache (every submit executes)")
-    p.add_argument("--trace-dir", default=None,
-                   help="phase-trace tree for record/replay (default: "
-                   "<cache dir>/traces)")
-    p.add_argument("--no-replay", action="store_true",
-                   help="disable phase-trace record/replay (every executed "
-                   "job simulates fully live)")
+                   help="serve without a result cache (every submit "
+                   "simulates live; nothing is written)")
     p.add_argument("--workers", type=int, default=1,
                    help="SweepExecutor width per batch (1 = serial with "
                    "live phase progress)")

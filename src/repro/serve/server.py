@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.hymm.base import RunResult
 from repro.obs.tracer import PhaseFeed
 from repro.runtime.cache import ResultCache
-from repro.runtime.execute import cache_trace_root, execute_job
+from repro.runtime.execute import execute_job
 from repro.runtime.executor import SweepExecutor, SweepResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
 from repro.runtime.manifest import STATUS_FAILED
@@ -405,16 +405,11 @@ class SweepServer:
         cache: Optional[ResultCache] = None,
         settings: Optional[ServeSettings] = None,
         runner: Optional[Callable[[JobSpec], object]] = None,
-        trace_root: Optional[str] = None,
     ) -> None:
+        #: Also the home of phase traces: executed jobs record and
+        #: replay them here, and a cache-less server simulates live.
         self.cache = cache
         self.settings = settings if settings is not None else ServeSettings()
-        # Phase-trace replay is on by default, with traces next to the
-        # result cache (see ``cache_trace_root``); ``trace_root`` pins
-        # the tree explicitly.  ``None`` after resolution = replay off.
-        if trace_root is None:
-            trace_root = cache_trace_root(cache)
-        self.trace_root = trace_root
         #: Test seam: forces serial execution through this callable.
         self._runner = runner
         #: Per-server instrument namespace: ServerThreads in one test
@@ -784,7 +779,7 @@ class SweepServer:
             },
             "cache": cache_stats,
             "replay": {
-                "enabled": self.trace_root is not None,
+                "enabled": self.cache is not None,
                 "hits": m.replay_hits,
                 "misses": m.replay_misses,
             },
@@ -871,6 +866,7 @@ class SweepServer:
         runner = self._runner
         if runner is None and n_jobs <= 1:
             by_fingerprint = {entry.fingerprint: entry for entry in batch}
+            cache_dir = str(self.cache.cache_dir) if self.cache is not None else None
 
             def feed_runner(spec: JobSpec) -> Dict[str, object]:
                 entry = by_fingerprint[spec.fingerprint()]
@@ -889,8 +885,7 @@ class SweepServer:
                 # see per-phase progress either way.
                 return execute_job(
                     spec,
-                    replay=self.trace_root is not None,
-                    trace_root_dir=self.trace_root,
+                    cache_dir=cache_dir,
                     tracer=PhaseFeed(on_phase),
                 )
 
@@ -902,8 +897,6 @@ class SweepServer:
             retries=self.settings.retries,
             timeout=self.settings.timeout,
             runner=runner,
-            replay=self.trace_root is not None,
-            trace_root=self.trace_root,
             keep_docs=True,
         )
         return executor.run([entry.spec for entry in batch])
@@ -960,16 +953,10 @@ class ServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         runner: Optional[Callable[[JobSpec], object]] = None,
-        trace_root: Optional[str] = None,
     ) -> None:
         import threading
 
-        self.server = SweepServer(
-            cache=cache,
-            settings=settings,
-            runner=runner,
-            trace_root=trace_root,
-        )
+        self.server = SweepServer(cache=cache, settings=settings, runner=runner)
         self.host = host
         self.port = port
         self._want_host, self._want_port = host, port

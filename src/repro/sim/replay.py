@@ -30,16 +30,16 @@ rational (the simulator builds cycle values from ``max`` and additions
 of on-grid quantities), so JSON round-trips the state exactly.
 
 The seed hashes the whole ``config.to_dict()``.  Each job keeps its
-traces in its own fingerprint directory (``JobSpec.trace_dir``), and
-the fingerprint hashes the whole config too, so two jobs never share a
-trace whatever knobs they differ in.
+traces in its own fingerprint directory of the result cache
+(:func:`repro.runtime.cache.job_trace_store`), and the fingerprint
+hashes the whole config too, so two jobs never share a trace whatever
+knobs they differ in.
 
 Storage is a :class:`repro.runtime.cache.TraceStore`: one
 ``<sig>.json`` per phase in the job's own trace directory, with the
 phase's output matrix stored once as a content-addressed ``.npy`` blob
-that the record names by hash (with the default trace root, in the
-result cache's own ``blobs/``, so a job output and the phase output it
-came from share one file).  Writes are atomic; a corrupt record, or
+that the record names by hash (in the result cache's own ``blobs/``,
+so a job output and the phase output it came from share one file).  Writes are atomic; a corrupt record, or
 one whose blob is missing or fails its hash check, is evicted and the
 phase simulates live.  The run loop hands the store the output array
 and gets the array back, so replay never encodes it as text.

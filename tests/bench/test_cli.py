@@ -147,7 +147,12 @@ class TestRuntimeIntegration:
 
     def test_no_cache_skips_disk(self, tmp_path):
         from repro.bench.runner import runtime_settings
+        from repro.runtime import default_cache_dir
 
-        out = main(["fig2", "--datasets", "cora", "--no-cache"])
+        out = main(["fig7", "--datasets", "cora", "--no-cache"])
         assert out == 0
         assert runtime_settings()["disk_cache"] is None
+        # Neither result records nor phase traces: the default cache
+        # directory is never created.
+        assert default_cache_dir() == tmp_path / "hymm-cache"
+        assert not default_cache_dir().exists()

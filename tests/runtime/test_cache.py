@@ -15,7 +15,7 @@ from repro.runtime import (
     default_cache_dir,
     execute_spec,
 )
-from repro.runtime.cache import BlobStore, TraceStore
+from repro.runtime.cache import BlobStore, job_trace_store
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +145,13 @@ class TestShardedLayout:
         assert cache.load(spec) is not None
 
     def test_trace_store_is_flat_in_the_job_trace_dir(self, tmp_path, spec):
-        store = TraceStore(spec.trace_dir(str(tmp_path)))
+        store = job_trace_store(tmp_path, spec)
         sig = "ab" * 32
         path = store.store_trace(sig, {"phase": "p0"})
         fp = spec.fingerprint()
-        assert path == tmp_path / fp[:2] / fp / f"{sig}.json"
+        assert path == tmp_path / "traces" / fp[:2] / fp / f"{sig}.json"
         assert store.load_trace(sig) == {"phase": "p0"}
+        assert store.blobs.root == tmp_path / "blobs"
 
     def test_hit_rate_property(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
@@ -352,32 +353,16 @@ class TestOutputBlobs:
             for p in tmp_path.rglob("*.npy")
         )
 
-    def test_relocated_trace_root_keeps_its_own_blobs(
-        self, tmp_path, monkeypatch, spec
-    ):
+    def test_no_cache_writes_nothing(self, tmp_path, spec, result):
         from repro.runtime import SweepExecutor
 
-        elsewhere = tmp_path / "elsewhere"
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
-        cache = ResultCache(tmp_path / "cache")
-        SweepExecutor(cache=cache).run([spec])
-        assert _blob_files(elsewhere) and _blob_files(tmp_path / "cache")
-        assert not (tmp_path / "cache" / "traces").exists()
-
-    def test_replay_off_still_stores_and_returns_outputs(
-        self, tmp_path, monkeypatch, spec, result
-    ):
-        from repro.runtime import SweepExecutor
-
-        monkeypatch.setenv("REPRO_TRACE_DIR", "off")
-        cache = ResultCache(tmp_path)
-        SweepExecutor(cache=cache).run([spec])
-        assert not (tmp_path / "traces").exists()
-        assert _blob_files(tmp_path)
-        loaded = ResultCache(tmp_path).load(spec)
-        assert loaded is not None
-        for ours, theirs in zip(result.outputs, loaded.outputs):
+        sweep = SweepExecutor().run([spec])
+        assert sweep.manifest.executed == 1
+        assert sweep.manifest.replay_hits == 0
+        assert sweep.manifest.replay_misses == 0
+        for ours, theirs in zip(result.outputs, sweep.for_spec(spec).outputs):
             assert np.array_equal(ours, theirs)
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_no_record_or_trace_holds_inline_arrays(self, tmp_path):
         from repro.runtime import SweepExecutor

@@ -1,8 +1,11 @@
 """Replay as the production execution path.
 
-``SweepExecutor`` / ``execute_job`` record phase traces on first
-execution and replay them on repeats, with the manifest carrying
-honest ``replay_hits`` / ``replay_misses`` phase counters.  Replay is
+``SweepExecutor`` / ``execute_job`` running against a result cache
+record phase traces on first execution and replay them on repeats,
+with the manifest carrying honest ``replay_hits`` / ``replay_misses``
+phase counters.  A cached job reaches replay only after its result
+record is gone (``ResultCache.clear`` deletes records and keeps the
+traces), which is the scenario these tests build.  Replay is
 bit-identical to live simulation by contract, so these tests pin three
 things: the counters tell the truth, repeated runs produce identical
 serialised results, and a corrupt or stale trace record degrades to a
@@ -16,7 +19,7 @@ import json
 import pytest
 
 from repro.hymm.config import HyMMConfig
-from repro.runtime import JobSpec, SweepExecutor, execute_job
+from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_job
 from repro.runtime.cache import TraceStore
 from repro.sim.replay import RECORD_REQUIRED_KEYS, TraceSession
 
@@ -27,8 +30,9 @@ def _spec(kind="op", **kw):
     return JobSpec(**base)
 
 
-def _trace_files(trace_root):
-    return [p for p in trace_root.rglob("*.json") if not p.name.startswith(".")]
+def _trace_files(cache_dir):
+    return [p for p in (cache_dir / "traces").rglob("*.json")
+            if not p.name.startswith(".")]
 
 
 def _canon(doc):
@@ -41,10 +45,13 @@ def _canon(doc):
 class TestExecutorRecordThenReplay:
     def test_second_sweep_replays_bit_identical(self, tmp_path):
         specs = [_spec(), _spec(kind="rwp")]
-        first = SweepExecutor(n_jobs=1, trace_root=str(tmp_path)).run(specs)
+        cache = ResultCache(tmp_path)
+        first = SweepExecutor(n_jobs=1, cache=cache).run(specs)
         assert first.manifest.replay_misses > 0
         assert first.manifest.replay_hits == 0
-        second = SweepExecutor(n_jobs=1, trace_root=str(tmp_path)).run(specs)
+        assert cache.clear() == len(specs)
+        second = SweepExecutor(n_jobs=1, cache=cache).run(specs)
+        assert second.manifest.executed == len(specs)
         # Every phase recorded by the first sweep replays in the second.
         assert second.manifest.replay_hits == first.manifest.replay_misses
         assert second.manifest.replay_misses == 0
@@ -54,35 +61,37 @@ class TestExecutorRecordThenReplay:
             )
 
     def test_manifest_serialises_replay_counters(self, tmp_path):
-        sweep = SweepExecutor(n_jobs=1, trace_root=str(tmp_path)).run([_spec()])
+        cache = ResultCache(tmp_path)
+        sweep = SweepExecutor(n_jobs=1, cache=cache).run([_spec()])
         payload = sweep.manifest.to_dict()
         assert payload["replay_misses"] == sweep.manifest.replay_misses > 0
         assert payload["replay_hits"] == 0
+        cache.clear()
         assert "replay" in SweepExecutor(
-            n_jobs=1, trace_root=str(tmp_path)
+            n_jobs=1, cache=cache
         ).run([_spec()]).manifest.summary()
 
     def test_traces_colocate_with_result_cache(self, tmp_path):
         # ``--cache-dir /x`` must keep traces next to the records it
-        # isolates, not leak them into the process-wide default root.
-        from repro.runtime import ResultCache
-
+        # isolates, not leak them into the default cache directory.
         cache = ResultCache(tmp_path / "c")
         sweep = SweepExecutor(n_jobs=1, cache=cache).run([_spec()])
         assert sweep.manifest.replay_misses > 0
-        assert _trace_files(tmp_path / "c" / "traces")
+        assert _trace_files(tmp_path / "c")
+        assert not (tmp_path / "hymm-cache").exists()
 
     def test_replay_disabled_counts_nothing(self, tmp_path):
+        # No cache, no traces: every run simulates live.
         for _ in range(2):
-            sweep = SweepExecutor(n_jobs=1, replay=False).run([_spec()])
+            sweep = SweepExecutor(n_jobs=1).run([_spec()])
             assert sweep.manifest.replay_hits == 0
             assert sweep.manifest.replay_misses == 0
 
     def test_execute_job_side_channel(self, tmp_path):
-        first = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        first = execute_job(_spec(), cache_dir=str(tmp_path))
         assert first["replay"]["recorded"] > 0
         assert first["replay"]["replayed"] == 0
-        second = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        second = execute_job(_spec(), cache_dir=str(tmp_path))
         assert second["replay"]["replayed"] == first["replay"]["recorded"]
         assert second["replay"]["recorded"] == 0
         assert _canon(first) == _canon(second)
@@ -92,42 +101,42 @@ class TestExecutorRecordThenReplay:
         even a field with no effect on simulated cycles."""
         base = _spec(kind="op", config=HyMMConfig(unified_buffer=False))
         variant = base.with_overrides(clock_ghz=2.0)
-        recorded = execute_job(base, trace_root_dir=str(tmp_path))["replay"]
-        first = execute_job(variant, trace_root_dir=str(tmp_path))["replay"]
+        recorded = execute_job(base, cache_dir=str(tmp_path))["replay"]
+        first = execute_job(variant, cache_dir=str(tmp_path))["replay"]
         assert first == {"replayed": 0, "recorded": recorded["recorded"]}
-        again = execute_job(variant, trace_root_dir=str(tmp_path))["replay"]
+        again = execute_job(variant, cache_dir=str(tmp_path))["replay"]
         assert again == {"replayed": recorded["recorded"], "recorded": 0}
 
     def test_execute_job_replay_off_has_no_side_channel(self):
-        doc = execute_job(_spec(), replay=False)
+        doc = execute_job(_spec())
         assert "replay" not in doc
 
 
 class TestFallback:
     def test_corrupt_traces_fall_back_live(self, tmp_path):
-        baseline = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        baseline = execute_job(_spec(), cache_dir=str(tmp_path))
         files = _trace_files(tmp_path)
         assert files
         for path in files:
             path.write_text("{ not json", encoding="utf-8")
-        rerun = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        rerun = execute_job(_spec(), cache_dir=str(tmp_path))
         # Every phase missed (the store evicted the garbage) and was
         # re-recorded live; the result is still bit-identical.
         assert rerun["replay"]["replayed"] == 0
         assert rerun["replay"]["recorded"] == baseline["replay"]["recorded"]
         assert _canon(rerun) == _canon(baseline)
         # The re-recorded tree is healthy again.
-        healed = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        healed = execute_job(_spec(), cache_dir=str(tmp_path))
         assert healed["replay"]["replayed"] > 0
 
     @pytest.mark.parametrize("missing", sorted(RECORD_REQUIRED_KEYS))
     def test_stale_record_missing_key_is_miss(self, tmp_path, missing):
-        baseline = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        baseline = execute_job(_spec(), cache_dir=str(tmp_path))
         for path in _trace_files(tmp_path):
             record = json.loads(path.read_text(encoding="utf-8"))
             record.pop(missing, None)
             path.write_text(json.dumps(record), encoding="utf-8")
-        rerun = execute_job(_spec(), trace_root_dir=str(tmp_path))
+        rerun = execute_job(_spec(), cache_dir=str(tmp_path))
         assert rerun["replay"]["replayed"] == 0
         assert rerun["replay"]["recorded"] == baseline["replay"]["recorded"]
         assert _canon(rerun) == _canon(baseline)

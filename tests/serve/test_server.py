@@ -94,6 +94,23 @@ class TestColdWarm:
         fp = spec.fingerprint()
         assert (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").exists()
 
+    def test_cacheless_server_writes_nothing(self, tmp_path, spec):
+        """Without a result cache a submit simulates live: no record,
+        no phase trace, and the default cache directory is never
+        created."""
+        from repro.runtime import default_cache_dir
+
+        with ServerThread(cache=None) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                done = client.submit(spec.to_dict())
+                assert done["status"] == "done"
+                assert done["source"] == "executed"
+                assert done["phases"], "live phase progress missing"
+                replay = client.metrics()["replay"]
+        assert replay == {"enabled": False, "hits": 0, "misses": 0}
+        assert default_cache_dir() == tmp_path / "hymm-cache"
+        assert not default_cache_dir().exists()
+
     def test_sweep_written_record_served_as_is(self, tmp_path, spec):
         """A batch sweep and the server share one layout: the record a
         sweep stored is answered from disk without being moved."""
