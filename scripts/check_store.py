@@ -6,11 +6,15 @@
 (``$REPRO_CACHE_DIR`` or ``~/.cache/hymm-repro``).  Prints the bytes
 held by result records, phase traces and output blobs, then exits 1 if
 
-* ``CACHE_DIR/blobs`` is missing, or any ``*.json`` under ``CACHE_DIR``
-  holds an inline array (``data_b64``): every output matrix must live
-  in the content-addressed blob store, once;
+* ``CACHE_DIR/blobs`` is missing, or any result or trace record -- read
+  through the store's own reader, since records are compressed -- is
+  unreadable or holds an inline array (``data_b64``): every output
+  matrix must live in the content-addressed blob store, once;
 * any ``*.npy`` lies outside ``CACHE_DIR/blobs``: result records and
   phase traces share that one blob store;
+* any blob is named by no result or trace record: traces keep no
+  output of their own, so every blob is some result's output;
+* a combination trace names an output: only aggregation traces do;
 * any trace record lies outside ``CACHE_DIR/traces/<fp[0:2]>/<fp>/``
   (``fp`` the 64-hex job fingerprint): each job's traces live in its
   own directory of the cache.
@@ -21,7 +25,9 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+
+from repro.runtime.cache import decode_record, default_cache_dir
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
@@ -35,18 +41,46 @@ def _trace_dir_ok(parts: Tuple[str, ...]) -> bool:
     )
 
 
+def _dicts(value: Any) -> Iterator[Dict[str, Any]]:
+    """Every JSON object nested in ``value``, itself included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _dicts(item)
+
+
+def _check_record(
+    path: Path, kind: str, named: Set[str], problems: List[str]
+) -> None:
+    """Add the blobs ``path`` names to ``named``, and what is wrong with
+    it to ``problems``."""
+    try:
+        record = decode_record(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        problems.append(f"{path} is unreadable: {exc}")
+        return
+    if any("data_b64" in d for d in _dicts(record)):
+        problems.append(f"{path} holds an inline array (data_b64)")
+    if kind == "records":
+        refs = record.get("result", {}).get("outputs", [])
+    else:
+        refs = [record["output"]] if "output" in record else []
+        if refs and str(record.get("phase", "")).endswith(".combination"):
+            problems.append(f"{path} is a combination trace naming an output")
+    named.update(ref["blob"] for ref in refs if isinstance(ref, dict) and "blob" in ref)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args:
-        root = Path(args[0])
-    else:
-        from repro.runtime import default_cache_dir
-
-        root = default_cache_dir()
+    root = Path(args[0]) if args else default_cache_dir()
     totals: Dict[str, List[int]] = {
         "records": [0, 0], "traces": [0, 0], "blobs": [0, 0], "other": [0, 0],
     }
     problems: List[str] = []
+    named: Set[str] = set()
+    blobs: List[Path] = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         parts = path.relative_to(root).parts
         top = parts[0]
@@ -58,18 +92,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             kind = "other"
         totals[kind][0] += 1
         totals[kind][1] += path.stat().st_size
-        if path.suffix == ".npy" and top != "blobs":
-            problems.append(f"{path} is a blob outside {root / 'blobs'}")
-        if (kind == "traces" and path.suffix == ".json"
-                and not _trace_dir_ok(parts)):
+        if path.suffix == ".npy":
+            if top == "blobs":
+                blobs.append(path)
+            else:
+                problems.append(f"{path} is a blob outside {root / 'blobs'}")
+        if kind == "traces" and path.suffix == ".json" and not _trace_dir_ok(parts):
             problems.append(
                 f"{path} is a trace record outside "
                 f"{root / 'traces'}/<fp[0:2]>/<fp>/"
             )
-        if path.suffix == ".json" and "data_b64" in path.read_text(
-            encoding="utf-8", errors="replace"
-        ):
-            problems.append(f"{path} holds an inline array (data_b64)")
+        if kind in ("records", "traces") and path.suffix == ".json":
+            _check_record(path, kind, named, problems)
+    problems += [
+        f"{path} is a blob no result or trace record names"
+        for path in blobs if path.stem not in named
+    ]
     for kind, (files, size) in totals.items():
         print(f"{kind:8s} {files:6d} files {size:12,d} bytes")
     if not (root / "blobs").is_dir():

@@ -59,13 +59,10 @@ class GCoDAccelerator(AcceleratorBase):
         n = sorted_norm.shape[0]
         sparse_cluster = sorted_norm.submatrix(plan.threshold, n, 0, n)
 
-        def unpermute(matrix: np.ndarray) -> np.ndarray:
-            return matrix[perm]
-
         return {
             "features": dataset.features.permute_rows(perm),
             "sort_ms": sort.elapsed_ms,  # partitioning cost proxy
-            "unpermute": unpermute,
+            "permutation": perm,
             "plan": plan,
             "sparse_cluster_csc": coo_to_csc(sparse_cluster),
         }

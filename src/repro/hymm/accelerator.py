@@ -84,17 +84,12 @@ class HyMMAccelerator(AcceleratorBase):
         low_rows = sorted_norm.submatrix(plan.threshold, n, 0, n)
         features_sorted = dataset.features.permute_rows(perm)
 
-        def unpermute(matrix: np.ndarray) -> np.ndarray:
-            # Row `perm[old]` of the sorted result belongs to node `old`.
-            return matrix[perm]
-
         return {
             "features": features_sorted,
             "sort_ms": sort_ms,
-            "unpermute": unpermute,
+            "permutation": perm,
             "plan": plan,
             "low_rows_csr": coo_to_csr(low_rows),
-            "permutation": perm,
         }
 
     def run_aggregation(

@@ -182,10 +182,11 @@ class AcceleratorBase:
         Returns a dict; the base implementation provides the feature
         matrix unchanged and no adjacency representation (subclasses
         add theirs).  Keys consumed by the run loop: ``features``
-        (CSRMatrix), ``sort_ms`` (float), ``unpermute`` (callable or
-        None).
+        (CSRMatrix), ``sort_ms`` (float), ``permutation`` (the node
+        relabelling the operands were built in, ``permutation[node] =
+        row``, or None).
         """
-        return {"features": model.dataset.features, "sort_ms": 0.0, "unpermute": None}
+        return {"features": model.dataset.features, "sort_ms": 0.0, "permutation": None}
 
     def run_combination(
         self, ctx: KernelContext, prep: dict, features: CSRMatrix, weights: np.ndarray
@@ -217,11 +218,12 @@ class AcceleratorBase:
 
         ``replay_session`` (optional, a
         :class:`repro.sim.replay.TraceSession`) turns on the trace
-        record/replay lane: phases whose chained signature hits the
-        trace store are *replayed* -- restore the recorded post-phase
-        state, merge the recorded stats delta -- instead of simulated,
-        bit-identically (see the exactness argument in
-        :mod:`repro.sim.replay`); misses simulate live and record.
+        record/replay lane: layers whose two phase signatures both hit
+        the trace store are *replayed* -- restore the recorded
+        post-phase state, merge the recorded stats delta, take the
+        stored output -- instead of simulated, bit-identically (see the
+        exactness argument in :mod:`repro.sim.replay`); any other layer
+        simulates live and records both phases.
         Replay is disabled while a full tracer is attached (the engine
         and buffer events it narrates only exist during live
         simulation), but recording still runs.  Tracers that consume
@@ -255,7 +257,15 @@ class AcceleratorBase:
         if tracer.enabled:
             tracer.instant("prepare", engine.drain(), "phase")
         features: CSRMatrix = prep["features"]
-        unpermute = prep.get("unpermute")
+        perm = prep.get("permutation")
+
+        def to_original(matrix: np.ndarray) -> np.ndarray:
+            """Rows of a relabelled matrix in original node order."""
+            return matrix if perm is None else matrix[perm]
+
+        def to_relabelled(matrix: np.ndarray) -> np.ndarray:
+            """Inverse of ``to_original`` (an exact gather)."""
+            return matrix if perm is None else matrix[np.argsort(perm)]
 
         outputs: List[np.ndarray] = []
         phase_snapshots: Dict[str, SimStats] = {}
@@ -310,13 +320,12 @@ class AcceleratorBase:
             not tracer.enabled or tracer.replay_compatible
         )
 
-        def apply_trace(name: str, rec: Dict[str, object]) -> np.ndarray:
+        def apply_trace(name: str, rec: Dict[str, object]) -> None:
             """Apply one recorded phase: restore the post-phase
             simulator state, merge the stats delta (cycles zeroed --
             run totals are assigned once, at the end, from the restored
             state), and close the phase exactly as the live path would
-            from that state.  ``rec["output"]`` is already the array
-            (the trace store resolved its blob)."""
+            from that state."""
             buffer.restore_state(rec["buffer"])
             engine.restore_state(rec["engine"])
             dram.next_free = float(rec["dram_next_free"])
@@ -324,17 +333,13 @@ class AcceleratorBase:
             delta.cycles = 0
             stats.merge(delta)
             close_phase(name, occupancy=rec["occupancy"])
-            return rec["output"]
 
-        def trace_record(out: np.ndarray, name: str) -> Dict[str, object]:
+        def trace_record(name: str) -> Dict[str, object]:
             """The phase record `apply_trace` consumes, captured from
-            the live simulator right after the phase closed.  The
-            output travels as the array itself; the trace store keeps
-            it as a content-addressed blob."""
+            the live simulator right after the phase closed."""
             return {
                 "stats": phase_snapshots[name].to_dict(),
                 "occupancy": phase_occupancy[name],
-                "output": out,
                 "buffer": buffer.snapshot_state(),
                 "engine": engine.snapshot_state(),
                 "dram_next_free": dram.next_free,
@@ -343,44 +348,48 @@ class AcceleratorBase:
         for layer_idx, layer in enumerate(model.layers):
             ctx = KernelContext(cfg, engine, buffer, amap, pe, smq, layer=layer_idx)
             comb_name = f"layer{layer_idx}.combination"
+            agg_name = f"layer{layer_idx}.aggregation"
             comb_sig = replay.next_signature(comb_name) if replay is not None else ""
-            rec = replay.lookup(comb_sig, comb_name) if use_replay else None
-            if rec is not None:
-                xw = apply_trace(comb_name, rec)
+            agg_sig = replay.next_signature(agg_name) if replay is not None else ""
+            recs = (
+                replay.lookup_layer(comb_sig, comb_name, agg_sig, agg_name)
+                if use_replay else None
+            )
+            if recs is not None:
+                # The layer replays whole: its aggregation record names
+                # the layer's output as ``outputs`` holds it.
+                apply_trace(comb_name, recs[0])
+                apply_trace(agg_name, recs[1])
+                outputs.append(recs[1]["output"])
+                dense_h = None
             else:
                 if layer_idx == 0:
                     xw = self.run_combination(ctx, prep, features, layer.weights)
                 else:
+                    if dense_h is None:
+                        # The previous layer replayed.
+                        dense_h = to_relabelled(outputs[-1])
                     xw = combination_dense(ctx, dense_h, layer.weights)
                 close_phase(comb_name)
                 if replay is not None:
-                    replay.record(comb_sig, comb_name, trace_record(xw, comb_name))
-
-            agg_name = f"layer{layer_idx}.aggregation"
-            agg_sig = replay.next_signature(agg_name) if replay is not None else ""
-            rec = replay.lookup(agg_sig, agg_name) if use_replay else None
-            if rec is not None:
-                axw = apply_trace(agg_name, rec)
-            else:
+                    replay.record(comb_sig, comb_name, trace_record(comb_name))
                 axw = self.run_aggregation(ctx, prep, xw)
                 close_phase(agg_name)
-
-            raw_axw = axw
-            if layer.activation is not None:
-                axw = relu(axw)
-            dense_h = axw
-            outputs.append(axw if unpermute is None else unpermute(axw))
+                if layer.activation is not None:
+                    axw = relu(axw)
+                dense_h = axw
+                outputs.append(to_original(axw))
             # W and XW are dead after the aggregation consumed them.
             buffer.invalidate(CLASS_W)
             buffer.invalidate(CLASS_XW)
-            if replay is not None and rec is None:
+            if replay is not None and recs is None:
                 # Aggregation records capture state *after* the W/XW
-                # invalidates: a replayed phase restores straight to the
-                # post-invalidate point (the invalidates above then
-                # no-op on restored state), and the output is recorded
-                # pre-activation -- relu/unpermute are host arithmetic
-                # the replay path re-runs itself.
-                replay.record(agg_sig, agg_name, trace_record(raw_axw, agg_name))
+                # invalidates: a replayed layer restores straight to the
+                # post-invalidate point, and the invalidates above then
+                # no-op on restored state.
+                replay.record(
+                    agg_sig, agg_name, dict(trace_record(agg_name), output=outputs[-1])
+                )
 
         stats.cycles = int(math.ceil(max(engine.drain(), dram.busy_until)))
         tail = stats.cycles - cum_mark
@@ -404,5 +413,5 @@ class AcceleratorBase:
             sort_ms=prep.get("sort_ms", 0.0),
             wall_seconds=time.perf_counter() - wall_start,
             extra={k: v for k, v in prep.items()
-                   if k not in ("features", "unpermute")},
+                   if k not in ("features", "permutation")},
         )

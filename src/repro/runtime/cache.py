@@ -1,12 +1,16 @@
 """Persistent on-disk stores: job results, phase traces, output blobs.
 
-Result and trace records are one JSON file each and share the record
-I/O below (:func:`_read_record`, :func:`_write_record`).  Neither holds
-an output matrix inline: each matrix is written once, as a
-content-addressed ``.npy`` file in a :class:`BlobStore`, and records
-refer to it as ``{"blob": <sha256>, "dtype", "shape"}``.  A sweep that
-computes the same product under several dataflows or timing knobs
-therefore keeps one copy of it, shared by every record that names it.
+Result and trace records are one zlib-compressed JSON file each, named
+``.json`` all the same, and share the record I/O below
+(:func:`decode_record`, :func:`write_record`).  Neither holds an output
+matrix inline: each matrix is written once, as a content-addressed
+``.npy`` file in a :class:`BlobStore`, and records refer to it as
+``{"blob": <sha256>, "dtype", "shape"}``.  A sweep that computes the
+same product under several dataflows or timing knobs therefore keeps
+one copy of it, shared by every record that names it.  Blobs stay raw
+``.npy``: zlib would save about a third of their bytes but add a
+decompression to every hit read (``docs/performance.md``, "Store
+size").
 
 :class:`ResultCache` maps a job fingerprint to its ``RunResult``
 (``{"fingerprint", "spec", "result", ...}``), sharded into two levels
@@ -23,8 +27,9 @@ code that stores records::
         traces/                 # phase traces (see job_trace_store)
 
 :class:`TraceStore` holds one job's phase traces flat in that job's
-own directory, sharded by fingerprint, and their output matrices in
-the cache's own ``blobs/`` (:func:`job_trace_store`)::
+own directory, sharded by fingerprint, and the outputs its aggregation
+records name in the cache's own ``blobs/`` -- the result record's own
+output blobs (:func:`job_trace_store`)::
 
     <cache_dir>/traces/<fp[0:2]>/<fingerprint>/<phase signature>.json
 
@@ -36,12 +41,13 @@ Invalidation rules:
 
 * the fingerprint already encodes the job schema version and the
   ``repro`` package version, so upgrading either simply stops hitting
-  old records (job schema v4 moved outputs into blobs, so records of
-  the inline ``data_b64`` layout are never hit);
+  old records (job schema v6 compresses records, so plain-JSON records
+  of v5 and earlier are never hit);
 * a record whose embedded ``RunResult`` schema version no longer
   matches the code is treated as a miss and evicted;
-* unreadable/corrupt records (truncated writes, bad JSON, missing
-  keys) are evicted on first touch and counted in
+* unreadable/corrupt records (truncated writes, a broken zlib stream,
+  plain JSON, bad JSON, missing keys) are evicted on first touch and
+  counted in
   :attr:`ResultCache.corrupt` -- a damaged cache degrades to cold, it
   never fails a run;
 * every blob read re-hashes the file: a missing, truncated or
@@ -52,7 +58,7 @@ Invalidation rules:
 Writes (records and blobs) go through a temp file in the target's
 *own* directory + ``os.replace``, so a concurrent reader (or a killed
 writer) can never observe a partial file, and two writers racing the
-same key resolve last-writer-wins with no torn JSON.  A blob that
+same key resolve last-writer-wins with no torn record.  A blob that
 already exists is not rewritten: its name is its content.
 """
 
@@ -67,7 +73,10 @@ import re
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, TypeVar, Union
+import zlib
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -93,20 +102,34 @@ def _evict(path: pathlib.Path) -> None:
         pass
 
 
+def decode_record(data: bytes) -> Dict[str, Any]:
+    """The JSON object a result or trace record file's bytes hold.
+
+    Raises ``ValueError`` unless ``data`` is a complete zlib stream of
+    a JSON object (a torn write or a plain-JSON file is not).
+    """
+    try:
+        text = zlib.decompress(data)
+    except zlib.error as exc:
+        raise ValueError(f"not a zlib-compressed record: {exc}") from None
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    return record
+
+
 def _read_record(
     path: pathlib.Path, decode: Callable[[Dict[str, Any]], T]
 ) -> Tuple[Optional[T], bool]:
-    """``(decode of the JSON object at path, corrupt)``.
+    """``(decode of the record at path, corrupt)``.
 
     A missing record is ``(None, False)``.  A record that cannot be
-    read, is not a JSON object, or that ``decode`` rejects is evicted
-    and reported as ``(None, True)``.
+    read or decompressed, is not a JSON object, or that ``decode``
+    rejects is evicted and reported as ``(None, True)``.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        if not isinstance(record, dict):
-            raise ValueError("record is not a JSON object")
+        with open(path, "rb") as fh:
+            record = decode_record(fh.read())
         return decode(record), False
     except FileNotFoundError:
         return None, False
@@ -116,11 +139,10 @@ def _read_record(
 
 
 def _write_atomic(
-    path: pathlib.Path, write: Callable[[Any], object], binary: bool = False
+    path: pathlib.Path, data: Iterable[Union[bytes, memoryview]]
 ) -> pathlib.Path:
-    """Atomically publish what ``write(fh)`` writes at ``path``;
-    returns ``path``.  ``fh`` is a UTF-8 text file, or a binary one
-    with ``binary``.
+    """Atomically publish the concatenated byte chunks ``data`` at
+    ``path``; returns ``path``.
 
     The temp file lives in the target's own directory, so the final
     ``os.replace`` is a same-filesystem atomic rename: a reader can
@@ -133,9 +155,8 @@ def _write_atomic(
         dir=path.parent, prefix=".tmp-", suffix=path.suffix
     )
     try:
-        with (os.fdopen(fd, "wb") if binary
-              else os.fdopen(fd, "w", encoding="utf-8")) as fh:
-            write(fh)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(data)
         os.replace(tmp_name, path)
     except BaseException:
         _evict(pathlib.Path(tmp_name))
@@ -143,13 +164,18 @@ def _write_atomic(
     return path
 
 
-def _write_record(path: pathlib.Path, record: Mapping[str, Any]) -> pathlib.Path:
-    """Atomically persist one JSON record; returns ``path``.
+def write_record(
+    path: Union[str, os.PathLike[str]], record: Mapping[str, Any]
+) -> pathlib.Path:
+    """Atomically persist one record as zlib-compressed JSON; returns
+    ``path``.
 
-    ``json.dump`` streams the record to the file; ``json.dumps`` would
-    hold the whole text (and its over-allocated buffer) at once.
+    One ``json.dumps`` (the C encoder) and one ``zlib.compress`` cost a
+    quarter of streaming ``json.dump`` (the pure-Python encoder) through
+    a compressor; a record's text is at most a few hundred KB.
     """
-    return _write_atomic(path, lambda fh: json.dump(record, fh))
+    data = zlib.compress(json.dumps(record).encode("utf-8"))
+    return _write_atomic(pathlib.Path(path), [data])
 
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
@@ -191,7 +217,7 @@ class BlobStore:
         digest = sha.hexdigest()
         path = self._path(digest)
         if not path.exists():
-            _write_atomic(path, lambda fh: fh.writelines(chunks), binary=True)
+            _write_atomic(path, chunks)
         return {
             "blob": digest,
             "dtype": contiguous.dtype.name,
@@ -313,7 +339,7 @@ class ResultCache:
             "spec": spec_doc,
             "result": result,
         }
-        path = _write_record(self._path(fingerprint), record)
+        path = write_record(self._path(fingerprint), record)
         with self._counter_lock:
             self.stores += 1
         return path
@@ -357,9 +383,10 @@ class TraceStore:
 
     Keys are the 64-hex chained phase signatures :mod:`repro.sim.replay`
     computes; records are JSON dicts carrying the phase's resolved
-    timing -- stats delta, output matrix, and post-phase simulator
-    state -- stored flat as ``<root>/<sig>.json``, where ``root`` is the
-    job's own trace directory.  The output matrix goes to a
+    timing -- stats delta, post-phase simulator state and, for an
+    aggregation, the layer's output matrix -- stored flat as
+    ``<root>/<sig>.json``, where ``root`` is the job's own trace
+    directory.  The output matrix goes to a
     :class:`BlobStore` under ``blob_dir`` (default ``<root>/blobs``):
     :meth:`store_trace` takes it as an array and :meth:`load_trace`
     hands it back as one, so replay never encodes or decodes it as
@@ -392,7 +419,7 @@ class TraceStore:
         """Atomically persist one trace record; returns the path."""
         if "output" in record:
             record = dict(record, output=self.blobs.put(np.asarray(record["output"])))
-        return _write_record(self.root / f"{sig}.json", record)
+        return write_record(self.root / f"{sig}.json", record)
 
 
 def job_trace_store(

@@ -34,7 +34,9 @@ from repro.hymm.config import HyMMConfig
 #: v5: ``RunResult`` keeps one per-phase counter record
 #: (``phase_snapshots`` plus ``phase_occupancy``); v4 records carry
 #: ``phase_cycles``/``phase_stats`` and lack ``phase_occupancy``.
-SCHEMA_VERSION = 5
+#: v6: cache records are zlib-compressed JSON under the same names, and
+#: ``RunResult.extra`` no longer carries the node permutation.
+SCHEMA_VERSION = 6
 
 
 def _package_version() -> str:

@@ -4,13 +4,22 @@ The phase-level speed lane beside the batched engine (see
 ``docs/performance.md``): a live simulation resolves every address
 through the buffer model once and *records*, per accelerator phase, the
 phase's full outcome -- the :class:`~repro.sim.stats.SimStats` delta,
-the output matrix, the end-of-phase occupancy, and the complete
-post-phase simulator state (buffer arena, engine timelines, DRAM
-channel clock).  Any later run that reaches the same phase *with the
-same pre-state* replays the record instead of simulating: restore
-state, merge the stats delta, hand back the output.  A repeated job
-(a sweep re-run after its result records were dropped, a cache entry
-evicted and asked for again) skips the buffer model entirely.
+the end-of-phase occupancy, the complete post-phase simulator state
+(buffer arena, engine timelines, DRAM channel clock) and, for an
+aggregation, the layer's output.  Any later run that reaches the same
+phase *with the same pre-state* replays the record instead of
+simulating: restore state, merge the stats delta.  A repeated job (a sweep re-run after its
+result records were dropped, a cache entry evicted and asked for
+again) skips the buffer model entirely.
+
+Replay is per layer.  Only the aggregation record names an output: the
+layer's output exactly as ``RunResult.outputs`` holds it
+(post-activation, original node order), so it is the same blob the
+result record names.  A combination record names none, so a layer
+replays only when both of its records hit; otherwise the whole layer
+simulates live.  A live layer after a replayed one takes its input from
+the stored output, mapped back to the dataflow's node order by the
+inverse permutation -- a gather, so exact.
 
 Why this is exact
 -----------------
@@ -27,7 +36,8 @@ pre-state at phase ``k`` -- same seed inputs, same phases executed --
 so the recorded post-state and stats delta are exactly what the live
 phase would produce.  Every float in the snapshots is a dyadic
 rational (the simulator builds cycle values from ``max`` and additions
-of on-grid quantities), so JSON round-trips the state exactly.
+of on-grid quantities), so its JSON text round-trips the state exactly,
+and the store's zlib compression of that text is lossless.
 
 The seed hashes the whole ``config.to_dict()``.  Each job keeps its
 traces in its own fingerprint directory of the result cache
@@ -36,13 +46,13 @@ hashes the whole config too, so two jobs never share a trace whatever
 knobs they differ in.
 
 Storage is a :class:`repro.runtime.cache.TraceStore`: one
-``<sig>.json`` per phase in the job's own trace directory, with the
-phase's output matrix stored once as a content-addressed ``.npy`` blob
-that the record names by hash (in the result cache's own ``blobs/``,
-so a job output and the phase output it came from share one file).  Writes are atomic; a corrupt record, or
-one whose blob is missing or fails its hash check, is evicted and the
-phase simulates live.  The run loop hands the store the output array
-and gets the array back, so replay never encodes it as text.
+``<sig>.json`` (zlib-compressed JSON) per phase in the job's own trace
+directory.  An aggregation record names its output by hash, as a
+content-addressed ``.npy`` blob in the result cache's own ``blobs/``,
+shared with the result record.  Writes are atomic; a corrupt record,
+or one whose blob is missing or fails its hash check, is evicted and
+the layer simulates live.  The run loop hands the store the output
+array and gets the array back, so replay never encodes it as text.
 Invalidation is structural -- the chain hashes
 :data:`TRACE_SCHEMA_VERSION`, so any layout change simply stops
 hitting old records.
@@ -59,7 +69,7 @@ import hashlib
 import json
 import logging
 import time
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,8 +102,10 @@ _RECORD_MS = _registry.histogram(
 #: Bump on any change to the trace record layout or the snapshot wire
 #: formats; hashed into the signature chain so stale records become
 #: structural misses instead of wrong replays.  v2: the phase output is
-#: a content-addressed ``.npy`` blob reference, not inline base64.
-TRACE_SCHEMA_VERSION = 2
+#: a content-addressed ``.npy`` blob reference, not inline base64.  v3:
+#: only aggregation records name an output -- the layer's output as the
+#: result holds it -- and a layer replays whole or not at all.
+TRACE_SCHEMA_VERSION = 3
 
 #: Keys every applicable phase record must carry.  ``lookup`` verifies
 #: them *before* handing the record to the run loop, so a truncated or
@@ -101,8 +113,11 @@ TRACE_SCHEMA_VERSION = 2
 #: phase simulates live -- instead of a KeyError halfway through a
 #: state restore.
 RECORD_REQUIRED_KEYS = frozenset(
-    {"stats", "occupancy", "output", "buffer", "engine", "dram_next_free"}
+    {"stats", "occupancy", "buffer", "engine", "dram_next_free"}
 )
+
+#: An aggregation record also carries the layer's output.
+AGGREGATION_REQUIRED_KEYS = RECORD_REQUIRED_KEYS | {"output"}
 
 
 def _hash_array(h: "hashlib._Hash", arr: np.ndarray) -> None:
@@ -143,8 +158,11 @@ class TraceSession:
 
         session = TraceSession(store)
         session.open(accelerator.name, config, model)
-        sig = session.next_signature("layer0.combination")
-        rec = session.lookup(sig)      # None -> simulate live + record
+        comb = session.next_signature("layer0.combination")
+        agg = session.next_signature("layer0.aggregation")
+        recs = session.lookup_layer(comb, "layer0.combination",
+                                    agg, "layer0.aggregation")
+        # None -> simulate the layer live, session.record() each phase
 
     ``replayed`` / ``recorded`` list the phase names served each way,
     so callers (and the correctness tests) can assert replay actually
@@ -186,15 +204,18 @@ class TraceSession:
         return self._sig
 
     # ------------------------------------------------------------------
-    def lookup(self, sig: str, phase: str) -> Optional[Dict[str, object]]:
-        """The stored record for ``sig`` if its schema matches and its
-        shape is complete, else ``None`` (simulate live).  A hit is
-        tallied in ``replayed``.
+    def lookup(
+        self, sig: str, phase: str, required: FrozenSet[str] = RECORD_REQUIRED_KEYS
+    ) -> Optional[Dict[str, object]]:
+        """The stored record for ``sig`` if its schema matches and it
+        carries every ``required`` key, else ``None`` (simulate live).
 
         Stale (older schema) and structurally incomplete records are
         misses by design -- replay must fall back to live simulation on
         anything it cannot apply whole, since a partial restore would
         corrupt the simulator state the chained signature vouches for.
+        A hit is not yet a replay: :meth:`lookup_layer` tallies it once
+        the whole layer hits.
         """
         t0 = time.perf_counter()
         record = self.store.load_trace(sig)
@@ -203,11 +224,9 @@ class TraceSession:
             miss = "absent"
         elif record.get("trace_schema") != TRACE_SCHEMA_VERSION:
             miss = "stale-schema"
-        elif not RECORD_REQUIRED_KEYS.issubset(record):
+        elif not required.issubset(record):
             miss = "incomplete"
         else:
-            _PHASES_TOTAL.labels("replayed").inc()
-            self.replayed.append(phase)
             return record
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(
@@ -215,6 +234,27 @@ class TraceSession:
                 extra={"corr_id": self.corr_id, "phase": phase, "why": miss},
             )
         return None
+
+    def lookup_layer(
+        self, comb_sig: str, comb: str, agg_sig: str, agg: str
+    ) -> Optional[Tuple[Dict[str, object], Dict[str, object]]]:
+        """Both records of one layer -- combination phase ``comb``, then
+        aggregation phase ``agg`` -- or ``None`` when either misses.
+
+        A layer replays whole or not at all: its combination record
+        names no output, so the aggregation that would consume the
+        combination's product must replay too.  A hit tallies both
+        phases in ``replayed``.
+        """
+        comb_rec = self.lookup(comb_sig, comb)
+        if comb_rec is None:
+            return None
+        agg_rec = self.lookup(agg_sig, agg, AGGREGATION_REQUIRED_KEYS)
+        if agg_rec is None:
+            return None
+        _PHASES_TOTAL.labels("replayed").inc(2)
+        self.replayed += [comb, agg]
+        return comb_rec, agg_rec
 
     def record(self, sig: str, phase: str, record: Dict[str, object]) -> None:
         """Persist one phase record under ``sig``."""

@@ -15,7 +15,8 @@ from repro.runtime import (
     default_cache_dir,
     execute_spec,
 )
-from repro.runtime.cache import BlobStore, job_trace_store
+from repro.runtime.cache import BlobStore, job_trace_store, write_record
+from tests.store_records import edited_record, read_record
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ class TestCorruptionRecovery:
     def test_truncated_record_is_evicted_miss(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         path = cache.store(spec, result.to_dict())
-        path.write_text(path.read_text()[: 40])  # simulate a torn write
+        path.write_bytes(path.read_bytes()[: 40])  # simulate a torn write
         assert cache.load(spec) is None
         assert not path.exists()
         assert cache.corrupt == 1
@@ -86,18 +87,37 @@ class TestCorruptionRecovery:
     def test_garbage_json_is_evicted(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         path = cache.store(spec, result.to_dict())
-        path.write_text('{"fingerprint": "x"}')  # wrong shape
+        write_record(path, {"fingerprint": "x"})  # wrong shape
         assert cache.load(spec) is None
         assert cache.corrupt == 1
+
+    @pytest.mark.parametrize("how", ["plain-json", "truncated-zlib"])
+    def test_undecodable_record_is_evicted_not_raised(
+        self, tmp_path, spec, result, how
+    ):
+        """A record that is not a complete zlib stream -- plain JSON from
+        an older layout, or a torn compressed write -- is a counted,
+        evicted miss; the decompression error never reaches the caller."""
+        cache = ResultCache(tmp_path)
+        path = cache.store(spec, result.to_dict())
+        if how == "plain-json":
+            path.write_text(json.dumps(read_record(path)), encoding="utf-8")
+        else:
+            path.write_bytes(path.read_bytes()[:-16])
+        assert cache.load(spec) is None
+        assert not path.exists()
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
+        cache.store(spec, result.to_dict())
+        assert cache.load(spec) is not None
 
     def test_result_schema_mismatch_is_a_miss(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         path = cache.store(spec, result.to_dict())
-        record = json.loads(path.read_text())
-        record["result"]["schema_version"] = RunResult.SCHEMA_VERSION + 1
-        path.write_text(json.dumps(record))
+        with edited_record(path) as record:
+            record["result"]["schema_version"] = RunResult.SCHEMA_VERSION + 1
         assert cache.load(spec) is None
         assert not path.exists()
+        assert cache.corrupt == 1
 
 
 class TestMaintenance:
@@ -138,7 +158,7 @@ class TestShardedLayout:
     def test_corruption_recovery_in_shard(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path)
         path = cache.store(spec, result.to_dict())
-        path.write_text(path.read_text()[:40])
+        path.write_bytes(path.read_bytes()[:40])
         assert cache.load(spec) is None
         assert not path.exists()
         cache.store(spec, result.to_dict())
@@ -233,7 +253,7 @@ class TestOutputBlobs:
         self, tmp_path, spec, result
     ):
         cache = ResultCache(tmp_path)
-        record = json.loads(cache.store(spec, result.to_dict()).read_text())
+        record = read_record(cache.store(spec, result.to_dict()))
         refs = record["result"]["outputs"]
         assert len(refs) == len(result.outputs)
         for ref, array in zip(refs, result.outputs):
@@ -275,9 +295,8 @@ class TestOutputBlobs:
         path = cache.store(spec, result.to_dict())
         bait = tmp_path / "bait.npy"
         bait.write_bytes(b"not a blob")
-        record = json.loads(path.read_text())
-        record["result"]["outputs"][0]["blob"] = "../bait"
-        path.write_text(json.dumps(record))
+        with edited_record(path) as record:
+            record["result"]["outputs"][0]["blob"] = "../bait"
         assert cache.load(spec) is None
         assert cache.corrupt == 1
         assert bait.exists()
@@ -339,7 +358,7 @@ class TestOutputBlobs:
         def refs(spec):
             fp = spec.fingerprint()
             path = tmp_path / fp[:2] / fp[2:4] / f"{fp}.json"
-            return json.loads(path.read_text())["result"]["outputs"]
+            return read_record(path)["result"]["outputs"]
 
         shared = refs(small)
         assert shared == refs(large)
@@ -374,4 +393,4 @@ class TestOutputBlobs:
         traces = list((tmp_path / "traces").rglob("*.json"))
         assert traces and cache.size() == 2
         for path in _stored_json(tmp_path):
-            assert "data_b64" not in path.read_text(), path
+            assert "data_b64" not in json.dumps(read_record(path)), path

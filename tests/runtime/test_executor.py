@@ -12,6 +12,7 @@ import pytest
 
 from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_spec
 from repro.runtime.manifest import STATUS_CACHE_HIT, STATUS_DONE, STATUS_FAILED
+from tests.store_records import read_record
 
 
 def _spec(kind="rwp", **kw):
@@ -185,9 +186,7 @@ class TestCacheIntegration:
         assert len(encodes) == 1
 
         fp = spec.fingerprint()
-        record = json.loads(
-            (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").read_text()
-        )
+        record = read_record(tmp_path / fp[:2] / fp[2:4] / f"{fp}.json")
         [doc] = worker_docs
         doc.pop("replay", None)
         # Outputs are stored as blob references; resolved back to the

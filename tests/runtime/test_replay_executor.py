@@ -14,14 +14,17 @@ live (still identical) run instead of failing or lying.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.hymm.config import HyMMConfig
 from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_job
 from repro.runtime.cache import TraceStore
-from repro.sim.replay import RECORD_REQUIRED_KEYS, TraceSession
+from repro.sim.replay import (
+    AGGREGATION_REQUIRED_KEYS,
+    RECORD_REQUIRED_KEYS,
+    TraceSession,
+)
+from tests.store_records import edited_record, read_record
 
 
 def _spec(kind="op", **kw):
@@ -112,6 +115,23 @@ class TestExecutorRecordThenReplay:
         assert "replay" not in doc
 
 
+class TestStoreHoldsOnlyResultOutputs:
+    def test_cold_cache_blobs_are_the_result_outputs(self, tmp_path):
+        """Phase traces add no blob of their own: in a cold cache the
+        blob files are exactly the outputs the result records name."""
+        specs = [_spec(kind=kind, n_layers=2) for kind in ("rwp", "gcod", "hymm")]
+        SweepExecutor(n_jobs=1, cache=ResultCache(tmp_path)).run(specs)
+        records = list(tmp_path.glob("??/??/*.json"))
+        assert len(records) == len(specs)
+        assert len(_trace_files(tmp_path)) == 4 * len(specs)
+        named = {
+            ref["blob"]
+            for path in records
+            for ref in read_record(path)["result"]["outputs"]
+        }
+        assert named == {p.stem for p in (tmp_path / "blobs").glob("??/*.npy")}
+
+
 class TestFallback:
     def test_corrupt_traces_fall_back_live(self, tmp_path):
         baseline = execute_job(_spec(), cache_dir=str(tmp_path))
@@ -129,13 +149,12 @@ class TestFallback:
         healed = execute_job(_spec(), cache_dir=str(tmp_path))
         assert healed["replay"]["replayed"] > 0
 
-    @pytest.mark.parametrize("missing", sorted(RECORD_REQUIRED_KEYS))
+    @pytest.mark.parametrize("missing", sorted(AGGREGATION_REQUIRED_KEYS))
     def test_stale_record_missing_key_is_miss(self, tmp_path, missing):
         baseline = execute_job(_spec(), cache_dir=str(tmp_path))
         for path in _trace_files(tmp_path):
-            record = json.loads(path.read_text(encoding="utf-8"))
-            record.pop(missing, None)
-            path.write_text(json.dumps(record), encoding="utf-8")
+            with edited_record(path) as record:
+                record.pop(missing, None)
         rerun = execute_job(_spec(), cache_dir=str(tmp_path))
         assert rerun["replay"]["replayed"] == 0
         assert rerun["replay"]["recorded"] == baseline["replay"]["recorded"]
@@ -143,22 +162,32 @@ class TestFallback:
 
     def test_session_lookup_validates_schema_and_shape(self, tmp_path):
         """Unit-level: ``lookup`` rejects wrong-schema and incomplete
-        records without tallying a replay."""
+        records, and ``lookup_layer`` tallies a replay only when both of
+        a layer's records apply."""
+        import numpy as np
+
         from repro.sim.replay import TRACE_SCHEMA_VERSION
 
         store = TraceStore(tmp_path)
         session = TraceSession(store)
-        complete = dict.fromkeys(RECORD_REQUIRED_KEYS, 0)
-        session.record("a" * 64, "phase0", complete)
-        assert session.lookup("a" * 64, "phase0") is not None
-        assert session.replayed == ["phase0"]
+        comb = dict.fromkeys(RECORD_REQUIRED_KEYS, 0)
+        agg = dict(comb, output=np.zeros((2, 2)))
+        session.record("a" * 64, "comb0", comb)
+        session.record("b" * 64, "agg0", agg)
+        assert session.lookup("a" * 64, "comb0") is not None
+        assert session.replayed == []
+        assert session.lookup_layer("a" * 64, "comb0", "b" * 64, "agg0")
+        assert session.replayed == ["comb0", "agg0"]
 
-        stale = dict(complete, trace_schema=TRACE_SCHEMA_VERSION + 1)
-        store.store_trace("b" * 64, stale)
-        assert session.lookup("b" * 64, "phase1") is None
+        stale = dict(comb, trace_schema=TRACE_SCHEMA_VERSION + 1)
+        store.store_trace("c" * 64, stale)
+        assert session.lookup("c" * 64, "comb1") is None
+        assert session.lookup_layer("c" * 64, "comb1", "b" * 64, "agg1") is None
 
-        truncated = dict(complete, trace_schema=TRACE_SCHEMA_VERSION)
-        del truncated["output"]
-        store.store_trace("c" * 64, truncated)
-        assert session.lookup("c" * 64, "phase2") is None
-        assert session.replayed == ["phase0"]
+        # A combination record is not an aggregation record: it names
+        # no output, so it cannot end a replayed layer.
+        assert session.lookup(
+            "a" * 64, "agg2", AGGREGATION_REQUIRED_KEYS
+        ) is None
+        assert session.lookup_layer("a" * 64, "comb2", "a" * 64, "agg2") is None
+        assert session.replayed == ["comb0", "agg0"]

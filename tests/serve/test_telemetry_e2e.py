@@ -21,6 +21,7 @@ from repro.runtime.executor import SweepExecutor
 from repro.serve.client import ServeClient
 from repro.serve.server import ServerThread
 from repro.telemetry import bind_correlation, configure_logging, install_recorder
+from tests.store_records import read_record
 
 CORR_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -101,7 +102,7 @@ class TestEndToEndCorrelation:
         fp = spec.fingerprint()
         shard = tmp_path / "cache" / fp[:2] / fp[2:4] / f"{fp}.json"
         assert shard.exists()
-        assert "corr_id" not in shard.read_text(encoding="utf-8")
+        assert "corr_id" not in json.dumps(read_record(shard))
 
     def test_executed_submit_runs_through_execute_job(
         self, tmp_path, spec, log_stream, recorder

@@ -11,9 +11,10 @@ snapshots and occupancy, and output matrices).
 
 Also covered: config knobs in the signature chain (timing knobs and
 HyMM's tiling knobs must miss), corrupt-record and damaged-output-blob
-degradation to live simulation, the no-replay-under-tracer contract,
-and the signature chain's sensitivity to model content and phase
-order.
+degradation to live simulation, per-layer replay (a layer replays whole
+or runs live, and a live layer after a replayed one starts from the
+stored output), the no-replay-under-tracer contract, and the signature
+chain's sensitivity to model content and phase order.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import pytest
 from repro.bench.workloads import make_model
 from repro.hymm.config import HyMMConfig
 from repro.obs.tracer import ChromeTracer
-from repro.runtime.cache import TraceStore
+from repro.runtime.cache import BlobStore, TraceStore
 from repro.runtime.execute import make_accelerator
 from repro.sim.replay import (
     TRACE_SCHEMA_VERSION,
     TraceSession,
     model_fingerprint,
 )
+from tests.store_records import edited_record, read_record
 
 #: Small buffer so phases actually evict and spill while recording.
 SMALL = {"dmb_bytes": 32 * 1024}
@@ -54,6 +56,13 @@ ALL_POINTS = [
 @pytest.fixture(scope="module")
 def model():
     return make_model("cora", 0.25)
+
+
+@pytest.fixture(scope="module")
+def model2():
+    """Two layers: the second one's combination reads the first one's
+    output."""
+    return make_model("cora", 0.25, n_layers=2)
 
 
 def _run(model, kind, session=None, tracer=None, **overrides):
@@ -144,25 +153,72 @@ def _trace_blobs(root):
     return sorted((root / "blobs").glob("??/*.npy"))
 
 
-def test_trace_records_name_their_output_blob(tmp_path, model):
-    """The stored record holds ``{"blob", "dtype", "shape"}``, never the
-    matrix inline; replay hands back the bit-identical array."""
+def _trace_records(root):
+    """``{phase: (path, record)}`` of every trace record under ``root``."""
+    records = {}
+    for path in root.glob("*.json"):
+        record = read_record(path)
+        records[record["phase"]] = (path, record)
+    return records
+
+
+def test_trace_records_name_their_output_blob(tmp_path, model2):
+    """Each aggregation record names the layer's output exactly as the
+    result holds it -- the same content-addressed blob a result record
+    names -- and combination records name no output.  Replay hands back
+    the bit-identical arrays."""
     root = tmp_path / "traces"
     store = TraceStore(root)
     recording = TraceSession(store)
-    live = _run(model, "hymm", session=recording, **SMALL)
-    paths = sorted(root.glob("*.json"))
-    assert len(paths) == len(recording.recorded)
-    for p in paths:
-        text = p.read_text(encoding="utf-8")
-        assert "data_b64" not in text
-        assert set(json.loads(text)["output"]) == {"blob", "dtype", "shape"}
-    assert _trace_blobs(root)
+    live = _run(model2, "hymm", session=recording, **SMALL)
+    records = _trace_records(root)
+    assert sorted(records) == sorted(recording.recorded)
+    result_blobs = BlobStore(tmp_path / "result-blobs")
+    for layer, output in enumerate(live.outputs):
+        _, comb = records[f"layer{layer}.combination"]
+        _, agg = records[f"layer{layer}.aggregation"]
+        assert "output" not in comb
+        assert agg["output"] == result_blobs.put(output)
+    assert "data_b64" not in json.dumps([r for _, r in records.values()])
+    assert len(_trace_blobs(root)) == len(live.outputs)
     replaying = TraceSession(store)
     _assert_identical(
-        live, _run(model, "hymm", session=replaying, **SMALL), "hymm replay"
+        live, _run(model2, "hymm", session=replaying, **SMALL), "hymm replay"
     )
     assert replaying.replayed == recording.recorded
+
+
+@pytest.mark.parametrize("kind", ["hymm", "gcod"])
+def test_live_layer_after_replayed_layer(tmp_path, model2, kind):
+    """With layer 1's records gone, layer 0 replays and layer 1 runs
+    live from layer 0's stored output, mapped back to the dataflow's
+    own node order: the run is bit-identical to a live one."""
+    live = _run(model2, kind, **SMALL)
+    root = tmp_path / "traces"
+    store = TraceStore(root)
+    _run(model2, kind, session=TraceSession(store), **SMALL)
+    for phase, (path, _) in _trace_records(root).items():
+        if phase.startswith("layer1."):
+            path.unlink()
+    s = TraceSession(store)
+    _assert_identical(live, _run(model2, kind, session=s, **SMALL), kind)
+    assert s.replayed == ["layer0.combination", "layer0.aggregation"]
+    assert s.recorded == ["layer1.combination", "layer1.aggregation"]
+
+
+def test_combination_hit_alone_is_not_replayed(tmp_path, model2):
+    """A combination record whose aggregation record is gone is neither
+    applied nor counted: the whole layer runs live and re-records, and
+    the next layer still replays on top of it."""
+    live = _run(model2, "rwp", **SMALL)
+    root = tmp_path / "traces"
+    store = TraceStore(root)
+    _run(model2, "rwp", session=TraceSession(store), **SMALL)
+    _trace_records(root)["layer0.aggregation"][0].unlink()
+    s = TraceSession(store)
+    _assert_identical(live, _run(model2, "rwp", session=s, **SMALL), "rwp")
+    assert s.recorded == ["layer0.combination", "layer0.aggregation"]
+    assert s.replayed == ["layer1.combination", "layer1.aggregation"]
 
 
 @pytest.mark.parametrize("how", ["bit-flipped", "truncated", "deleted"])
@@ -211,9 +267,8 @@ def test_schema_bump_invalidates(tmp_path, model):
     session = TraceSession(store)
     _run(model, "rwp", session=session, **SMALL)
     for p in (tmp_path / "traces").glob("*.json"):
-        rec = json.loads(p.read_text(encoding="utf-8"))
-        rec["trace_schema"] = TRACE_SCHEMA_VERSION + 1
-        p.write_text(json.dumps(rec), encoding="utf-8")
+        with edited_record(p) as rec:
+            rec["trace_schema"] = TRACE_SCHEMA_VERSION + 1
     s = TraceSession(store)
     _run(model, "rwp", session=s, **SMALL)
     assert not s.replayed and s.recorded
