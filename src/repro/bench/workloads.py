@@ -66,7 +66,7 @@ def bench_scale(name: str) -> float:
         raise KeyError(f"no bench scale for dataset {name!r}") from None
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def make_model(
     name: str,
     scale: float,
@@ -75,6 +75,12 @@ def make_model(
     feature_length: Optional[int] = None,
 ) -> GCNModel:
     """Build (and memoise) the GCN workload for one dataset.
+
+    The memo holds one workload, the one in flight: a long-lived process
+    (a serve process, a pool worker, a ``repro.bench`` run) keeps no
+    model of a finished job.  Callers that run many jobs group them by
+    workload (:class:`~repro.runtime.executor.SweepExecutor` does, in
+    both lanes), so a sweep still builds each model once.
 
     ``feature_length`` overrides the registry's feature width (used by
     design-space sweeps); ``None`` keeps the dataset default.

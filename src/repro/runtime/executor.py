@@ -90,8 +90,9 @@ def run_job_group(runner, specs: Sequence[JobSpec]) -> List[tuple]:
     per spec.
 
     Batching jobs that share a workload into one worker lets the
-    process-local ``make_model`` memo build each dataset model once per
-    worker instead of once per job; errors are confined to their spec.
+    process-local ``make_model`` memo, which holds one workload, build
+    each dataset model once per worker instead of once per job; errors
+    are confined to their spec.
     The RSS figure is this worker's peak when the job finished -- a
     high-water mark, so later jobs in a batch report >= earlier ones.
     """
@@ -112,6 +113,15 @@ def _workload_key(spec: JobSpec) -> tuple:
     """Specs sharing this key share one ``make_model`` result."""
     return (spec.dataset, spec.scale, spec.n_layers, spec.seed,
             spec.feature_length)
+
+
+def _group_by_workload(specs: Iterable[JobSpec]) -> List[List[JobSpec]]:
+    """``specs`` split by :func:`_workload_key`, groups in first-seen
+    order and specs in their given order within each group."""
+    groups: Dict[tuple, List[JobSpec]] = {}
+    for spec in specs:
+        groups.setdefault(_workload_key(spec), []).append(spec)
+    return list(groups.values())
 
 
 @dataclass
@@ -172,9 +182,11 @@ class SweepExecutor:
         )
         self.progress = progress
         #: Ship jobs sharing a workload (dataset/scale/layers/seed) to
-        #: the same worker so its model memo is built once, not once
-        #: per job.  ``False`` submits one pool task per job (finer
-        #: timeout granularity, more duplicated model synthesis).
+        #: the same worker so its one-workload model memo is built
+        #: once, not once per job.  ``False`` submits one pool task per
+        #: job (finer timeout granularity, more duplicated model
+        #: synthesis).  The serial lane always runs jobs grouped by
+        #: workload.
         self.batch_by_workload = batch_by_workload
         #: Keep each executed job's wire document on
         #: :attr:`SweepResult.docs` (the serve front end replies with
@@ -300,7 +312,9 @@ class SweepExecutor:
     # Serial path (n_jobs == 1 or pool unavailable/broken)
     # ------------------------------------------------------------------
     def _run_serial(self, specs: Sequence[JobSpec], sweep: SweepResult) -> None:
-        for spec in specs:
+        """Run ``specs`` in this process, grouped by workload so the
+        one-workload model memo builds each model once."""
+        for spec in (s for group in _group_by_workload(specs) for s in group):
             t0 = time.perf_counter()
             error: Optional[str] = None
             for attempt in range(1, self.retries + 2):
@@ -329,10 +343,7 @@ class SweepExecutor:
         ``batch_by_workload``)."""
         if not self.batch_by_workload:
             return [[spec] for spec in specs]
-        groups: Dict[tuple, List[JobSpec]] = {}
-        for spec in specs:
-            groups.setdefault(_workload_key(spec), []).append(spec)
-        return list(groups.values())
+        return _group_by_workload(specs)
 
     def _run_pool(
         self, specs: Sequence[JobSpec], sweep: SweepResult

@@ -25,11 +25,12 @@ Subcommands:
     Ask a running server to exit.
 ``smoke``
     Self-hosted replay smoke: run a server over a throwaway result
-    cache, execute a tiny job, force it out of the terminal-job
-    registry, clear the cache's result records (its phase traces
-    stay), submit it again, and assert via ``/metrics`` that the
-    repeat replayed exactly the phases the first run recorded (and
-    still streamed per-phase progress).
+    cache, execute a tiny job, clear the cache's result records (its
+    phase traces stay), submit it again, and assert via ``/metrics``
+    that the repeat re-executed (a server with a cache keeps no copy
+    of a finished result outside the store), replayed exactly the
+    phases the first run recorded and still streamed per-phase
+    progress.
 
 Runtime/bench imports happen inside the handlers -- the CLI must be
 importable (e.g. for ``--help``) without dragging the workload layer
@@ -198,34 +199,26 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     from repro.bench.runner import job_spec
     from repro.runtime.cache import ResultCache
     from repro.serve.client import ServeClient
-    from repro.serve.server import ServerThread, ServeSettings
+    from repro.serve.server import ServerThread
 
-    # Two tiny jobs: the probe, and a second fingerprint whose only
-    # purpose is to evict the probe from the 1-deep terminal-job
-    # registry so the repeated submit re-executes instead of being
-    # answered from memory -- the re-execution is what must replay.
     probe = job_spec(args.dataset, args.kind, scale=args.scale, n_layers=1, seed=0)
-    evictor = job_spec(args.dataset, args.kind, scale=args.scale, n_layers=1, seed=1)
-    settings = ServeSettings(registry_limit=1)
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
         cache = ResultCache(tmp)
-        with ServerThread(cache=cache, settings=settings) as srv:
+        with ServerThread(cache=cache) as srv:
             with ServeClient(srv.host, srv.port) as client:
-                recorded = 0
-                for label, spec in (("probe", probe), ("evictor", evictor)):
-                    response = client.submit(spec.to_dict(), wait=True)
-                    if response.get("status") != "done":
-                        print(
-                            f"SMOKE FAIL: {label} submit did not complete: "
-                            f"{response.get('error')}",
-                            file=sys.stderr,
-                        )
-                        return 1
-                    if label == "probe":
-                        metrics = client.request({"op": "metrics"})
-                        recorded = metrics.get("replay", {}).get("misses", 0)
+                response = client.submit(probe.to_dict(), wait=True)
+                if response.get("status") != "done":
+                    print(
+                        f"SMOKE FAIL: probe submit did not complete: "
+                        f"{response.get('error')}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                metrics = client.request({"op": "metrics"})
+                recorded = metrics.get("replay", {}).get("misses", 0)
                 # Delete the result records and keep the traces: the
-                # only way a job run against a cache reaches replay.
+                # store held the only copy of the result, so the repeat
+                # re-executes, and replay is how it runs.
                 cache.clear()
                 repeat = client.submit(probe.to_dict(), wait=True)
                 metrics = client.request({"op": "metrics"})

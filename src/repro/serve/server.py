@@ -37,6 +37,13 @@ performs a fresh cache lookup (by then the executed result is on disk),
 which is exactly the "million cached lookups a day" hit path
 ``perf/run.py --workload serve-hit`` measures.
 
+With a cache, the store is the only copy of a finished result: a
+terminal entry keeps its ``result_summary`` and phase rows, and drops
+its wire document once the replies waiting on it have been sent; a
+later ``/status`` that asks for the result loads it from the store.  A
+cache-less server keeps the document, since there the registry is the
+store (``source: "registry"``).
+
 Blocking work (cache reads, simulation batches) runs in worker threads
 via ``asyncio.to_thread``; the event-loop side never touches the disk
 or the simulator, a contract enforced by the ``transitive-blocking``
@@ -195,7 +202,7 @@ class JobEntry:
     __slots__ = (
         "spec", "fingerprint", "corr_id", "status", "source", "error",
         "submits", "attempts", "wall_seconds", "phases", "events",
-        "result_record", "done", "_tick",
+        "result_record", "result_summary", "waiters", "done", "_tick",
     )
 
     def __init__(
@@ -219,8 +226,13 @@ class JobEntry:
         self.wall_seconds = 0.0
         self.phases: List[Dict[str, Any]] = []
         self.events: List[Dict[str, Any]] = []
-        #: Serialised ``RunResult`` (the wire dict) once terminal.
+        #: Serialised ``RunResult`` (the wire dict) once done; on a
+        #: server with a cache, only until the waiting replies are sent.
         self.result_record: Optional[Dict[str, Any]] = None
+        #: Accelerator, dataset and cycles of the result once done.
+        self.result_summary: Optional[Dict[str, Any]] = None
+        #: Replies in progress that may still send ``result_record``.
+        self.waiters = 0
         self.done = asyncio.Event()
         self._tick = asyncio.Event()
 
@@ -265,6 +277,12 @@ class JobEntry:
         wall_seconds: float = 0.0,
     ) -> None:
         self.result_record = record
+        stats = record.get("stats")
+        self.result_summary = {
+            "accelerator": record.get("accelerator"),
+            "dataset": record.get("dataset"),
+            "cycles": stats.get("cycles") if isinstance(stats, dict) else None,
+        }
         self.source = source
         self.attempts = attempts
         self.wall_seconds = wall_seconds
@@ -572,6 +590,16 @@ class SweepServer:
         result = self.cache.load(spec)
         return None if result is None else result.to_dict()
 
+    def _release(self, entry: JobEntry) -> None:
+        """Drop a done entry's wire document once no reply waits on it.
+
+        With a cache the store holds the result, so the registry keeps
+        only the summary and phase rows; a cache-less server keeps the
+        document, since there the registry is the store.
+        """
+        if self.cache is not None and not entry.waiters:
+            entry.result_record = None
+
     async def _handle_submit(
         self, request: Request, writer: asyncio.StreamWriter
     ) -> None:
@@ -613,54 +641,64 @@ class SweepServer:
             entry = JobEntry(spec, fingerprint, corr_id=corr_id)
             self._register(entry)
             entry.add_event({"event": "status", "status": JOB_QUEUED})
-            with correlation_scope(corr_id):
-                record: Optional[Dict[str, Any]] = None
-                source = ""
-                if self.cache is not None:
-                    probe_start = time.perf_counter()
-                    with span("serve.cache_probe", job=fingerprint[:12]):
-                        record = await asyncio.to_thread(
-                            self._cache_lookup, spec
-                        )
-                    if record is not None:
-                        self.metrics.hitpath.observe(
-                            (time.perf_counter() - probe_start) * 1000.0
-                        )
-                        source = SOURCE_CACHE_DISK
-                if (
-                    record is None
-                    and prior is not None
-                    and prior.status == JOB_DONE
-                    and prior.result_record is not None
-                ):
-                    record = prior.result_record
-                    source = SOURCE_REGISTRY
-                    self.metrics.registry_hits.inc()
-                if record is not None:
-                    self.metrics.cache_served.inc()
-                    entry.complete(record, source)
-                else:
-                    # Tag the spec only when it actually travels to a
-                    # worker (corr_id is excluded from the fingerprint;
-                    # the hit path never needs the copy).
-                    if entry.spec.corr_id is None:
-                        entry.spec = dc_replace(spec, corr_id=corr_id)
-                    self._queue.put_nowait(entry)
-                if _log.isEnabledFor(logging.INFO):
-                    _log.info(
-                        "submit",
-                        extra={
-                            "corr_id": corr_id,
-                            "fingerprint": fingerprint,
-                            "outcome": source or "queued",
-                        },
-                    )
 
-        if request.wait and not entry.terminal:
-            await entry.done.wait()
-        await self._send(
-            writer, self._status_payload(entry, request.include_result)
-        )
+        entry.waiters += 1
+        try:
+            if entry is not prior:
+                await self._answer_or_enqueue(entry, prior)
+            if request.wait and not entry.terminal:
+                await entry.done.wait()
+            await self._send_status(writer, entry, request.include_result)
+        finally:
+            entry.waiters -= 1
+            self._release(entry)
+
+    async def _answer_or_enqueue(
+        self, entry: JobEntry, prior: Optional[JobEntry]
+    ) -> None:
+        """Complete a new entry from the cache (or, on a cache-less
+        server, from ``prior``'s kept document), else queue it."""
+        with correlation_scope(entry.corr_id):
+            record: Optional[Dict[str, Any]] = None
+            source = ""
+            if self.cache is not None:
+                probe_start = time.perf_counter()
+                with span("serve.cache_probe", job=entry.fingerprint[:12]):
+                    record = await asyncio.to_thread(
+                        self._cache_lookup, entry.spec
+                    )
+                if record is not None:
+                    self.metrics.hitpath.observe(
+                        (time.perf_counter() - probe_start) * 1000.0
+                    )
+                    source = SOURCE_CACHE_DISK
+            elif (
+                prior is not None
+                and prior.status == JOB_DONE
+                and prior.result_record is not None
+            ):
+                record = prior.result_record
+                source = SOURCE_REGISTRY
+                self.metrics.registry_hits.inc()
+            if record is not None:
+                self.metrics.cache_served.inc()
+                entry.complete(record, source)
+            else:
+                # Tag the spec only when it actually travels to a
+                # worker (corr_id is excluded from the fingerprint;
+                # the hit path never needs the copy).
+                if entry.spec.corr_id is None:
+                    entry.spec = dc_replace(entry.spec, corr_id=entry.corr_id)
+                self._queue.put_nowait(entry)
+            if _log.isEnabledFor(logging.INFO):
+                _log.info(
+                    "submit",
+                    extra={
+                        "corr_id": entry.corr_id,
+                        "fingerprint": entry.fingerprint,
+                        "outcome": source or "queued",
+                    },
+                )
 
     # ------------------------------------------------------------------
     # /status
@@ -679,31 +717,53 @@ class SweepServer:
             )
             return
         if not request.follow:
-            await self._send(
-                writer, self._status_payload(entry, request.include_result)
-            )
+            await self._send_status(writer, entry, request.include_result)
             return
-        seen = 0
-        while True:
-            signal = entry.signal()
-            while seen < len(entry.events):
-                event = dict(entry.events[seen])
-                event.update({"ok": True, "job_id": entry.fingerprint})
-                await self._send(writer, event)
-                seen += 1
-            if entry.terminal:
-                final = self._status_payload(entry, request.include_result)
-                final["final"] = True
-                await self._send(writer, final)
-                return
-            await signal.wait()
+        entry.waiters += 1
+        try:
+            seen = 0
+            while True:
+                signal = entry.signal()
+                while seen < len(entry.events):
+                    event = dict(entry.events[seen])
+                    event.update({"ok": True, "job_id": entry.fingerprint})
+                    await self._send(writer, event)
+                    seen += 1
+                if entry.terminal:
+                    await self._send_status(
+                        writer, entry, request.include_result, final=True
+                    )
+                    return
+                await signal.wait()
+        finally:
+            entry.waiters -= 1
+            self._release(entry)
 
     # ------------------------------------------------------------------
     # Payloads
     # ------------------------------------------------------------------
-    def _status_payload(
-        self, entry: JobEntry, include_result: bool
-    ) -> Dict[str, Any]:
+    async def _send_status(
+        self,
+        writer: asyncio.StreamWriter,
+        entry: JobEntry,
+        include_result: bool,
+        final: bool = False,
+    ) -> None:
+        """Send ``entry``'s status; with ``include_result``, a done job
+        carries its wire document, the one in hand or else the store's
+        (absent when the store no longer holds it)."""
+        payload = self._status_payload(entry)
+        if include_result and entry.status == JOB_DONE:
+            record = entry.result_record
+            if record is None and self.cache is not None:
+                record = await asyncio.to_thread(self._cache_lookup, entry.spec)
+            if record is not None:
+                payload["result"] = record
+        if final:
+            payload["final"] = True
+        await self._send(writer, payload)
+
+    def _status_payload(self, entry: JobEntry) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "ok": True,
             "job_id": entry.fingerprint,
@@ -723,16 +783,8 @@ class SweepServer:
             payload["cache"] = "hit"
         else:
             payload["cache"] = None
-        record = entry.result_record
-        if record is not None:
-            stats = record.get("stats")
-            payload["result_summary"] = {
-                "accelerator": record.get("accelerator"),
-                "dataset": record.get("dataset"),
-                "cycles": stats.get("cycles") if isinstance(stats, dict) else None,
-            }
-            if include_result:
-                payload["result"] = record
+        if entry.result_summary is not None:
+            payload["result_summary"] = entry.result_summary
         return payload
 
     def _healthz_payload(self) -> Dict[str, Any]:
@@ -768,6 +820,12 @@ class SweepServer:
             "queue_depth": self._queue.qsize(),
             "in_flight": self._in_flight,
             "registry_size": len(self._jobs),
+            # Entries still holding a wire document: with a cache, 0
+            # between requests (the store holds finished results).
+            "registry_records": sum(
+                1 for entry in self._jobs.values()
+                if entry.result_record is not None
+            ),
             "jobs": {
                 "submitted": int(m.submitted.value),
                 "deduped": int(m.deduped.value),
@@ -849,6 +907,9 @@ class SweepServer:
                     )
             else:
                 self._apply_sweep(batch, sweep)
+                # Free the batch's results and documents now, not when
+                # the next batch's sweep replaces them.
+                del sweep
             finally:
                 self._in_flight = 0
 
@@ -923,6 +984,7 @@ class SweepServer:
                 if doc is None:
                     doc = result.to_dict()
                 entry.complete(doc, source, attempts, wall)
+                self._release(entry)
             else:
                 error = rec.error if rec is not None else None
                 if rec is not None and rec.status == STATUS_FAILED:

@@ -86,6 +86,29 @@ class TestSerial:
         assert sweep.manifest.records[0].attempts == 2
         assert sweep.results[_spec().fingerprint()] == "recovered:rwp"
 
+    def test_serial_groups_jobs_by_workload(self, monkeypatch):
+        """Specs alternating between two workloads build each model
+        once, and the one-workload memo keeps only the last."""
+        from repro.bench import workloads
+
+        loads = []
+        real_load = workloads.load_dataset
+
+        def counting_load(name, **kwargs):
+            loads.append((name, kwargs.get("seed")))
+            return real_load(name, **kwargs)
+
+        monkeypatch.setattr(workloads, "load_dataset", counting_load)
+        workloads.make_model.cache_clear()
+        specs = [
+            _spec(kind=kind, seed=seed)
+            for kind in ("rwp", "op") for seed in (0, 1)
+        ]
+        sweep = SweepExecutor(n_jobs=1).run(specs)
+        assert sweep.manifest.executed == 4
+        assert loads == [("cora", 0), ("cora", 1)]
+        assert workloads.make_model.cache_info().currsize == 1
+
 
 class TestPool:
     def test_pool_runs_all_jobs(self):

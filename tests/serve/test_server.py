@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.bench.runner import job_spec
+from repro.hymm.base import RunResult
 from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_spec
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import encode
@@ -142,6 +143,38 @@ class TestColdWarm:
                 warm = client.submit(spec.to_dict())
         assert (cold["source"], warm["source"]) == ("executed", "cache-disk")
         assert warm["phases"] == cold["phases"]
+
+    def test_finished_result_lives_in_the_store(self, tmp_path, spec):
+        """With a cache the registry keeps no wire document once the
+        reply is sent; ``include_result`` later reads the store."""
+        cache = ResultCache(tmp_path)
+        with ServerThread(cache=cache) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                done = client.submit(spec.to_dict(), wait=True)
+                assert done["source"] == "executed"
+                metrics = client.metrics()
+                assert metrics["registry_size"] == 1
+                assert metrics["registry_records"] == 0
+                later = client.status(done["job_id"], include_result=True)
+        assert later["result_summary"] == done["result_summary"]
+        stored = cache.load(spec)
+        served = RunResult.from_dict(later["result"])
+        assert len(served.outputs) == len(stored.outputs)
+        for ours, theirs in zip(served.outputs, stored.outputs):
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_result_gone_from_the_store_is_summary_only(self, tmp_path, spec):
+        cache = ResultCache(tmp_path)
+        with ServerThread(cache=cache) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                done = client.submit(spec.to_dict(), wait=True)
+                assert cache.clear() == 1
+                later = client.status(done["job_id"], include_result=True)
+        assert later["status"] == "done"
+        assert later["result_summary"] == done["result_summary"]
+        assert later["result_summary"]["cycles"] > 0
+        assert "result" not in later
 
     def test_hit_path_meets_latency_target(self, tmp_path, spec):
         """Twenty warm submits of a primed spec: the client sees each
