@@ -30,11 +30,16 @@ Package map
     Regenerates every table and figure of the paper.
 """
 
-from repro.graphs import load_dataset, GraphDataset
-from repro.gcn import GCNModel, reference_inference
-from repro.hymm import HyMMAccelerator, HyMMConfig, RunResult
-from repro.baselines import RWPAccelerator, OPAccelerator, CWPAccelerator
-from repro.area import AreaModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.area import AreaModel
+    from repro.baselines import CWPAccelerator, OPAccelerator, RWPAccelerator
+    from repro.gcn import GCNModel, reference_inference
+    from repro.graphs import GraphDataset, load_dataset
+    from repro.hymm import HyMMAccelerator, HyMMConfig, RunResult
 
 __version__ = "1.0.0"
 
@@ -52,3 +57,13 @@ __all__ = [
     "AreaModel",
     "__version__",
 ]
+
+# Names load on first access: ``import repro`` (and so any submodule
+# import) loads none of the simulator.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.graphs": ("load_dataset", "GraphDataset"),
+    "repro.gcn": ("GCNModel", "reference_inference"),
+    "repro.hymm": ("HyMMAccelerator", "HyMMConfig", "RunResult"),
+    "repro.baselines": ("RWPAccelerator", "OPAccelerator", "CWPAccelerator"),
+    "repro.area": ("AreaModel",),
+})

@@ -8,22 +8,27 @@ figure benches that read the same runs (Fig. 7/8/9/11) only simulate
 once.
 """
 
-from repro.bench.workloads import (
-    BENCH_DATASETS,
-    bench_scale,
-    full_scale_requested,
-    make_model,
-)
-from repro.bench.runner import (
-    clear_cache,
-    configure_runtime,
-    job_spec,
-    run_accelerator,
-    run_suite,
-    run_sweep,
-)
-from repro.bench.report import format_table, render_series
-from repro.bench import tables, figures
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench import figures, tables
+    from repro.bench.report import format_table, render_series
+    from repro.bench.runner import (
+        clear_cache,
+        configure_runtime,
+        job_spec,
+        run_accelerator,
+        run_suite,
+        run_sweep,
+    )
+    from repro.bench.workloads import (
+        BENCH_DATASETS,
+        bench_scale,
+        full_scale_requested,
+        make_model,
+    )
 
 __all__ = [
     "BENCH_DATASETS",
@@ -41,3 +46,18 @@ __all__ = [
     "tables",
     "figures",
 ]
+
+# ``repro.bench.report`` (the table formatter ``repro.obs`` uses) loads
+# without the runner, the runtime or the simulator.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.bench.workloads": (
+        "BENCH_DATASETS", "bench_scale", "full_scale_requested", "make_model",
+    ),
+    "repro.bench.runner": (
+        "clear_cache", "configure_runtime", "job_spec", "run_accelerator",
+        "run_suite", "run_sweep",
+    ),
+    "repro.bench.report": ("format_table", "render_series"),
+    "repro.bench.tables": ("tables",),
+    "repro.bench.figures": ("figures",),
+})

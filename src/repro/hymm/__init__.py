@@ -19,12 +19,17 @@ degree-sorted, region-tiled adjacency matrix
 (:mod:`repro.hymm.kernels`).
 """
 
-from repro.hymm.config import HyMMConfig
-from repro.hymm.dmb import AddressMap, DenseMatrixBuffer, SplitBufferPair
-from repro.hymm.smq import SparseMatrixQueue, csr_row_stream_bytes, csc_col_stream_bytes
-from repro.hymm.pe import PEArray
-from repro.hymm.base import AcceleratorBase, RunResult
-from repro.hymm.accelerator import HyMMAccelerator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.hymm.accelerator import HyMMAccelerator
+    from repro.hymm.base import AcceleratorBase, RunResult
+    from repro.hymm.config import HyMMConfig
+    from repro.hymm.dmb import AddressMap, DenseMatrixBuffer, SplitBufferPair
+    from repro.hymm.pe import PEArray
+    from repro.hymm.smq import SparseMatrixQueue, csc_col_stream_bytes, csr_row_stream_bytes
 
 __all__ = [
     "HyMMConfig",
@@ -39,3 +44,14 @@ __all__ = [
     "RunResult",
     "HyMMAccelerator",
 ]
+
+# ``repro.hymm.config`` (and the stdlib-only ``repro.hymm.wire``) load
+# without the kernels, the engine or numpy.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.hymm.config": ("HyMMConfig",),
+    "repro.hymm.dmb": ("AddressMap", "DenseMatrixBuffer", "SplitBufferPair"),
+    "repro.hymm.smq": ("SparseMatrixQueue", "csr_row_stream_bytes", "csc_col_stream_bytes"),
+    "repro.hymm.pe": ("PEArray",),
+    "repro.hymm.base": ("AcceleratorBase", "RunResult"),
+    "repro.hymm.accelerator": ("HyMMAccelerator",),
+})

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from repro.hymm.dmb import AddressMap, make_buffer
 from repro.hymm.kernels import KernelContext, combination_dense, combination_rwp
 from repro.hymm.pe import PEArray
 from repro.hymm.smq import SparseMatrixQueue
+from repro.hymm.wire import RESULT_SCHEMA_VERSION, result_fields
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.runtime.serialize import array_from_dict, array_to_dict, sanitize_extra
 from repro.sim.buffer import CLASS_W, CLASS_XW
 from repro.sim.engine import make_engine
 from repro.sim.memory import DRAM
@@ -84,12 +86,9 @@ class RunResult:
             raise ValueError("run has zero cycles")
         return other.stats.cycles / self.stats.cycles
 
-    #: Wire-format version of :meth:`to_dict`.  Bump on layout changes;
-    #: the runtime's disk cache treats records of any other version as
-    #: misses.  v2: added ``phase_snapshots``.  v3: ``phase_snapshots``
-    #: is the only per-phase counter record, with ``phase_occupancy``
-    #: beside it.
-    SCHEMA_VERSION = 3
+    #: Wire-format version of :meth:`to_dict` (see
+    #: :data:`repro.hymm.wire.RESULT_SCHEMA_VERSION`).
+    SCHEMA_VERSION = RESULT_SCHEMA_VERSION
 
     # ------------------------------------------------------------------
     # Serialisation (runtime disk cache + cross-process transport)
@@ -102,8 +101,6 @@ class RunResult:
         ``extra["_dropped"]``, so cached results carry every scalar
         by-product but no pickled simulator state.
         """
-        from repro.runtime.serialize import array_to_dict, sanitize_extra
-
         return {
             "schema_version": self.SCHEMA_VERSION,
             "accelerator": self.accelerator,
@@ -124,44 +121,15 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(
-        cls,
-        data: Dict[str, object],
-        decode_array: Optional[Callable[[Any], np.ndarray]] = None,
-    ) -> "RunResult":
+    def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
         """Inverse of :meth:`to_dict`; raises on schema mismatch.
 
-        ``decode_array`` turns each entry of ``data["outputs"]`` into
-        its array (default: the wire form's inline
-        :func:`~repro.runtime.serialize.array_from_dict`); the result
-        cache passes its blob reader.
+        Every field but the outputs goes through
+        :func:`repro.hymm.wire.result_fields`, the checks the result
+        cache applies when it serves a document without decoding it.
         """
-        from repro.runtime.serialize import array_from_dict
-
-        decode = decode_array if decode_array is not None else array_from_dict
-        version = data.get("schema_version")
-        if version != cls.SCHEMA_VERSION:
-            raise ValueError(
-                f"RunResult schema mismatch: record v{version}, "
-                f"code v{cls.SCHEMA_VERSION}"
-            )
-        return cls(
-            accelerator=data["accelerator"],
-            dataset=data["dataset"],
-            config=HyMMConfig.from_dict(data["config"]),
-            stats=SimStats.from_dict(data["stats"]),
-            outputs=[decode(a) for a in data["outputs"]],
-            phase_snapshots={
-                p: SimStats.from_dict(s)
-                for p, s in data["phase_snapshots"].items()
-            },
-            phase_occupancy={
-                p: dict(o) for p, o in data["phase_occupancy"].items()
-            },
-            sort_ms=data["sort_ms"],
-            wall_seconds=data["wall_seconds"],
-            extra=dict(data["extra"]),
-        )
+        fields = result_fields(data)
+        return cls(outputs=[array_from_dict(a) for a in data["outputs"]], **fields)
 
 
 class AcceleratorBase:

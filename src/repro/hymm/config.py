@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping
 
-from repro.sim.engine import ENGINE_KINDS
+from repro.sim.constants import ENGINE_KINDS
 from repro.sim.memory import DRAMConfig
 
 

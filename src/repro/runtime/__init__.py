@@ -22,17 +22,22 @@ Everything every future scaling layer (sharding, async serving,
 multi-backend) plugs into lives here.
 """
 
-from repro.runtime.job import SCHEMA_VERSION, JobSpec
-from repro.runtime.serialize import to_jsonable
-from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.manifest import JobRecord, RunManifest
-from repro.runtime.executor import SweepExecutor, SweepResult
-from repro.runtime.execute import (
-    execute_job,
-    execute_spec,
-    make_accelerator,
-    replay_summary,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache, default_cache_dir
+    from repro.runtime.execute import (
+        execute_job,
+        execute_spec,
+        make_accelerator,
+        replay_summary,
+    )
+    from repro.runtime.executor import SweepExecutor, SweepResult
+    from repro.runtime.job import SCHEMA_VERSION, JobSpec
+    from repro.runtime.manifest import JobRecord, RunManifest
+    from repro.runtime.serialize import to_jsonable
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,3 +54,16 @@ __all__ = [
     "replay_summary",
     "to_jsonable",
 ]
+
+# The specs, the store and the manifest load without the simulator;
+# ``SweepExecutor`` and the ``execute_*`` functions load all of it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.runtime.job": ("SCHEMA_VERSION", "JobSpec"),
+    "repro.runtime.serialize": ("to_jsonable",),
+    "repro.runtime.cache": ("ResultCache", "default_cache_dir"),
+    "repro.runtime.manifest": ("JobRecord", "RunManifest"),
+    "repro.runtime.executor": ("SweepExecutor", "SweepResult"),
+    "repro.runtime.execute": (
+        "execute_job", "execute_spec", "make_accelerator", "replay_summary",
+    ),
+})

@@ -18,7 +18,12 @@ of hash-prefix directories so no directory piles up every record of a
 large cache.  ``"result"`` is the wire document the job's worker
 returned, stored as-is except that its ``"outputs"`` are blob
 references; :class:`~repro.runtime.executor.SweepExecutor` is the only
-code that stores records::
+code that stores records.  There is one reader,
+:meth:`ResultCache.load_document`: it rebuilds the wire document from
+the record and the blob bytes (the ``.npy`` data section, checked and
+base64-encoded) with the standard library alone, so a server that only
+answers hits never imports numpy or the simulator.
+:meth:`ResultCache.load` decodes that document into a ``RunResult``::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
@@ -50,10 +55,14 @@ Invalidation rules:
   counted in
   :attr:`ResultCache.corrupt` -- a damaged cache degrades to cold, it
   never fails a run;
-* every blob read re-hashes the file: a missing, truncated or
+* every blob read re-hashes the file and checks its ``.npy`` header
+  against the reference's dtype and shape: a missing, truncated or
   mismatched blob makes the record naming it corrupt (evicted and
-  counted, as above), and the damaged blob itself is deleted so the
+  counted, as above), and a damaged blob itself is deleted so the
   next store rewrites it.  A damaged blob is never served.
+
+Writing a blob (and decoding one into an array for a trace replay)
+takes numpy, which those methods import where they run.
 
 Writes (records and blobs) go through a temp file in the target's
 *own* directory + ``os.replace``, so a concurrent reader (or a killed
@@ -64,25 +73,32 @@ already exists is not rewritten: its name is its content.
 
 from __future__ import annotations
 
+import ast
+import base64
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
+import struct
 import tempfile
 import threading
 import time
 import zlib
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple,
+    TypeVar, Union,
 )
 
-import numpy as np
-
-from repro.hymm.base import RunResult
+from repro.hymm.wire import result_fields
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
-from repro.runtime.serialize import array_from_dict
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.hymm.base import RunResult
 
 T = TypeVar("T")
 
@@ -200,6 +216,8 @@ class BlobStore:
 
     def put(self, array: np.ndarray) -> Dict[str, Any]:
         """Store ``array`` (once per content); returns its reference."""
+        import numpy as np
+
         contiguous = np.asarray(array, order="C")
         little = contiguous.astype(contiguous.dtype.newbyteorder("<"), copy=False)
         if little.dtype.hasobject:
@@ -224,12 +242,15 @@ class BlobStore:
             "shape": list(contiguous.shape),
         }
 
-    def get(self, ref: Mapping[str, Any]) -> np.ndarray:
-        """The array ``ref`` names, re-hashed on every read.
+    def read(self, ref: Mapping[str, Any]) -> memoryview:
+        """The raw bytes of the array ``ref`` names -- little-endian, C
+        order: the ``.npy`` file after its header -- re-hashed on every
+        read, with the header checked against ``ref``'s dtype and shape.
 
-        A blob whose bytes no longer hash to its name is deleted (so
-        the next :meth:`put` of that content rewrites it) before the
-        ``ValueError`` is raised.
+        Stdlib only.  A blob whose bytes no longer hash to its name is
+        deleted (so the next :meth:`put` of that content rewrites it)
+        before the ``ValueError`` is raised; a missing blob, or one
+        that does not match ``ref``, raises ``ValueError`` too.
         """
         digest = ref["blob"]
         if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
@@ -243,25 +264,60 @@ class BlobStore:
         if hashlib.sha256(data).hexdigest() != digest:
             _evict(path)
             raise ValueError(f"blob {digest} is damaged")
-        array = _npy_view(data)
-        dtype = np.dtype(ref["dtype"])
-        if array.dtype.name != dtype.name or list(array.shape) != list(ref["shape"]):
+        descr, shape, start = _npy_header(data)
+        name = _dtype_name(descr)
+        if name is None or name != ref["dtype"] or list(shape) != list(ref["shape"]):
             raise ValueError(f"blob {digest} does not match its reference")
-        return array.astype(dtype, copy=False)
+        if len(data) - start != math.prod(shape) * int(descr[2:]):
+            raise ValueError(f"blob {digest} holds the wrong number of bytes")
+        return memoryview(data)[start:]
+
+    def get(self, ref: Mapping[str, Any]) -> np.ndarray:
+        """The array ``ref`` names, bit-identical to the one stored, as
+        a read-only view of the bytes :meth:`read` checked."""
+        import numpy as np
+
+        dtype = np.dtype(ref["dtype"])
+        flat = np.frombuffer(self.read(ref), dtype=dtype.newbyteorder("<"))
+        return flat.astype(dtype, copy=False).reshape(ref["shape"])
 
 
-def _npy_view(data: bytes) -> np.ndarray:
-    """The array an ``.npy`` file holds, as a read-only view of
-    ``data`` (no copy; the inline wire decode is read-only too)."""
-    fmt = np.lib.format
-    header = io.BytesIO(data)
-    if fmt.read_magic(header) != (1, 0):
+#: ``.npy`` format 1.0 magic string and version.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+#: ``.npy`` type codes of the array kinds a blob may hold.
+_NPY_KINDS = {"b": "bool", "i": "int", "u": "uint", "f": "float", "c": "complex"}
+
+
+def _npy_header(data: bytes) -> Tuple[str, Tuple[int, ...], int]:
+    """``(descr, shape, data offset)`` of the ``.npy`` file ``data``.
+
+    Raises ``ValueError`` unless it is format 1.0 holding a C-order
+    array, the layout :meth:`BlobStore.put` writes.
+    """
+    if not data.startswith(_NPY_MAGIC):
         raise ValueError("blobs are written as .npy format 1.0")
-    shape, fortran_order, dtype = fmt.read_array_header_1_0(header)
-    if dtype.hasobject:
-        raise ValueError("object arrays are not stored as blobs")
-    flat = np.frombuffer(data, dtype=dtype, offset=header.tell())
-    return flat.reshape(shape, order="F" if fortran_order else "C")
+    (length,) = struct.unpack_from("<H", data, len(_NPY_MAGIC))
+    start = len(_NPY_MAGIC) + 2 + length
+    try:
+        header = ast.literal_eval(data[len(_NPY_MAGIC) + 2:start].decode("latin1").strip())
+    except SyntaxError as exc:
+        raise ValueError(f"unreadable .npy header: {exc}") from None
+    if not isinstance(header, dict) or header.get("fortran_order") is not False:
+        raise ValueError("blobs hold C-order arrays")
+    descr, shape = header.get("descr"), header.get("shape")
+    if not isinstance(descr, str) or not isinstance(shape, tuple):
+        raise ValueError(".npy header without a scalar dtype and a shape")
+    return descr, shape, start
+
+
+def _dtype_name(descr: str) -> Optional[str]:
+    """The numpy dtype name of a little-endian (or byte-order free)
+    ``.npy`` type code, ``"<f8"`` -> ``"float64"``; ``None`` for any
+    other."""
+    kind, size = descr[1:2], descr[2:]
+    if descr[:1] not in ("<", "|") or kind not in _NPY_KINDS or not size.isdigit():
+        return None
+    return "bool" if kind == "b" else f"{_NPY_KINDS[kind]}{8 * int(size)}"
 
 
 class ResultCache:
@@ -290,27 +346,51 @@ class ResultCache:
             / f"{fingerprint}.json"
         )
 
-    def load(self, spec: JobSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` (miss).
+    def load_document(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
+        """The cached result for ``spec`` as its wire document (the
+        ``RunResult.to_dict()`` form), or ``None`` (miss).
 
-        Records that cannot be parsed, no longer match the current
-        result schema, or name a missing or damaged output blob are
-        evicted and reported as misses.  Outputs are read (and
-        re-hashed) here, eagerly.
+        The document is built from the record and the blob bytes, with
+        no numpy and no simulator: each output's blob is re-hashed, its
+        ``.npy`` header checked against the reference and its data
+        base64-encoded as the wire form's ``data_b64``.  Records that
+        cannot be parsed, fail :func:`repro.hymm.wire.result_fields`
+        (the result schema version, the config, the stats and every
+        phase snapshot) or name a missing, damaged or mismatched blob
+        are evicted and reported as misses.
         """
-        result, corrupt = _read_record(
-            self._path(spec.fingerprint()), self._decode
+        doc, corrupt = _read_record(
+            self._path(spec.fingerprint()), self._document
         )
         with self._counter_lock:
-            if result is None:
+            if doc is None:
                 self.misses += 1
                 self.corrupt += int(corrupt)
             else:
                 self.hits += 1
-        return result
+        return doc
 
-    def _decode(self, record: Dict[str, Any]) -> RunResult:
-        return RunResult.from_dict(record["result"], decode_array=self.blobs.get)
+    def _document(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        doc = dict(record["result"])
+        result_fields(doc)
+        doc["outputs"] = [
+            {
+                "dtype": ref["dtype"],
+                "shape": list(ref["shape"]),
+                "data_b64": base64.b64encode(self.blobs.read(ref)).decode("ascii"),
+            }
+            for ref in doc["outputs"]
+        ]
+        return doc
+
+    def load(self, spec: JobSpec) -> Optional[RunResult]:
+        """The cached result for ``spec`` decoded, or ``None`` (miss):
+        ``RunResult.from_dict`` of :meth:`load_document`, which makes
+        every check."""
+        from repro.hymm.base import RunResult
+
+        doc = self.load_document(spec)
+        return None if doc is None else RunResult.from_dict(doc)
 
     def store(self, spec: JobSpec, doc: Mapping[str, Any]) -> pathlib.Path:
         """Atomically persist one result; returns the record path.
@@ -322,6 +402,8 @@ class ResultCache:
         each output matrix goes to :attr:`blobs` and the record keeps
         its reference.  ``doc`` itself is not modified.
         """
+        from repro.runtime.serialize import array_from_dict
+
         result = dict(doc)
         result["outputs"] = [
             self.blobs.put(array_from_dict(a)) for a in doc["outputs"]
@@ -418,7 +500,7 @@ class TraceStore:
     def store_trace(self, sig: str, record: Dict[str, Any]) -> pathlib.Path:
         """Atomically persist one trace record; returns the path."""
         if "output" in record:
-            record = dict(record, output=self.blobs.put(np.asarray(record["output"])))
+            record = dict(record, output=self.blobs.put(record["output"]))
         return write_record(self.root / f"{sig}.json", record)
 
 

@@ -1,9 +1,11 @@
 """Job execution: turn a :class:`JobSpec` into a :class:`RunResult`.
 
 These are the only functions worker processes run, so they are plain
-module-level callables (picklable by reference) and they import the
-bench workload layer lazily to keep ``repro.runtime`` importable
-without dragging in -- or cyclically re-entering -- ``repro.bench``.
+module-level callables (picklable by reference).  Importing this module
+loads everything a job runs -- the accelerators, the workload layer and
+the trace replay -- so a process that imports it (a sweep, a pool
+worker, a server's first batch) pays for that once, up front, and the
+lighter parts of ``repro.runtime`` (specs, the store) load without it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,21 @@ import logging
 import time
 from typing import Dict, Optional
 
-from repro.hymm import HyMMAccelerator, HyMMConfig
+from repro.baselines import (
+    CWPAccelerator,
+    GCoDAccelerator,
+    OPAccelerator,
+    RWPAccelerator,
+    TiledOPAccelerator,
+)
+from repro.bench import workloads
+from repro.hymm.accelerator import HyMMAccelerator
 from repro.hymm.base import AcceleratorBase, RunResult
+from repro.hymm.config import HyMMConfig
 from repro.obs.tracer import Tracer
 from repro.runtime.cache import job_trace_store
 from repro.runtime.job import JobSpec
+from repro.sim.replay import TraceSession
 from repro.telemetry import bind_correlation, get_logger, span
 
 _log = get_logger("runtime.execute")
@@ -37,14 +49,6 @@ def make_accelerator(
     pinned by the job fingerprint rather than by a constant buried in
     the accelerator.
     """
-    from repro.baselines import (
-        CWPAccelerator,
-        GCoDAccelerator,
-        OPAccelerator,
-        RWPAccelerator,
-        TiledOPAccelerator,
-    )
-
     if kind == "hymm":
         return HyMMAccelerator(
             config if config is not None else HyMMConfig(),
@@ -98,9 +102,7 @@ def execute_spec(
     run's phase traces; ``None`` (the default) simulates every phase
     live and writes nothing.
     """
-    from repro.bench.workloads import make_model
-
-    model = make_model(
+    model = workloads.make_model(
         spec.dataset,
         spec.scale,
         n_layers=spec.n_layers,
@@ -157,8 +159,6 @@ def execute_job(
             extra={"fingerprint": spec.fingerprint(), "job": spec.describe()},
         )
     try:
-        from repro.sim.replay import TraceSession
-
         session = (
             TraceSession(job_trace_store(cache_dir, spec))
             if cache_dir is not None else None

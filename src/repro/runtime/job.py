@@ -18,6 +18,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
+# ``repro/__init__`` imports nothing eagerly (its exports load on first
+# access), so the package, version included, is complete before any
+# submodule runs.
+from repro import __version__ as _REPRO_VERSION
 from repro.hymm.config import HyMMConfig
 
 #: Version of the JobSpec/RunResult wire format.  Bump whenever the
@@ -37,14 +41,6 @@ from repro.hymm.config import HyMMConfig
 #: v6: cache records are zlib-compressed JSON under the same names, and
 #: ``RunResult.extra`` no longer carries the node permutation.
 SCHEMA_VERSION = 6
-
-
-def _package_version() -> str:
-    # Imported lazily: repro/__init__ imports nothing from runtime, but
-    # keeping this out of module scope avoids any import-order surprise.
-    import repro
-
-    return getattr(repro, "__version__", "0")
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class JobSpec:
         for debugging cache keys)."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "repro_version": _package_version(),
+            "repro_version": _REPRO_VERSION,
             "dataset": self.dataset,
             "kind": self.kind,
             "scale": self.scale,

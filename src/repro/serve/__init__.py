@@ -26,13 +26,14 @@ and SweepExecutor batches run in worker threads); the
 ``transitive-blocking`` analyzer rule enforces that contract statically.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, Request
-from repro.serve.server import (
-    ServeSettings,
-    ServerThread,
-    SweepServer,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import ServeClient, ServeError
+    from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, Request
+    from repro.serve.server import ServerThread, ServeSettings, SweepServer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -44,3 +45,9 @@ __all__ = [
     "ServerThread",
     "SweepServer",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.client": ("ServeClient", "ServeError"),
+    "repro.serve.protocol": ("PROTOCOL_VERSION", "ProtocolError", "Request"),
+    "repro.serve.server": ("ServeSettings", "ServerThread", "SweepServer"),
+})

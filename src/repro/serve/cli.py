@@ -34,7 +34,9 @@ Subcommands:
 
 Runtime/bench imports happen inside the handlers -- the CLI must be
 importable (e.g. for ``--help``) without dragging the workload layer
-in.
+in, and the client subcommands and ``serve`` itself start without numpy
+or the simulator: a server loads them with its first batch of misses
+(``tests/serve/test_light_start.py`` checks both).
 """
 
 from __future__ import annotations

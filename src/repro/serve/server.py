@@ -44,29 +44,36 @@ later ``/status`` that asks for the result loads it from the store.  A
 cache-less server keeps the document, since there the registry is the
 store (``source: "registry"``).
 
-Blocking work (cache reads, simulation batches) runs in worker threads
-via ``asyncio.to_thread``; the event-loop side never touches the disk
-or the simulator, a contract enforced by the ``transitive-blocking``
-analyzer rule.
+A hit is served from the stored bytes:
+:meth:`~repro.runtime.cache.ResultCache.load_document` builds the wire
+document from the record and its blobs with the standard library
+alone, and the reply sends it as it is.  The executor -- and with it
+numpy, the simulator and the workload layer -- is imported by the
+first batch of misses, in its worker thread, timed as the
+``serve.load_executor`` span (``executor_loaded`` in ``/metrics``), so
+a server that only answers hits never loads it.
+
+Blocking work (cache reads, the executor import, simulation batches)
+runs in worker threads via ``asyncio.to_thread``; the event-loop side
+never touches the disk or the simulator, a contract enforced by the
+``transitive-blocking`` analyzer rule.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib
 import logging
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.hymm.base import RunResult
 from repro.obs.tracer import PhaseFeed
 from repro.runtime.cache import ResultCache
-from repro.runtime.execute import execute_job
-from repro.runtime.executor import SweepExecutor, SweepResult
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
 from repro.runtime.manifest import STATUS_FAILED
-from repro.sim.replay import TRACE_SCHEMA_VERSION
+from repro.sim.constants import TRACE_SCHEMA_VERSION
 from repro.sim.stats import PHASE_ROW_FIELDS
 from repro.telemetry import (
     MetricsRegistry,
@@ -102,6 +109,9 @@ from repro.serve.protocol import (
     error_payload,
     parse_request,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import SweepResult
 
 #: How long shutdown waits for open connections to finish after
 #: waking them (their clients get EOF or a final failed status).
@@ -376,6 +386,12 @@ class ServeMetrics:
         self._uptime = registry.gauge(
             "repro_serve_uptime_seconds", "Seconds since the server started"
         )
+        #: 1 once the first batch has imported the executor (and numpy
+        #: and the simulator with it); a hit-only server stays at 0.
+        self.executor_loaded = registry.gauge(
+            "repro_serve_executor_loaded",
+            "1 once a batch of misses has loaded the executor and simulator",
+        )
 
     @property
     def replay_hits(self) -> int:
@@ -585,10 +601,10 @@ class SweepServer:
                 del self._jobs[fingerprint]
 
     def _cache_lookup(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
-        """Worker-thread cache probe -> serialised result dict."""
+        """Worker-thread cache probe -> the stored result's wire
+        document, built from the record and blob bytes."""
         assert self.cache is not None
-        result = self.cache.load(spec)
-        return None if result is None else result.to_dict()
+        return self.cache.load_document(spec)
 
     def _release(self, entry: JobEntry) -> None:
         """Drop a done entry's wire document once no reply waits on it.
@@ -826,6 +842,9 @@ class SweepServer:
                 1 for entry in self._jobs.values()
                 if entry.result_record is not None
             ),
+            # False until a batch of misses loads the executor: a
+            # server that has answered only hits never does.
+            "executor_loaded": bool(m.executor_loaded.value),
             "jobs": {
                 "submitted": int(m.submitted.value),
                 "deduped": int(m.deduped.value),
@@ -913,6 +932,16 @@ class SweepServer:
             finally:
                 self._in_flight = 0
 
+    def _load_executor(self) -> None:
+        """Import the executor, and through it numpy, the simulator and
+        the workload layer (worker thread; timed once per server as
+        ``serve.load_executor``)."""
+        if self.metrics.executor_loaded.value:
+            return
+        with span("serve.load_executor"):
+            importlib.import_module("repro.runtime.executor")
+        self.metrics.executor_loaded.set(1)
+
     def _run_batch(
         self, batch: List[JobEntry], loop: asyncio.AbstractEventLoop
     ) -> SweepResult:
@@ -923,6 +952,10 @@ class SweepServer:
         a :class:`PhaseFeed` streaming its progress rows (the ``runner``
         test seam replaces that runner).
         """
+        self._load_executor()
+        from repro.runtime.execute import execute_job
+        from repro.runtime.executor import SweepExecutor
+
         n_jobs = min(self.settings.workers, len(batch))
         runner = self._runner
         if runner is None and n_jobs <= 1:
@@ -963,6 +996,8 @@ class SweepServer:
         return executor.run([entry.spec for entry in batch])
 
     def _apply_sweep(self, batch: List[JobEntry], sweep: SweepResult) -> None:
+        from repro.hymm.base import RunResult  # loaded by _run_batch
+
         records = {
             rec.fingerprint: rec for rec in sweep.manifest.records
         }

@@ -29,15 +29,20 @@ Components
   hits/misses, LSQ forwards, partial-output footprint.
 """
 
-from repro.sim.stats import SimStats
-from repro.sim.memory import DRAM, DRAMConfig
-from repro.sim.buffer import CacheBuffer, CLASS_W, CLASS_XW, CLASS_OUT, CLASS_PARTIAL
-from repro.sim.engine import (
-    ENGINE_KINDS,
-    AccessExecuteEngine,
-    BatchedAccessExecuteEngine,
-    make_engine,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.buffer import CLASS_OUT, CLASS_PARTIAL, CLASS_W, CLASS_XW, CacheBuffer
+    from repro.sim.constants import ENGINE_KINDS
+    from repro.sim.engine import (
+        AccessExecuteEngine,
+        BatchedAccessExecuteEngine,
+        make_engine,
+    )
+    from repro.sim.memory import DRAM, DRAMConfig
+    from repro.sim.stats import SimStats
 
 __all__ = [
     "SimStats",
@@ -53,3 +58,13 @@ __all__ = [
     "ENGINE_KINDS",
     "make_engine",
 ]
+
+# Importing one submodule (``repro.sim.stats``) loads only that one:
+# the engine and numpy load on first access to their names.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.stats": ("SimStats",),
+    "repro.sim.memory": ("DRAM", "DRAMConfig"),
+    "repro.sim.buffer": ("CacheBuffer", "CLASS_W", "CLASS_XW", "CLASS_OUT", "CLASS_PARTIAL"),
+    "repro.sim.constants": ("ENGINE_KINDS",),
+    "repro.sim.engine": ("AccessExecuteEngine", "BatchedAccessExecuteEngine", "make_engine"),
+})

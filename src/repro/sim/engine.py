@@ -30,11 +30,9 @@ import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.buffer import CLASS_INDEX, CLASS_PARTIAL, CacheBuffer
+from repro.sim.constants import ENGINE_KINDS
 from repro.sim.memory import DRAM
 from repro.sim.stats import SimStats
-
-#: Engine implementations selectable via ``HyMMConfig.engine``.
-ENGINE_KINDS = ("scalar", "batched")
 
 #: Address bits below the (space, layer) prefix of
 #: :class:`repro.hymm.dmb.AddressMap` addresses.  The batched engine

@@ -75,6 +75,7 @@ import numpy as np
 
 from repro.gcn.model import GCNModel
 from repro.hymm.config import HyMMConfig
+from repro.sim.constants import TRACE_SCHEMA_VERSION
 from repro.telemetry import get_logger, get_registry
 
 _log = get_logger("sim.replay")
@@ -99,13 +100,6 @@ _RECORD_MS = _registry.histogram(
     "Wall milliseconds to persist one phase record",
 )
 
-#: Bump on any change to the trace record layout or the snapshot wire
-#: formats; hashed into the signature chain so stale records become
-#: structural misses instead of wrong replays.  v2: the phase output is
-#: a content-addressed ``.npy`` blob reference, not inline base64.  v3:
-#: only aggregation records name an output -- the layer's output as the
-#: result holds it -- and a layer replays whole or not at all.
-TRACE_SCHEMA_VERSION = 3
 
 #: Keys every applicable phase record must carry.  ``lookup`` verifies
 #: them *before* handing the record to the run loop, so a truncated or

@@ -248,7 +248,9 @@ class TestSrcSpotChecks:
         graph = get_callgraph(project)
         reachable = graph.thread_reachable("repro.serve")
         # self.cache: Optional[ResultCache] resolves the probe, and the
-        # record read it calls, from the to_thread site.
+        # record read it calls, from the to_thread site; the batch
+        # lane's executor reaches the decoding reader.
+        assert "repro.runtime.cache.ResultCache.load_document" in reachable
         assert "repro.runtime.cache.ResultCache.load" in reachable
         assert "repro.runtime.cache._read_record" in reachable
 
@@ -256,12 +258,15 @@ class TestSrcSpotChecks:
         effects = get_effects(project)
         read = effects.of("repro.runtime.cache._read_record")
         assert BLOCKS_IO in read.direct  # open()
-        # ResultCache.load counts the probe itself (self.hits += 1) and
-        # inherits the blocking read through its _read_record call.
-        fx = effects.of("repro.runtime.cache.ResultCache.load")
+        # ResultCache.load_document (the serve probe) counts the probe
+        # itself (self.hits += 1) and inherits the blocking read through
+        # its _read_record call; ResultCache.load inherits both from it.
+        fx = effects.of("repro.runtime.cache.ResultCache.load_document")
         assert MUTATES_NONLOCAL in fx.direct
         assert {BLOCKS_IO, MUTATES_NONLOCAL} <= fx.all
         assert fx.via[BLOCKS_IO] == "repro.runtime.cache._read_record"
+        load = effects.of("repro.runtime.cache.ResultCache.load")
+        assert {BLOCKS_IO, MUTATES_NONLOCAL} <= load.all
 
     def test_async_handlers_carry_no_wall_clock_into_sim(self, project):
         effects = get_effects(project)

@@ -16,7 +16,21 @@ from repro.runtime import (
     execute_spec,
 )
 from repro.runtime.cache import BlobStore, job_trace_store, write_record
+from repro.runtime.serialize import array_from_dict
 from tests.store_records import edited_record, read_record
+
+
+#: The cache's two readers: the wire document a serve hit sends, built
+#: from the stored bytes, and the ``RunResult`` decoded from it.  Every
+#: corruption test below runs against both, each on a store of its own.
+READERS = ("load_document", "load")
+
+
+def _outputs(read):
+    """The output arrays of what ``read`` returned."""
+    if isinstance(read, dict):
+        return [array_from_dict(a) for a in read["outputs"]]
+    return read.outputs
 
 
 @pytest.fixture(scope="module")
@@ -74,22 +88,25 @@ class TestHitMiss:
 
 class TestCorruptionRecovery:
     def test_truncated_record_is_evicted_miss(self, tmp_path, spec, result):
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        path.write_bytes(path.read_bytes()[: 40])  # simulate a torn write
-        assert cache.load(spec) is None
-        assert not path.exists()
-        assert cache.corrupt == 1
-        # The next store repairs the entry.
-        cache.store(spec, result.to_dict())
-        assert cache.load(spec) is not None
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            path.write_bytes(path.read_bytes()[: 40])  # simulate a torn write
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
+            # The next store repairs the entry.
+            cache.store(spec, result.to_dict())
+            assert getattr(cache, reader)(spec) is not None
 
     def test_garbage_json_is_evicted(self, tmp_path, spec, result):
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        write_record(path, {"fingerprint": "x"})  # wrong shape
-        assert cache.load(spec) is None
-        assert cache.corrupt == 1
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            write_record(path, {"fingerprint": "x"})  # wrong shape
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
 
     @pytest.mark.parametrize("how", ["plain-json", "truncated-zlib"])
     def test_undecodable_record_is_evicted_not_raised(
@@ -98,26 +115,79 @@ class TestCorruptionRecovery:
         """A record that is not a complete zlib stream -- plain JSON from
         an older layout, or a torn compressed write -- is a counted,
         evicted miss; the decompression error never reaches the caller."""
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        if how == "plain-json":
-            path.write_text(json.dumps(read_record(path)), encoding="utf-8")
-        else:
-            path.write_bytes(path.read_bytes()[:-16])
-        assert cache.load(spec) is None
-        assert not path.exists()
-        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
-        cache.store(spec, result.to_dict())
-        assert cache.load(spec) is not None
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            if how == "plain-json":
+                path.write_text(json.dumps(read_record(path)), encoding="utf-8")
+            else:
+                path.write_bytes(path.read_bytes()[:-16])
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
+            cache.store(spec, result.to_dict())
+            assert getattr(cache, reader)(spec) is not None
 
     def test_result_schema_mismatch_is_a_miss(self, tmp_path, spec, result):
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            with edited_record(path) as record:
+                record["result"]["schema_version"] = RunResult.SCHEMA_VERSION + 1
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
+
+
+class TestDocumentReader:
+    @pytest.mark.parametrize(
+        "kind", ["hymm", "rwp", "op", "op-deferred", "op-tiled", "gcod", "cwp"]
+    )
+    def test_document_is_the_decoded_result_re_encoded(self, tmp_path, kind):
+        """The wire document built from the stored bytes is, byte for
+        byte, what decoding the result and encoding it again gives."""
+        from repro.runtime import SweepExecutor
+
+        spec = JobSpec("cora", kind, 0.05, n_layers=2)
         cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        with edited_record(path) as record:
-            record["result"]["schema_version"] = RunResult.SCHEMA_VERSION + 1
-        assert cache.load(spec) is None
-        assert not path.exists()
-        assert cache.corrupt == 1
+        assert SweepExecutor(cache=cache).run([spec]).manifest.executed == 1
+        doc = cache.load_document(spec)
+        assert len(doc["outputs"]) == 2
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            cache.load(spec).to_dict(), sort_keys=True
+        )
+        assert cache.stats()["hits"] == 2
+
+    def test_blob_bytes_read_without_decoding(self, tmp_path):
+        store = BlobStore(tmp_path)
+        array = np.arange(12, dtype=np.int32).reshape(3, 4)
+        ref = store.put(array)
+        assert bytes(store.read(ref)) == array.astype("<i4").tobytes()
+        assert store.get(ref).flags.writeable is False
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("damage", ["config", "stats", "phase-snapshot"])
+    def test_record_failing_a_field_check_is_corrupt(
+        self, tmp_path, spec, result, damage
+    ):
+        """Both readers apply ``HyMMConfig.from_dict`` and
+        ``SimStats.from_dict`` to the config, the stats and every phase
+        snapshot: a record failing one is evicted, never served."""
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            with edited_record(path) as record:
+                doc = record["result"]
+                if damage == "config":
+                    doc["config"]["engine"] = "warp-drive"
+                elif damage == "stats":
+                    del doc["stats"]["busy_cycles"]
+                else:
+                    del doc["phase_snapshots"]["layer0.aggregation"]["cycles"]
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
 
 
 class TestMaintenance:
@@ -156,13 +226,15 @@ class TestShardedLayout:
         assert cache.load(spec) is not None
 
     def test_corruption_recovery_in_shard(self, tmp_path, spec, result):
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        path.write_bytes(path.read_bytes()[:40])
-        assert cache.load(spec) is None
-        assert not path.exists()
-        cache.store(spec, result.to_dict())
-        assert cache.load(spec) is not None
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            path.write_bytes(path.read_bytes()[:40])
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
+            cache.store(spec, result.to_dict())
+            assert getattr(cache, reader)(spec) is not None
 
     def test_trace_store_is_flat_in_the_job_trace_dir(self, tmp_path, spec):
         store = job_trace_store(tmp_path, spec)
@@ -272,34 +344,54 @@ class TestOutputBlobs:
 
     @pytest.mark.parametrize("how", ["bit-flipped", "truncated", "deleted"])
     def test_damaged_blob_evicts_the_record(self, tmp_path, spec, result, how):
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        [blob, *_] = _blob_files(tmp_path)
-        _damage(blob, how)
-        assert cache.load(spec) is None
-        assert not path.exists()
-        assert cache.corrupt == 1
-        # The damaged blob is gone too, so the next store rewrites it
-        # and the entry heals.
-        assert not blob.exists()
-        cache.store(spec, result.to_dict())
-        loaded = cache.load(spec)
-        assert loaded is not None
-        for ours, theirs in zip(result.outputs, loaded.outputs):
-            assert np.array_equal(ours, theirs)
+        for reader in READERS:
+            root = tmp_path / reader
+            cache = ResultCache(root)
+            path = cache.store(spec, result.to_dict())
+            [blob, *_] = _blob_files(root)
+            _damage(blob, how)
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
+            # The damaged blob is gone too, so the next store rewrites
+            # it and the entry heals.
+            assert not blob.exists()
+            cache.store(spec, result.to_dict())
+            loaded = getattr(cache, reader)(spec)
+            assert loaded is not None
+            for ours, theirs in zip(result.outputs, _outputs(loaded)):
+                assert np.array_equal(ours, theirs)
 
     def test_malformed_reference_is_corrupt_and_touches_no_file(
         self, tmp_path, spec, result
     ):
-        cache = ResultCache(tmp_path)
-        path = cache.store(spec, result.to_dict())
-        bait = tmp_path / "bait.npy"
-        bait.write_bytes(b"not a blob")
-        with edited_record(path) as record:
-            record["result"]["outputs"][0]["blob"] = "../bait"
-        assert cache.load(spec) is None
-        assert cache.corrupt == 1
-        assert bait.exists()
+        for reader in READERS:
+            root = tmp_path / reader
+            cache = ResultCache(root)
+            path = cache.store(spec, result.to_dict())
+            bait = root / "bait.npy"
+            bait.write_bytes(b"not a blob")
+            with edited_record(path) as record:
+                record["result"]["outputs"][0]["blob"] = "../bait"
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
+            assert bait.exists()
+
+    @pytest.mark.parametrize("field,value", [("dtype", "int64"), ("shape", [1, 2])])
+    def test_blob_that_does_not_match_its_reference_is_corrupt(
+        self, tmp_path, spec, result, field, value
+    ):
+        """An intact blob whose header disagrees with the record's
+        reference is never served as the referenced array."""
+        for reader in READERS:
+            cache = ResultCache(tmp_path / reader)
+            path = cache.store(spec, result.to_dict())
+            with edited_record(path) as record:
+                record["result"]["outputs"][0][field] = value
+            assert getattr(cache, reader)(spec) is None
+            assert not path.exists()
+            assert cache.corrupt == 1
 
     def test_racing_blob_writers_never_tear(self, tmp_path):
         """Writers racing to publish the same blob, with readers
