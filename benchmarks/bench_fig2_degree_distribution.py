@@ -13,9 +13,10 @@ def test_fig2_degree_distribution(benchmark, emit):
         figures.fig2_degree_distribution, rounds=1, iterations=1
     )
     emit("fig2_degree_distribution", result["text"])
-    # Every synthesised dataset must reproduce the power-law headline.
+    # Every synthesised dataset must clear the paper's 70% bar
+    # (EXPERIMENTS.md measures 0.70 for AC up to 0.79 for CR).
     for abbr, share in result["top20_share"].items():
-        assert share > 0.55, f"{abbr}: top-20% share {share:.2f} too flat"
-    # And most should clear the paper's 70% bar.
-    above = sum(1 for s in result["top20_share"].values() if s > 0.7)
-    assert above >= len(result["top20_share"]) // 2
+        assert share > 0.70, (
+            f"Fig. 2: {abbr}'s top-20% nodes hold {share:.3f} of the edges, "
+            "not more than the paper's 0.70"
+        )

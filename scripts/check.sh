@@ -3,7 +3,7 @@
 # are not installed (mypy/ruff are dev extras; the analyzer and pytest
 # only need the package itself).
 #
-#   ./scripts/check.sh          # analyzer + mypy + ruff + tests + perf
+#   ./scripts/check.sh          # analyzer + mypy + ruff + tests + claims + perf
 #   ./scripts/check.sh fast     # analyzer only (about 3 s)
 set -u
 
@@ -42,6 +42,10 @@ else
 fi
 
 run python -m pytest -x -q
+
+# Paper claims (CI's claims job): every bench regenerates its table or
+# figure at the default scale and asserts the paper's claim about it.
+run python -m pytest benchmarks/ --benchmark-disable -q
 
 # Store layout (CI's bench-smoke job): a parallel fig7 run, its cached
 # rerun, then no record or trace may hold an inline array, the output

@@ -22,7 +22,7 @@ import numpy as np
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.synthetic import sparse_feature_matrix
 from repro.sparse import COOMatrix, CSRMatrix, coo_to_csr
-from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.coo import VALUE_DTYPE
 
 PathLike = Union[str, pathlib.Path]
 
@@ -90,7 +90,9 @@ def read_edge_list(
     to ``0..n-1`` preserving order of first appearance is NOT attempted
     -- ids are kept as-is with the matrix sized to the max id + 1 (the
     common convention of SNAP exports).  Self-loops are dropped;
-    duplicate edges collapse (binary adjacency).
+    duplicate edges collapse (binary adjacency).  A graph whose node
+    count or edge count does not fit the 4-byte index width raises
+    ``ValueError``.
     """
     src, dst = [], []
     with open(path) as handle:
@@ -111,8 +113,10 @@ def read_edge_list(
     if not src:
         return COOMatrix.empty((0, 0))
     n = max(max(src), max(dst)) + 1
-    rows = np.asarray(src, dtype=INDEX_DTYPE)
-    cols = np.asarray(dst, dtype=INDEX_DTYPE)
+    # Parsed at 64 bits: the COO constructor range-checks the ids
+    # before it narrows them to the index width.
+    rows = np.asarray(src, dtype=np.int64)
+    cols = np.asarray(dst, dtype=np.int64)
     if undirected:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     values = np.ones(rows.size, dtype=VALUE_DTYPE)

@@ -60,15 +60,15 @@ def degree_sort(adjacency: COOMatrix, by: str = "row") -> SortResult:
     else:
         raise ValueError("by must be 'row' or 'col'")
     # argsort of (-degree, id): stable sort on negated degrees.
-    order = np.argsort(-degrees, kind="stable")
+    order = np.argsort(-degrees, kind="stable").astype(INDEX_DTYPE)
     permutation = np.empty_like(order)
     permutation[order] = np.arange(order.size, dtype=INDEX_DTYPE)
     sorted_matrix = adjacency.permute(row_perm=permutation, col_perm=permutation)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return SortResult(
         matrix=sorted_matrix,
-        permutation=permutation.astype(INDEX_DTYPE),
-        inverse=order.astype(INDEX_DTYPE),
+        permutation=permutation,
+        inverse=order,
         elapsed_ms=elapsed_ms,
     )
 

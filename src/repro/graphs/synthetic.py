@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse import COOMatrix, CSRMatrix
-from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE, check_index_range
 
 #: Power-law exponent giving a top-20% edge share of roughly 0.7 (see
 #: module docstring); individual datasets may override.
@@ -71,6 +71,7 @@ def power_law_graph(
     """
     if n_edges < 0:
         raise ValueError("n_edges must be non-negative")
+    check_index_range((n_nodes, n_nodes), n_edges)
     max_simple = n_nodes * (n_nodes - 1)
     if n_edges > max_simple:
         raise ValueError(
@@ -100,8 +101,11 @@ def power_law_graph(
         chosen = np.unique(np.concatenate([chosen, encoded]))
     chosen = chosen[:target_pairs]
 
-    src = (chosen // n_nodes).astype(INDEX_DTYPE)
-    dst = (chosen % n_nodes).astype(INDEX_DTYPE)
+    # The encoded pairs need 64 bits (up to n_nodes ** 2); each endpoint
+    # fits the index width.
+    src, dst = np.divmod(chosen, n_nodes)
+    del chosen
+    src, dst = src.astype(INDEX_DTYPE), dst.astype(INDEX_DTYPE)
     if symmetric:
         rows = np.concatenate([src, dst])
         cols = np.concatenate([dst, src])
@@ -139,13 +143,17 @@ def sparse_feature_matrix(
     from 0.01% (Yelp) to ~35% (Amazon) dense.
 
     The CSR arrays are built straight from the sorted flat indices, with
-    no COO copy and no buffer sized to the full ``cells``.
+    no COO copy and no buffer sized to the full ``cells``.  The flat
+    indices stay 64-bit (the RNG draws them so, and ``cells`` may exceed
+    the index width); only the columns and row pointers derived from
+    them are narrowed to :data:`~repro.sparse.coo.INDEX_DTYPE`.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
     rng = np.random.default_rng(seed)
     cells = n_nodes * feature_length
     target = int(round(cells * density))
+    check_index_range((n_nodes, feature_length), target)
     if target == cells:
         flat = np.arange(cells, dtype=np.int64)
     else:
@@ -164,10 +172,14 @@ def sparse_feature_matrix(
             del batch, keep
         # Deterministically thin the oversampled set back to the target.
         flat = flat[:target]
-    rows, cols = np.divmod(flat, feature_length)
+    # The kept cells are sorted and distinct: row i's run starts at the
+    # first cell >= i * feature_length, and no row array is needed.
+    row_starts = np.arange(n_nodes + 1, dtype=np.int64) * feature_length
+    indptr = np.searchsorted(flat, row_starts).astype(INDEX_DTYPE)
+    del row_starts
+    # Each cell's column, computed in place over its flat index.
+    np.remainder(flat, feature_length, out=flat)
+    cols = flat.astype(INDEX_DTYPE)
     del flat
-    indptr = np.zeros(n_nodes + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    del rows
     values = rng.uniform(0.1, 1.0, size=target).astype(VALUE_DTYPE)
     return CSRMatrix((n_nodes, feature_length), indptr, cols, values)

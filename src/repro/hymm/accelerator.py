@@ -12,6 +12,7 @@ from repro.graphs.preprocess import degree_sort
 from repro.hymm.base import AcceleratorBase
 from repro.hymm.kernels import KernelContext, aggregation_hybrid
 from repro.sparse import coo_to_csr
+from repro.sparse.coo import INDEX_DTYPE
 
 
 class HyMMAccelerator(AcceleratorBase):
@@ -65,8 +66,8 @@ class HyMMAccelerator(AcceleratorBase):
         n = dataset.n_nodes
         if self.sort_mode == "random":
             rng = np.random.default_rng(self.sort_seed)
-            return rng.permutation(n), 0.0
-        return np.arange(n), 0.0
+            return rng.permutation(n).astype(INDEX_DTYPE), 0.0
+        return np.arange(n, dtype=INDEX_DTYPE), 0.0
 
     def prepare(self, model: GCNModel) -> Dict[str, Any]:
         cfg = self.config

@@ -18,12 +18,13 @@ of hash-prefix directories so no directory piles up every record of a
 large cache.  ``"result"`` is the wire document the job's worker
 returned, stored as-is except that its ``"outputs"`` are blob
 references; :class:`~repro.runtime.executor.SweepExecutor` is the only
-code that stores records.  There is one reader,
-:meth:`ResultCache.load_document`: it rebuilds the wire document from
-the record and the blob bytes (the ``.npy`` data section, checked and
-base64-encoded) with the standard library alone, so a server that only
-answers hits never imports numpy or the simulator.
-:meth:`ResultCache.load` decodes that document into a ``RunResult``::
+code that stores records.  :meth:`ResultCache.load_document` rebuilds
+the wire document from the record and the blob bytes (the ``.npy``
+data section, checked and base64-encoded) with the standard library
+alone, so a server that only answers hits never imports numpy or the
+simulator.  :meth:`ResultCache.load` makes the same checks on the same
+record and builds a ``RunResult`` with the outputs read straight from
+the blobs::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
@@ -359,16 +360,20 @@ class ResultCache:
         phase snapshot) or name a missing, damaged or mismatched blob
         are evicted and reported as misses.
         """
-        doc, corrupt = _read_record(
-            self._path(spec.fingerprint()), self._document
-        )
+        return self._read(spec, self._document)
+
+    def _read(
+        self, spec: JobSpec, decode: Callable[[Dict[str, Any]], T]
+    ) -> Optional[T]:
+        """``decode`` of ``spec``'s record, or ``None`` (miss), counted."""
+        read, corrupt = _read_record(self._path(spec.fingerprint()), decode)
         with self._counter_lock:
-            if doc is None:
+            if read is None:
                 self.misses += 1
                 self.corrupt += int(corrupt)
             else:
                 self.hits += 1
-        return doc
+        return read
 
     def _document(self, record: Dict[str, Any]) -> Dict[str, Any]:
         doc = dict(record["result"])
@@ -384,13 +389,22 @@ class ResultCache:
         return doc
 
     def load(self, spec: JobSpec) -> Optional[RunResult]:
-        """The cached result for ``spec`` decoded, or ``None`` (miss):
-        ``RunResult.from_dict`` of :meth:`load_document`, which makes
-        every check."""
+        """The cached result for ``spec`` decoded, or ``None`` (miss).
+
+        One record read, with every check :meth:`load_document` makes:
+        the fields go through :func:`~repro.hymm.wire.result_fields`
+        and each output is :meth:`BlobStore.get` of its reference, the
+        blob bytes it re-hashed and checked -- never base64-encoded
+        into a document and decoded again.
+        """
+        return self._read(spec, self._result)
+
+    def _result(self, record: Dict[str, Any]) -> RunResult:
         from repro.hymm.base import RunResult
 
-        doc = self.load_document(spec)
-        return None if doc is None else RunResult.from_dict(doc)
+        doc = dict(record["result"])
+        fields = result_fields(doc)
+        return RunResult(outputs=[self.blobs.get(ref) for ref in doc["outputs"]], **fields)
 
     def store(self, spec: JobSpec, doc: Mapping[str, Any]) -> pathlib.Path:
         """Atomically persist one result; returns the record path.

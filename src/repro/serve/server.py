@@ -54,20 +54,30 @@ first batch of misses, in its worker thread, timed as the
 a server that only answers hits never loads it.
 
 Blocking work (cache reads, the executor import, simulation batches)
-runs in worker threads via ``asyncio.to_thread``; the event-loop side
-never touches the disk or the simulator, a contract enforced by the
-``transitive-blocking`` analyzer rule.
+runs in worker threads; the event-loop side never touches the disk or
+the simulator, a contract enforced by the ``transitive-blocking``
+analyzer rule.  Cache reads go through ``asyncio.to_thread``.  Batches
+run on one dedicated thread (:class:`BatchThread`): on the default
+executor each batch could land on any of its idle threads, and glibc
+gives every thread its own malloc arena, which keeps the fragments of
+the jobs it ran (``docs/performance.md``, "Index width and one batch
+thread").
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import importlib
 import logging
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar,
+)
 
 from repro.obs.tracer import PhaseFeed
 from repro.runtime.cache import ResultCache
@@ -112,6 +122,8 @@ from repro.serve.protocol import (
 
 if TYPE_CHECKING:
     from repro.runtime.executor import SweepResult
+
+T = TypeVar("T")
 
 #: How long shutdown waits for open connections to finish after
 #: waking them (their clients get EOF or a final failed status).
@@ -431,6 +443,31 @@ class ServeMetrics:
                 self._rss.set(rss)
 
 
+class BatchThread:
+    """One dedicated worker thread: ``asyncio.to_thread`` onto a
+    single-thread executor of its own, so every batch runs on the same
+    thread (and in the same malloc arena).  The method keeps the
+    ``to_thread`` name: the analyzer's call graph reads any
+    ``.to_thread(func, ...)`` as running ``func`` on a worker thread."""
+
+    def __init__(self) -> None:
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-batch"
+        )
+
+    async def to_thread(self, func: Callable[..., T], *args: Any) -> T:
+        """Run ``func(*args)`` on the thread in a copy of the caller's
+        context, as ``asyncio.to_thread`` does, so spans and
+        correlation IDs flow into it."""
+        loop = asyncio.get_running_loop()
+        call = functools.partial(contextvars.copy_context().run, func, *args)
+        return await loop.run_in_executor(self._executor, call)
+
+    def shutdown(self) -> None:
+        """Stop the thread once its current batch (if any) returns."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
+
+
 class SweepServer:
     """The asyncio front end over cache + executor (see module doc)."""
 
@@ -455,6 +492,8 @@ class SweepServer:
         self._jobs: "OrderedDict[str, JobEntry]" = OrderedDict()
         self._queue: "asyncio.Queue[JobEntry]" = asyncio.Queue()
         self._in_flight = 0
+        #: Runs every batch; hit probes stay on the default executor.
+        self._batch_thread = BatchThread()
         self._started_monotonic = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
@@ -498,6 +537,7 @@ class SweepServer:
                 await dispatcher
             except asyncio.CancelledError:
                 pass
+        self._batch_thread.shutdown()
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -907,7 +947,7 @@ class SweepServer:
                 entry.set_status(JOB_RUNNING)
             try:
                 with span("serve.batch", jobs=len(batch)):
-                    sweep = await asyncio.to_thread(
+                    sweep = await self._batch_thread.to_thread(
                         self._run_batch, batch, loop
                     )
             except asyncio.CancelledError:

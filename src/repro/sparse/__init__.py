@@ -8,7 +8,9 @@ format whose overhead the paper reports in Figure 6.
 
 Everything is built on plain NumPy arrays -- no SciPy dependency -- so
 the byte-level storage accounting used by the tiled format matches what
-an accelerator would actually keep in DRAM.
+an accelerator would actually keep in DRAM.  Index arrays are held at
+the accelerator's 4-byte width (:data:`repro.sparse.coo.INDEX_DTYPE`),
+and a matrix too large for it is refused when it is built.
 """
 
 from repro.sparse.coo import COOMatrix

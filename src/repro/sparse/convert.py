@@ -43,10 +43,14 @@ def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
     ``CSCMatrix.from_coo(csr.to_coo())`` without the COO copy.
     """
     n_rows, n_cols = csr.shape
-    order = np.argsort(csr.indices, kind="stable")
-    rows = np.repeat(np.arange(n_rows, dtype=INDEX_DTYPE), csr.row_degrees())[order]
+    # bincount and argsort each make an 8-byte array per non-zero (an
+    # index copy, the sort positions): the counts come first, and the
+    # positions -- which fit the index width, as nnz does -- are
+    # narrowed at once, so neither overlaps the gathers below.
     indptr = np.zeros(n_cols + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(csr.indices, minlength=n_cols), out=indptr[1:])
+    order = np.argsort(csr.indices, kind="stable").astype(INDEX_DTYPE)
+    rows = np.repeat(np.arange(n_rows, dtype=INDEX_DTYPE), csr.row_degrees())[order]
     return CSCMatrix(csr.shape, indptr, rows, csr.values[order])
 
 

@@ -5,22 +5,92 @@ generator emits COO, and the adjacency's compressed formats (CSR/CSC,
 the tiled region format) are derived from it.  Entries are canonicalised --
 row-major sorted with duplicates summed -- on construction so that
 format conversions and equality checks are deterministic.
+
+Every index array of every format (COO coordinates, CSR/CSC pointers
+and indices, the tiles of the region format, node permutations) is
+held at the accelerator's index width, :data:`INDEX_BYTES`, so the
+host arrays cost what the simulated streams charge.  A matrix whose
+dimension or non-zero count does not fit that width is rejected with a
+``ValueError`` when it is built (:func:`check_index_range`), and an
+index array is range-checked *before* it is narrowed
+(:func:`as_index_array`): no index ever wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-INDEX_DTYPE = np.int64
-VALUE_DTYPE = np.float32
+if TYPE_CHECKING:
+    import numpy.typing as npt
 
 #: Bytes used to store one index element in compressed streams.  The
 #: accelerator uses 4-byte indices (graphs in Table II all fit in 32 bits).
 INDEX_BYTES = 4
+#: Host dtype of every index array: the simulated width, ``int32``.
+INDEX_DTYPE = np.dtype(f"int{8 * INDEX_BYTES}").type
+#: Largest dimension or non-zero count an index of that width holds.
+INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+VALUE_DTYPE = np.float32
 #: Bytes per stored non-zero value (single precision, Table III).
 VALUE_BYTES = 4
+
+
+def check_index_range(shape: Tuple[int, int], nnz: int) -> None:
+    """Raise ``ValueError`` unless both dimensions of ``shape`` and
+    ``nnz`` fit an :data:`INDEX_BYTES`-byte index."""
+    for what, value in (("rows", shape[0]), ("columns", shape[1]), ("non-zeros", nnz)):
+        if value > INDEX_MAX:
+            raise ValueError(
+                f"{value} {what} do not fit a {INDEX_BYTES}-byte index "
+                f"(at most {INDEX_MAX})"
+            )
+
+
+def as_index_array(values: npt.ArrayLike, bound: int, what: str) -> np.ndarray:
+    """``values`` as an :data:`INDEX_DTYPE` array, every entry checked to
+    lie in ``[0, bound)`` first -- so a wider input is never wrapped --
+    and copied only when its dtype differs."""
+    array = np.asarray(values)
+    if array.size and (array.min() < 0 or array.max() >= bound):
+        raise ValueError(f"{what} index out of bounds")
+    return array.astype(INDEX_DTYPE, copy=False)
+
+
+def compressed_index_arrays(
+    shape: Tuple[int, int],
+    indptr: npt.ArrayLike,
+    indices: npt.ArrayLike,
+    n_values: int,
+    by_row: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The checked ``(indptr, indices)`` of a compressed matrix, as
+    :data:`INDEX_DTYPE`: one pointer per row (CSR, ``by_row``) or per
+    column (CSC), and the other axis's index per non-zero.
+
+    Rejects a shape or nnz the index width cannot hold, a pointer array
+    of the wrong length, not starting at 0, not ending at nnz or
+    decreasing, ``n_values`` other than nnz, and an index out of bounds
+    -- all before either array is narrowed.
+    """
+    ptr, idx = np.asarray(indptr), np.asarray(indices)
+    check_index_range(shape, idx.size)
+    n_ptr, n_idx = shape if by_row else (shape[1], shape[0])
+    if ptr.size != n_ptr + 1:
+        raise ValueError(f"indptr must have {n_ptr + 1} entries, got {ptr.size}")
+    if ptr[0] != 0 or ptr[-1] != idx.size:
+        raise ValueError("indptr must start at 0 and end at nnz")
+    if np.any(np.diff(ptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    if idx.size != n_values:
+        raise ValueError("indices and values must have equal length")
+    # A non-decreasing pointer array from 0 to nnz lies in [0, nnz].
+    return (
+        ptr.astype(INDEX_DTYPE, copy=False),
+        as_index_array(idx, n_idx, "column" if by_row else "row"),
+    )
 
 
 @dataclass
@@ -32,7 +102,8 @@ class COOMatrix:
     shape:
         ``(rows, cols)`` of the logical dense matrix.
     rows, cols:
-        Per-nonzero row / column indices, one entry each per non-zero.
+        Per-nonzero row / column indices, one entry each per non-zero,
+        held as :data:`INDEX_DTYPE`.
     values:
         Per-nonzero values (``float32``).
 
@@ -49,28 +120,21 @@ class COOMatrix:
 
     def __post_init__(self) -> None:
         self.shape = (int(self.shape[0]), int(self.shape[1]))
-        self.rows = np.asarray(self.rows, dtype=INDEX_DTYPE)
-        self.cols = np.asarray(self.cols, dtype=INDEX_DTYPE)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         self.values = np.asarray(self.values, dtype=VALUE_DTYPE)
-        if not (self.rows.shape == self.cols.shape == self.values.shape):
+        if not (rows.shape == cols.shape == self.values.shape):
             raise ValueError(
                 "rows, cols and values must have identical shapes; got "
-                f"{self.rows.shape}, {self.cols.shape}, {self.values.shape}"
+                f"{rows.shape}, {cols.shape}, {self.values.shape}"
             )
-        if self.rows.ndim != 1:
+        if rows.ndim != 1:
             raise ValueError("COO triplets must be one-dimensional arrays")
-        self._validate_bounds()
+        check_index_range(self.shape, rows.size)
+        self.rows = as_index_array(rows, self.shape[0], "row")
+        self.cols = as_index_array(cols, self.shape[1], "column")
         if not self._canonical:
             self._canonicalise()
             self._canonical = True
-
-    def _validate_bounds(self) -> None:
-        n_rows, n_cols = self.shape
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= n_rows:
-                raise ValueError("row index out of bounds")
-            if self.cols.min() < 0 or self.cols.max() >= n_cols:
-                raise ValueError("column index out of bounds")
 
     def _canonicalise(self) -> None:
         """Sort row-major and merge duplicate coordinates by summing."""
@@ -85,7 +149,9 @@ class COOMatrix:
                 # Already row-major sorted with no duplicate coordinates:
                 # the O(nnz) check above is far cheaper than the lexsort.
                 return
-        order = np.lexsort((self.cols, self.rows))
+        # Narrowed at once: the 8-byte positions lexsort returns would
+        # otherwise outweigh the three gathers they drive.
+        order = np.lexsort((self.cols, self.rows)).astype(INDEX_DTYPE)
         rows, cols, values = self.rows[order], self.cols[order], self.values[order]
         # Detect runs of identical (row, col) pairs and sum their values.
         new_run = np.empty(rows.size, dtype=bool)
@@ -164,8 +230,9 @@ class COOMatrix:
         degree-sorting preprocessing step (paper Table I, "Degree sorting")
         is built on.
         """
-        rows = self.rows if row_perm is None else np.asarray(row_perm, dtype=INDEX_DTYPE)[self.rows]
-        cols = self.cols if col_perm is None else np.asarray(col_perm, dtype=INDEX_DTYPE)[self.cols]
+        n_rows, n_cols = self.shape
+        rows = self.rows if row_perm is None else as_index_array(row_perm, n_rows, "row")[self.rows]
+        cols = self.cols if col_perm is None else as_index_array(col_perm, n_cols, "column")[self.cols]
         return COOMatrix(self.shape, rows, cols, self.values.copy())
 
     def submatrix(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "COOMatrix":

@@ -13,7 +13,14 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix, INDEX_BYTES, INDEX_DTYPE, VALUE_BYTES, VALUE_DTYPE
+from repro.sparse.coo import (
+    INDEX_BYTES,
+    INDEX_DTYPE,
+    VALUE_BYTES,
+    VALUE_DTYPE,
+    COOMatrix,
+    compressed_index_arrays,
+)
 
 
 @dataclass
@@ -22,7 +29,9 @@ class CSCMatrix:
 
     ``indptr`` has ``shape[1] + 1`` entries; column ``j`` owns the slice
     ``indices[indptr[j]:indptr[j+1]]`` / ``values[...]`` with row indices
-    sorted ascending within each column.
+    sorted ascending within each column.  ``indptr`` and ``indices`` are
+    held as :data:`~repro.sparse.coo.INDEX_DTYPE`; a shape or nnz that
+    does not fit it is rejected.
     """
 
     shape: tuple
@@ -32,25 +41,10 @@ class CSCMatrix:
 
     def __post_init__(self) -> None:
         self.shape = (int(self.shape[0]), int(self.shape[1]))
-        self.indptr = np.asarray(self.indptr, dtype=INDEX_DTYPE)
-        self.indices = np.asarray(self.indices, dtype=INDEX_DTYPE)
         self.values = np.asarray(self.values, dtype=VALUE_DTYPE)
-        self._validate()
-
-    def _validate(self) -> None:
-        n_rows, n_cols = self.shape
-        if self.indptr.size != n_cols + 1:
-            raise ValueError(
-                f"indptr must have {n_cols + 1} entries, got {self.indptr.size}"
-            )
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size != self.values.size:
-            raise ValueError("indices and values must have equal length")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_rows):
-            raise ValueError("row index out of bounds")
+        self.indptr, self.indices = compressed_index_arrays(
+            self.shape, self.indptr, self.indices, self.values.size, by_row=False
+        )
 
     @property
     def nnz(self) -> int:
@@ -104,13 +98,12 @@ class CSCMatrix:
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
         """Compress canonical COO triplets, re-sorting to column-major order."""
-        order = np.lexsort((coo.rows, coo.cols))
+        order = np.lexsort((coo.rows, coo.cols)).astype(INDEX_DTYPE)
         rows = coo.rows[order]
         cols = coo.cols[order]
         values = coo.values[order]
-        indptr = np.zeros(coo.shape[1] + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        # Column j starts at the first entry whose column is >= j.
+        indptr = np.searchsorted(cols, np.arange(coo.shape[1] + 1, dtype=INDEX_DTYPE))
         return cls(coo.shape, indptr, rows, values)
 
     def __repr__(self) -> str:

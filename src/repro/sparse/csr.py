@@ -12,7 +12,15 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix, INDEX_BYTES, INDEX_DTYPE, VALUE_BYTES, VALUE_DTYPE
+from repro.sparse.coo import (
+    INDEX_BYTES,
+    INDEX_DTYPE,
+    VALUE_BYTES,
+    VALUE_DTYPE,
+    COOMatrix,
+    as_index_array,
+    compressed_index_arrays,
+)
 
 
 @dataclass
@@ -24,7 +32,9 @@ class CSRMatrix:
     indices strictly ascending within each row (sorted, no duplicates).
     Construction rejects any other layout: :meth:`permute_rows`,
     :meth:`row_block` and :func:`repro.sparse.convert.csr_to_csc` rely
-    on it instead of re-sorting through COO.
+    on it instead of re-sorting through COO.  ``indptr`` and
+    ``indices`` are held as :data:`~repro.sparse.coo.INDEX_DTYPE`; a
+    shape or nnz that does not fit it is rejected.
     """
 
     shape: tuple
@@ -34,25 +44,13 @@ class CSRMatrix:
 
     def __post_init__(self) -> None:
         self.shape = (int(self.shape[0]), int(self.shape[1]))
-        self.indptr = np.asarray(self.indptr, dtype=INDEX_DTYPE)
-        self.indices = np.asarray(self.indices, dtype=INDEX_DTYPE)
         self.values = np.asarray(self.values, dtype=VALUE_DTYPE)
+        self.indptr, self.indices = compressed_index_arrays(
+            self.shape, self.indptr, self.indices, self.values.size, by_row=True
+        )
         self._validate()
 
     def _validate(self) -> None:
-        n_rows, n_cols = self.shape
-        if self.indptr.size != n_rows + 1:
-            raise ValueError(
-                f"indptr must have {n_rows + 1} entries, got {self.indptr.size}"
-            )
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size != self.values.size:
-            raise ValueError("indices and values must have equal length")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_cols):
-            raise ValueError("column index out of bounds")
         if self.indices.size > 1:
             ascending = self.indices[1:] > self.indices[:-1]
             # A step across a row boundary (entry p - 1 ends a row, entry
@@ -111,7 +109,7 @@ class CSRMatrix:
         sort: one gather of ``indices`` and ``values``.
         """
         n_rows = self.shape[0]
-        row_perm = np.asarray(row_perm, dtype=INDEX_DTYPE)
+        row_perm = as_index_array(row_perm, n_rows, "row")
         if row_perm.shape != (n_rows,) or not np.array_equal(
             np.bincount(row_perm, minlength=n_rows), np.ones(n_rows, dtype=INDEX_DTYPE)
         ):
@@ -161,9 +159,8 @@ class CSRMatrix:
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
         """Compress canonical COO triplets (already row-major sorted)."""
-        indptr = np.zeros(coo.shape[0] + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, coo.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        # Row i starts at the first entry whose row is >= i.
+        indptr = np.searchsorted(coo.rows, np.arange(coo.shape[0] + 1, dtype=INDEX_DTYPE))
         return cls(coo.shape, indptr, coo.cols.copy(), coo.values.copy())
 
     def __repr__(self) -> str:

@@ -258,15 +258,18 @@ class TestSrcSpotChecks:
         effects = get_effects(project)
         read = effects.of("repro.runtime.cache._read_record")
         assert BLOCKS_IO in read.direct  # open()
-        # ResultCache.load_document (the serve probe) counts the probe
-        # itself (self.hits += 1) and inherits the blocking read through
-        # its _read_record call; ResultCache.load inherits both from it.
-        fx = effects.of("repro.runtime.cache.ResultCache.load_document")
+        # ResultCache._read counts the probe itself (self.hits += 1)
+        # and inherits the blocking read through its _read_record call;
+        # both readers -- load_document (the serve probe) and load --
+        # inherit both from it.
+        fx = effects.of("repro.runtime.cache.ResultCache._read")
         assert MUTATES_NONLOCAL in fx.direct
         assert {BLOCKS_IO, MUTATES_NONLOCAL} <= fx.all
         assert fx.via[BLOCKS_IO] == "repro.runtime.cache._read_record"
-        load = effects.of("repro.runtime.cache.ResultCache.load")
-        assert {BLOCKS_IO, MUTATES_NONLOCAL} <= load.all
+        for reader in ("load_document", "load"):
+            got = effects.of(f"repro.runtime.cache.ResultCache.{reader}")
+            assert {BLOCKS_IO, MUTATES_NONLOCAL} <= got.all
+            assert got.via[MUTATES_NONLOCAL] == "repro.runtime.cache.ResultCache._read"
 
     def test_async_handlers_carry_no_wall_clock_into_sim(self, project):
         effects = get_effects(project)

@@ -25,6 +25,7 @@ from repro.serve.server import (
     SweepServer,
     phase_rows_from_record,
 )
+from repro.telemetry import bind_correlation, current_correlation_id
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +464,35 @@ class TestFailureAndOps:
         ]
         srv._thread.join(timeout=30)
         assert not srv._thread.is_alive()
+
+
+class TestBatchThread:
+    def test_batches_share_one_thread_and_start_from_a_clean_context(
+        self, tmp_path, result
+    ):
+        """Every batch runs on the server's one batch thread -- not the
+        event loop's, not a probe's -- each in its own copy of the
+        dispatcher's context, so a correlation ID one job binds there
+        never leaks into the next batch."""
+        seen = []
+
+        def runner(s):
+            thread = threading.current_thread()
+            seen.append((thread.ident, thread.name, current_correlation_id()))
+            bind_correlation(s.corr_id)  # as execute_job does
+            return result.to_dict()
+
+        with ServerThread(cache=ResultCache(tmp_path), runner=runner) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                for seed in range(3):
+                    spec = JobSpec("cora", "rwp", 0.05, seed=seed)
+                    assert client.submit(spec.to_dict())["status"] == "done"
+            loop_thread = srv._thread.ident
+        assert len(seen) == 3
+        assert len({ident for ident, _, _ in seen}) == 1
+        assert seen[0][0] != loop_thread
+        assert all(name.startswith("serve-batch") for _, name, _ in seen)
+        assert [corr for _, _, corr in seen] == [None, None, None]
 
 
 # ----------------------------------------------------------------------
