@@ -9,21 +9,22 @@ bounds the live set).  Paper: up to 85% footprint reduction at AP.
 from repro.bench import figures
 
 
-def test_fig10_partial_outputs(benchmark, emit):
-    result = benchmark.pedantic(figures.fig10_partial_outputs, rounds=1, iterations=1)
+def test_fig10_partial_outputs(emit):
+    result = figures.fig10_partial_outputs()
     emit("fig10_partial_outputs", result["text"])
     reduction = result["reduction_pct"]
 
-    # The accumulator always reduces the footprint...
     for abbr, pct in reduction.items():
-        assert pct > 0, abbr
-    # ...and dramatically so on the dense graphs (paper: 85% at AP).
-    assert reduction["AP"] > 70
-    assert reduction["AC"] > 70
+        assert pct > 0, f"Fig. 10: the accumulator does not shrink {abbr}'s footprint"
+    # The dense graphs reach the paper's 85%.
+    for abbr in ("AP", "AC"):
+        assert reduction[abbr] > 85, (
+            f"Fig. 10: {abbr}'s reduction {reduction[abbr]:.1f}% is below the paper's 85%"
+        )
     # The paper's overflow claim: without the accumulator, the partial
     # pool exceeds the 256 KB DMB on every evaluated dataset.
     for row in result["rows"]:
-        assert row[2] == "yes", row[0]
+        assert row[2] == "yes", f"Fig. 10: {row[0]}'s partials fit the DMB"
     # The sampled timeline behind the curve is non-trivial.
     for abbr, timeline in result["timelines"].items():
-        assert len(timeline) > 1, abbr
+        assert len(timeline) > 1, f"Fig. 10: {abbr} has no footprint timeline"

@@ -8,10 +8,8 @@ dataflow.
 from repro.bench import figures
 
 
-def test_fig2_degree_distribution(benchmark, emit):
-    result = benchmark.pedantic(
-        figures.fig2_degree_distribution, rounds=1, iterations=1
-    )
+def test_fig2_degree_distribution(emit):
+    result = figures.fig2_degree_distribution()
     emit("fig2_degree_distribution", result["text"])
     # Every synthesised dataset must clear the paper's 70% bar
     # (EXPERIMENTS.md measures 0.70 for AC up to 0.79 for CR).

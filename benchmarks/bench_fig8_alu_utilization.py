@@ -9,8 +9,8 @@ everyone because of feature sparsity and very long feature vectors.
 from repro.bench import figures
 
 
-def test_fig8_alu_utilization(benchmark, emit):
-    result = benchmark.pedantic(figures.fig8_alu_utilization, rounds=1, iterations=1)
+def test_fig8_alu_utilization(emit):
+    result = figures.fig8_alu_utilization()
     emit("fig8_alu_utilization", result["text"])
     util = result["utilization"]
     datasets = list(util["hymm"])
@@ -19,20 +19,29 @@ def test_fig8_alu_utilization(benchmark, emit):
         for kind in ("op", "rwp", "hymm"):
             assert 0.0 < util[kind][abbr] <= 1.0
 
-    # HyMM >= RWP on every dataset (paper: up to +27% at AC).
     for abbr in datasets:
-        assert util["hymm"][abbr] >= util["rwp"][abbr] - 0.02, abbr
+        assert util["hymm"][abbr] > util["rwp"][abbr], (
+            f"Fig. 8: HyMM's aggregation utilisation is not above RWP's on {abbr}"
+        )
+    # The paper's +27% at AC is reached.
+    assert util["hymm"]["AC"] > 1.27 * util["rwp"]["AC"], (
+        "Fig. 8: HyMM's gain over RWP at AC is below the paper's +27%"
+    )
 
     # On the dense graphs the paper highlights, HyMM is the clear best.
     # (On tiny fully-cached graphs OP's merge adds inflate its "busy"
     # count -- the paper's metric also counts the adder -- so OP can
     # look artificially busy there; the dense graphs are the signal.)
     for abbr in ("AP", "AC", "FR", "YP"):
-        assert util["hymm"][abbr] > util["op"][abbr], abbr
-        assert util["hymm"][abbr] > util["rwp"][abbr], abbr
+        assert util["hymm"][abbr] > util["op"][abbr], (
+            f"Fig. 8: HyMM's aggregation utilisation is not above OP's on {abbr}"
+        )
 
     # The long-feature/feature-sparse datasets (CR, CS, PH) drag
     # whole-inference utilisation down -- the paper's Fig. 8 note.
     whole = result["whole_run"]["hymm"]
-    assert whole["CS"] < whole["AP"]
-    assert whole["PH"] < whole["AC"]
+    for abbr in ("CR", "CS", "PH"):
+        for dense in ("AP", "AC", "FR", "YP"):
+            assert whole[abbr] < whole[dense], (
+                f"Fig. 8b: HyMM's whole-inference utilisation on {abbr} is not below {dense}'s"
+            )

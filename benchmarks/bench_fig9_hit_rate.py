@@ -7,9 +7,14 @@ region and merging partials at the buffer.
 
 from repro.bench import figures
 
+#: The datasets where HyMM's aggregation hit rate is the highest of
+#: the three.  OP's is higher on CS, and on CR by at most CR_TOLERANCE.
+HYMM_BEST = {"AP", "AC", "PH", "FR", "YP"}
+CR_TOLERANCE = 0.02
 
-def test_fig9_hit_rate(benchmark, emit):
-    result = benchmark.pedantic(figures.fig9_hit_rate, rounds=1, iterations=1)
+
+def test_fig9_hit_rate(emit):
+    result = figures.fig9_hit_rate()
     emit("fig9_hit_rate", result["text"])
     hits = result["hit_rate"]
     datasets = list(hits["hymm"])
@@ -18,10 +23,16 @@ def test_fig9_hit_rate(benchmark, emit):
         for kind in ("op", "rwp", "hymm"):
             assert 0.0 <= hits[kind][abbr] <= 1.0
 
-    # HyMM has the best hit rate on (almost) every dataset.
-    wins = sum(
-        1
-        for d in datasets
-        if hits["hymm"][d] >= max(hits["rwp"][d], hits["op"][d]) - 0.02
+    best = {d for d in datasets if hits["hymm"][d] >= max(hits["rwp"][d], hits["op"][d])}
+    assert best == HYMM_BEST, (
+        f"Fig. 9: HyMM has the best hit rate on {sorted(best)}, "
+        f"not on {sorted(HYMM_BEST)}"
     )
-    assert wins >= len(datasets) - 1
+    assert hits["hymm"]["CR"] >= hits["op"]["CR"] - CR_TOLERANCE, (
+        f"Fig. 9: HyMM's CR hit rate trails OP's by more than {CR_TOLERANCE}"
+    )
+    # RWP has the lowest hit rate of the three on every dataset.
+    for abbr in datasets:
+        assert hits["rwp"][abbr] < min(hits["op"][abbr], hits["hymm"][abbr]), (
+            f"Fig. 9: RWP's hit rate is not the lowest on {abbr}"
+        )

@@ -3,7 +3,7 @@
 from repro.bench import tables
 
 
-def test_table1_comparison(benchmark, emit):
-    text = benchmark.pedantic(tables.table1, rounds=1, iterations=1)
+def test_table1_comparison(emit):
+    text = tables.table1()
     emit("table1_comparison", text)
-    assert "Hybrid (row + outer)" in text
+    assert "Hybrid (row + outer)" in text, "Table I: HyMM's hybrid dataflow is missing"

@@ -5,11 +5,11 @@ import pytest
 from repro.bench import tables
 
 
-def test_table3_area(benchmark, emit):
-    result = benchmark.pedantic(tables.table3, rounds=1, iterations=1)
+def test_table3_area(emit):
+    result = tables.table3()
     emit("table3_area", result["text"])
-    # The calibrated model must land on the paper's 7 nm column.
-    assert result["ours_7nm"]["DMB"] == pytest.approx(0.077, rel=0.05)
-    assert result["ours_7nm"]["Total"] == pytest.approx(0.106, abs=0.005)
-    # 40 nm via node scaling stays within 10% of the paper's total.
-    assert result["ours_40nm"]["Total"] == pytest.approx(3.215, rel=0.10)
+    # The calibrated model lands on the paper's 7 nm column.
+    assert result["ours_7nm"]["DMB"] == pytest.approx(0.077, rel=0.05), "Table III: 7 nm DMB"
+    assert result["ours_7nm"]["Total"] == pytest.approx(0.106, abs=0.005), "Table III: 7 nm total"
+    # 40 nm via node scaling stays within 6% of the paper's total.
+    assert result["ours_40nm"]["Total"] == pytest.approx(3.215, rel=0.06), "Table III: 40 nm total"

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper in one run.
 
-This is the driver behind EXPERIMENTS.md: it renders Tables I-III and
-Figures 2 and 6-11 using the same generators the benchmark suite
-asserts against.  Simulations are memoised, so the whole script costs
+It renders Tables I-III and Figures 2 and 6-11 with the same
+generators the benchmark suite asserts against and writes into
+EXPERIMENTS.md.  Simulations are memoised, so the whole script costs
 one pass over the dataset suite.
 
 Run:  python examples/reproduce_paper.py            (reduced scales, ~2-3 min)

@@ -44,8 +44,14 @@ fi
 run python -m pytest -x -q
 
 # Paper claims (CI's claims job): every bench regenerates its table or
-# figure at the default scale and asserts the paper's claim about it.
-run python -m pytest benchmarks/ --benchmark-disable -q
+# figure at the default scale, asserts the paper's claim about it and
+# writes it into EXPERIMENTS.md.  The run must leave that file as it
+# found it: a difference is a number the change moved.
+experiments_before="$(mktemp)"
+cp EXPERIMENTS.md "$experiments_before"
+run python -m pytest benchmarks/ -q
+run diff -u "$experiments_before" EXPERIMENTS.md
+rm -f "$experiments_before"
 
 # Store layout (CI's bench-smoke job): a parallel fig7 run, its cached
 # rerun, then no record or trace may hold an inline array, the output

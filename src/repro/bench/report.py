@@ -88,3 +88,23 @@ def render_phase_breakdown(
             [label, "TOTAL"] + [totals[f] for f in PHASE_ROW_FIELDS]
         )
     return f"{title}\n{format_table(headers, table)}"
+
+
+def replace_block(document: str, name: str, text: str) -> str:
+    """Return ``document`` with its ``name`` block holding ``text``.
+
+    A block is the span between ``<!-- bench:NAME -->`` and
+    ``<!-- /bench:NAME -->``; its content becomes a fenced copy of
+    ``text`` with trailing spaces stripped.  A marker that is missing,
+    repeated or out of order raises ``ValueError``, so a report never
+    loses or duplicates a table silently.
+    """
+    start, end = f"<!-- bench:{name} -->", f"<!-- /bench:{name} -->"
+    if document.count(start) != 1 or document.count(end) != 1:
+        raise ValueError(f"need exactly one {start} ... {end} pair")
+    head, _, rest = document.partition(start)
+    _, found, tail = rest.partition(end)
+    if not found:
+        raise ValueError(f"{end} comes before {start}")
+    body = "\n".join(line.rstrip() for line in text.splitlines())
+    return f"{head}{start}\n```\n{body}\n```\n{end}{tail}"

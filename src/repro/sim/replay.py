@@ -115,10 +115,13 @@ AGGREGATION_REQUIRED_KEYS = RECORD_REQUIRED_KEYS | {"output"}
 
 
 def _hash_array(h: "hashlib._Hash", arr: np.ndarray) -> None:
+    # ``hashlib`` reads the C-contiguous array's buffer (``a.data``, a
+    # memoryview) in place, so no operand is copied; the digest must
+    # equal hashing ``a.tobytes()``, or every stored trace would miss.
     a = np.ascontiguousarray(arr)
     h.update(str(a.dtype).encode())
     h.update(str(a.shape).encode())
-    h.update(a.tobytes())
+    h.update(a.data)
 
 
 def model_fingerprint(model: GCNModel) -> str:

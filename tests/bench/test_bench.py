@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench import figures, format_table, render_series, tables
 from repro.bench import runner as runner_mod
+from repro.bench.report import replace_block
 from repro.bench.runner import (
     aggregation_cycles,
     clear_cache,
@@ -40,6 +41,22 @@ class TestReport:
         assert "title" in text
         assert "CR" in text and "AP" in text
         assert "-" in text  # missing hymm/AP cell
+
+    def test_replace_block(self):
+        doc = "a\n<!-- bench:t -->\nold\n<!-- /bench:t -->\nb\n"
+        new = replace_block(doc, "t", "x | y")
+        assert new == "a\n<!-- bench:t -->\n```\nx | y\n```\n<!-- /bench:t -->\nb\n"
+        assert replace_block(new, "t", "x | y") == new
+
+    @pytest.mark.parametrize("doc", [
+        "no markers",
+        "<!-- bench:t --><!-- /bench:t --><!-- bench:t --><!-- /bench:t -->",
+        "<!-- /bench:t --> swapped <!-- bench:t -->",
+        "<!-- bench:t --> unterminated",
+    ], ids=["missing", "twice", "swapped", "unterminated"])
+    def test_replace_block_refuses_bad_markers(self, doc):
+        with pytest.raises(ValueError):
+            replace_block(doc, "t", "text")
 
 
 class TestWorkloads:

@@ -7,7 +7,9 @@ so their traced peaks stay within a small multiple of the matrix they
 produce.  Going through full COO copies (a ``np.unique`` over a
 concatenated batch, ``to_coo`` / ``lexsort`` / re-compress per
 ``prepare``) measured 4.6x for synthesis and 4.8-6.5x for ``prepare``;
-the direct paths measure at most about 2.4x.
+the direct paths measure at most about 2.4x.  Fingerprinting a model
+for its trace signatures copies no operand: hashing each one through
+``tobytes()`` peaked at the size of the largest.
 
 ``tracemalloc`` counts NumPy's buffers byte for byte, so these bounds
 are deterministic and independent of the allocator and the host.
@@ -20,6 +22,7 @@ import pytest
 from repro.bench.workloads import make_model
 from repro.graphs.synthetic import sparse_feature_matrix
 from repro.runtime.execute import make_accelerator
+from repro.sim.replay import model_fingerprint
 
 #: Allowed traced peak, as a multiple of the feature matrix's bytes.
 PEAK_RATIO = 3.0
@@ -59,3 +62,13 @@ def test_prepare_peak(kind, traced):
     accelerator = make_accelerator(kind)
     _, peak = _peak_above_current(lambda: accelerator.prepare(model))
     assert peak <= PEAK_RATIO * _csr_bytes(model.dataset.features)
+
+
+def test_fingerprint_peak(traced):
+    model = make_model("amazon-photo", 0.25, n_layers=2, seed=0)
+    adj, feats = model.norm_adj, model.dataset.features
+    operands = [adj.rows, adj.cols, adj.values,
+                feats.indptr, feats.indices, feats.values]
+    operands += [layer.weights for layer in model.layers]
+    _, peak = _peak_above_current(lambda: model_fingerprint(model))
+    assert peak < max(a.nbytes for a in operands)

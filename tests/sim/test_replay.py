@@ -19,8 +19,10 @@ chain's sensitivity to model content and phase order.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import make_model
@@ -31,6 +33,7 @@ from repro.runtime.execute import make_accelerator
 from repro.sim.replay import (
     TRACE_SCHEMA_VERSION,
     TraceSession,
+    _hash_array,
     model_fingerprint,
 )
 from tests.store_records import edited_record, read_record
@@ -292,6 +295,25 @@ def test_chain_orders_phases(tmp_path, model):
     s2 = [b.next_signature("q"), b.next_signature("p")]
     assert s1[0] != s2[0] and s1[1] != s2[1]
     assert len(set(s1 + s2)) == 4
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(7, dtype=np.int32),
+    np.linspace(0, 1, 6, dtype=np.float32).reshape(2, 3),
+    np.array([True, False, True]),
+    np.zeros(0, dtype=np.int32),
+    np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4)),
+], ids=["int32", "float32", "bool", "empty", "fortran"])
+def test_hash_array_digest_is_the_tobytes_digest(arr):
+    # Hashing the buffer in place must keep every trace signature that
+    # hashing a ``tobytes()`` copy produced.
+    h = hashlib.sha256()
+    _hash_array(h, arr)
+    a = np.ascontiguousarray(arr)
+    expected = hashlib.sha256(
+        str(a.dtype).encode() + str(a.shape).encode() + a.tobytes()
+    )
+    assert h.hexdigest() == expected.hexdigest()
 
 
 def test_model_fingerprint_sensitivity(model):
