@@ -5,8 +5,9 @@ Subcommands:
 ``serve [--host H] [--port P] [--cache-dir DIR] [--no-cache]
 [--workers N] [--max-batch N] [--retries N] [--timeout S]
 [--ready-file PATH] [--log PATH] [--span-file PATH]``
-    Run the sweep server in the foreground until SIGINT or a
-    ``/shutdown`` request.  ``--ready-file`` writes ``host port`` once
+    Run the sweep server in the foreground until SIGINT, SIGTERM or a
+    ``/shutdown`` request.  ``--no-cache`` serves over a temporary
+    store, removed at exit.  ``--ready-file`` writes ``host port`` once
     the socket is accepting (the CI smoke job's handshake).  ``--log``
     turns on NDJSON structured logging and ``--span-file`` records
     wall-clock spans into a Chrome-trace file at shutdown (see
@@ -27,8 +28,8 @@ Subcommands:
     Self-hosted replay smoke: run a server over a throwaway result
     cache, execute a tiny job, clear the cache's result records (its
     phase traces stay), submit it again, and assert via ``/metrics``
-    that the repeat re-executed (a server with a cache keeps no copy
-    of a finished result outside the store), replayed exactly the
+    that the repeat re-executed (a server keeps no copy of a finished
+    result outside the store), replayed exactly the
     phases the first run recorded and still streamed per-phase
     progress.
 
@@ -81,6 +82,7 @@ def _print_payload(payload: Dict[str, Any], as_json: bool) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
+    import signal
 
     from repro.obs.tracer import ChromeTracer
     from repro.runtime.cache import ResultCache
@@ -110,9 +112,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = SweepServer(cache=cache, settings=settings)
 
     async def main() -> None:
+        # SIGTERM stops the server as ``/shutdown`` does, so a
+        # ``--no-cache`` server still removes its temporary store.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, server.request_stop
+        )
         host, port = await server.start(args.host, args.port)
-        where = "memory-less (no cache)" if cache is None else str(cache.cache_dir)
-        print(f"serving on {host}:{port}  cache: {where}", flush=True)
+        print(f"serving on {host}:{port}  cache: {server.cache.cache_dir}", flush=True)
         if args.ready_file:
             await asyncio.to_thread(
                 Path(args.ready_file).write_text, f"{host} {port}\n",
@@ -242,7 +248,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     hits = replay.get("hits", 0)
     # The probe records every phase live; its repeat must replay exactly
     # those phases.
-    if not replay.get("enabled") or recorded < 1 or hits != recorded:
+    if recorded < 1 or hits != recorded:
         print(
             f"SMOKE FAIL: repeated submit replayed {hits} phase(s), "
             f"the probe recorded {recorded} (replay metrics: {replay})",
@@ -295,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: repo cache)")
     p.add_argument("--no-cache", action="store_true",
-                   help="serve without a result cache (every submit "
-                   "simulates live; nothing is written)")
+                   help="serve over a temporary store, removed at exit "
+                   "(reads nothing another run wrote)")
     p.add_argument("--workers", type=int, default=1,
                    help="SweepExecutor width per batch (1 = serial with "
                    "live phase progress)")

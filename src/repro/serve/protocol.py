@@ -13,7 +13,7 @@ endpoints are:
     identical specs (single-flight) and the result cache; the response
     carries the job id (the spec's content-hash fingerprint), the
     terminal-or-current status, and where the answer came from
-    (``source``: executed / cache-disk / registry / inflight).
+    (``source``: executed / cache-disk).
 ``/status/<job_id>``
     One status snapshot, or -- with ``"follow": true`` -- a stream of
     NDJSON events (status transitions and per-phase progress) ending in
@@ -68,7 +68,6 @@ TERMINAL_STATES = (JOB_DONE, JOB_FAILED)
 # Where a terminal answer came from.
 SOURCE_EXECUTED = "executed"
 SOURCE_CACHE_DISK = "cache-disk"
-SOURCE_REGISTRY = "registry"
 
 
 class ProtocolError(ValueError):

@@ -37,12 +37,13 @@ performs a fresh cache lookup (by then the executed result is on disk),
 which is exactly the "million cached lookups a day" hit path
 ``perf/run.py --workload serve-hit`` measures.
 
-With a cache, the store is the only copy of a finished result: a
-terminal entry keeps its ``result_summary`` and phase rows, and drops
-its wire document once the replies waiting on it have been sent; a
-later ``/status`` that asks for the result loads it from the store.  A
-cache-less server keeps the document, since there the registry is the
-store (``source: "registry"``).
+Every server runs over a store, and the store is the only copy of a
+finished result: a terminal entry keeps its ``result_summary`` and
+phase rows, and drops its wire document once the replies waiting on it
+have been sent; a later ``/status`` that asks for the result loads it
+from the store.  A server given no cache runs over a private temporary
+store that it removes on shutdown, so it reads nothing another run
+wrote and leaves nothing behind.
 
 A hit is served from the stored bytes:
 :meth:`~repro.runtime.cache.ResultCache.load_document` builds the wire
@@ -112,7 +113,6 @@ from repro.serve.protocol import (
     Request,
     SOURCE_CACHE_DISK,
     SOURCE_EXECUTED,
-    SOURCE_REGISTRY,
     TERMINAL_STATES,
     decode,
     encode,
@@ -121,6 +121,8 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:
+    from tempfile import TemporaryDirectory
+
     from repro.runtime.executor import SweepResult
 
 T = TypeVar("T")
@@ -248,8 +250,8 @@ class JobEntry:
         self.wall_seconds = 0.0
         self.phases: List[Dict[str, Any]] = []
         self.events: List[Dict[str, Any]] = []
-        #: Serialised ``RunResult`` (the wire dict) once done; on a
-        #: server with a cache, only until the waiting replies are sent.
+        #: Serialised ``RunResult`` (the wire dict) once done, only
+        #: until the waiting replies are sent.
         self.result_record: Optional[Dict[str, Any]] = None
         #: Accelerator, dataset and cycles of the result once done.
         self.result_summary: Optional[Dict[str, Any]] = None
@@ -348,13 +350,7 @@ class ServeMetrics:
         #: Submissions answered straight from the result cache.
         self.cache_served = registry.counter(
             "repro_serve_cache_served_total",
-            "Submissions answered from the result cache or job registry",
-        )
-        #: Cache misses served from the terminal-job registry (only
-        #: possible on a cache-less server).
-        self.registry_hits = registry.counter(
-            "repro_serve_registry_hits_total",
-            "Cache misses answered from the terminal-job registry",
+            "Submissions answered from the result cache",
         )
         self.executed = registry.counter(
             "repro_serve_jobs_executed_total", "Jobs simulated to completion"
@@ -463,13 +459,24 @@ class BatchThread:
         call = functools.partial(contextvars.copy_context().run, func, *args)
         return await loop.run_in_executor(self._executor, call)
 
-    def shutdown(self) -> None:
-        """Stop the thread once its current batch (if any) returns."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
+    def shutdown(
+        self, then: Optional[Callable[[], object]] = None
+    ) -> Optional["asyncio.Future[object]"]:
+        """Stop the thread once its current batch (if any) returns;
+        ``then`` runs on it after that batch, as the returned future."""
+        last = None
+        if then is not None:
+            last = asyncio.get_running_loop().run_in_executor(self._executor, then)
+        self._executor.shutdown(wait=False)
+        return last
 
 
 class SweepServer:
     """The asyncio front end over cache + executor (see module doc)."""
+
+    #: Also the home of phase traces: executed jobs record and replay
+    #: them here.
+    cache: ResultCache
 
     def __init__(
         self,
@@ -477,8 +484,14 @@ class SweepServer:
         settings: Optional[ServeSettings] = None,
         runner: Optional[Callable[[JobSpec], object]] = None,
     ) -> None:
-        #: Also the home of phase traces: executed jobs record and
-        #: replay them here, and a cache-less server simulates live.
+        #: Given no cache, the server runs over a private temporary
+        #: store, which :meth:`aclose` removes.
+        self._tmp_store: Optional[TemporaryDirectory[str]] = None
+        if cache is None:
+            import tempfile  # here only: a server over a store never needs it
+
+            self._tmp_store = tempfile.TemporaryDirectory(prefix="repro-serve-")
+            cache = ResultCache(self._tmp_store.name)
         self.cache = cache
         self.settings = settings if settings is not None else ServeSettings()
         #: Test seam: forces serial execution through this callable.
@@ -537,7 +550,12 @@ class SweepServer:
                 await dispatcher
             except asyncio.CancelledError:
                 pass
-        self._batch_thread.shutdown()
+        # A batch still running stores into the temporary store, so the
+        # store goes last on the batch thread (a worker thread).
+        tmp_store, self._tmp_store = self._tmp_store, None
+        removed = self._batch_thread.shutdown(
+            tmp_store.cleanup if tmp_store is not None else None
+        )
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -560,6 +578,8 @@ class SweepServer:
             await asyncio.wait(set(handlers), timeout=SHUTDOWN_GRACE_S)
         if server is not None:
             await server.wait_closed()
+        if removed is not None:
+            await removed
 
     @property
     def uptime_s(self) -> float:
@@ -643,17 +663,13 @@ class SweepServer:
     def _cache_lookup(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         """Worker-thread cache probe -> the stored result's wire
         document, built from the record and blob bytes."""
-        assert self.cache is not None
         return self.cache.load_document(spec)
 
     def _release(self, entry: JobEntry) -> None:
-        """Drop a done entry's wire document once no reply waits on it.
-
-        With a cache the store holds the result, so the registry keeps
-        only the summary and phase rows; a cache-less server keeps the
-        document, since there the registry is the store.
-        """
-        if self.cache is not None and not entry.waiters:
+        """Drop a done entry's wire document once no reply waits on it:
+        the store holds the result, so the registry keeps only the
+        summary and phase rows."""
+        if not entry.waiters:
             entry.result_record = None
 
     async def _handle_submit(
@@ -701,7 +717,7 @@ class SweepServer:
         entry.waiters += 1
         try:
             if entry is not prior:
-                await self._answer_or_enqueue(entry, prior)
+                await self._answer_or_enqueue(entry)
             if request.wait and not entry.terminal:
                 await entry.done.wait()
             await self._send_status(writer, entry, request.include_result)
@@ -709,36 +725,18 @@ class SweepServer:
             entry.waiters -= 1
             self._release(entry)
 
-    async def _answer_or_enqueue(
-        self, entry: JobEntry, prior: Optional[JobEntry]
-    ) -> None:
-        """Complete a new entry from the cache (or, on a cache-less
-        server, from ``prior``'s kept document), else queue it."""
+    async def _answer_or_enqueue(self, entry: JobEntry) -> None:
+        """Complete a new entry from the store, else queue it."""
         with correlation_scope(entry.corr_id):
-            record: Optional[Dict[str, Any]] = None
-            source = ""
-            if self.cache is not None:
-                probe_start = time.perf_counter()
-                with span("serve.cache_probe", job=entry.fingerprint[:12]):
-                    record = await asyncio.to_thread(
-                        self._cache_lookup, entry.spec
-                    )
-                if record is not None:
-                    self.metrics.hitpath.observe(
-                        (time.perf_counter() - probe_start) * 1000.0
-                    )
-                    source = SOURCE_CACHE_DISK
-            elif (
-                prior is not None
-                and prior.status == JOB_DONE
-                and prior.result_record is not None
-            ):
-                record = prior.result_record
-                source = SOURCE_REGISTRY
-                self.metrics.registry_hits.inc()
+            probe_start = time.perf_counter()
+            with span("serve.cache_probe", job=entry.fingerprint[:12]):
+                record = await asyncio.to_thread(self._cache_lookup, entry.spec)
             if record is not None:
+                self.metrics.hitpath.observe(
+                    (time.perf_counter() - probe_start) * 1000.0
+                )
                 self.metrics.cache_served.inc()
-                entry.complete(record, source)
+                entry.complete(record, SOURCE_CACHE_DISK)
             else:
                 # Tag the spec only when it actually travels to a
                 # worker (corr_id is excluded from the fingerprint;
@@ -752,7 +750,7 @@ class SweepServer:
                     extra={
                         "corr_id": entry.corr_id,
                         "fingerprint": entry.fingerprint,
-                        "outcome": source or "queued",
+                        "outcome": entry.source or "queued",
                     },
                 )
 
@@ -811,7 +809,7 @@ class SweepServer:
         payload = self._status_payload(entry)
         if include_result and entry.status == JOB_DONE:
             record = entry.result_record
-            if record is None and self.cache is not None:
+            if record is None:
                 record = await asyncio.to_thread(self._cache_lookup, entry.spec)
             if record is not None:
                 payload["result"] = record
@@ -835,7 +833,7 @@ class SweepServer:
         }
         if entry.source == SOURCE_EXECUTED:
             payload["cache"] = "miss"
-        elif entry.source in (SOURCE_CACHE_DISK, SOURCE_REGISTRY):
+        elif entry.source == SOURCE_CACHE_DISK:
             payload["cache"] = "hit"
         else:
             payload["cache"] = None
@@ -865,10 +863,6 @@ class SweepServer:
 
     def _metrics_payload(self) -> Dict[str, Any]:
         m = self.metrics
-        cache_stats: Dict[str, Any] = {}
-        if self.cache is not None:
-            cache_stats = dict(self.cache.stats())
-            cache_stats["hit_rate"] = round(self.cache.hit_rate, 4)
         hitpath = m.hitpath.percentile_summary()
         return {
             "ok": True,
@@ -876,8 +870,8 @@ class SweepServer:
             "queue_depth": self._queue.qsize(),
             "in_flight": self._in_flight,
             "registry_size": len(self._jobs),
-            # Entries still holding a wire document: with a cache, 0
-            # between requests (the store holds finished results).
+            # Entries still holding a wire document: 0 between
+            # requests (the store holds finished results).
             "registry_records": sum(
                 1 for entry in self._jobs.values()
                 if entry.result_record is not None
@@ -889,14 +883,12 @@ class SweepServer:
                 "submitted": int(m.submitted.value),
                 "deduped": int(m.deduped.value),
                 "cache_served": int(m.cache_served.value),
-                "registry_hits": int(m.registry_hits.value),
                 "executed": int(m.executed.value),
                 "failed": int(m.failed.value),
                 "batches": int(m.batches.value),
             },
-            "cache": cache_stats,
+            "cache": {**self.cache.stats(), "hit_rate": round(self.cache.hit_rate, 4)},
             "replay": {
-                "enabled": self.cache is not None,
                 "hits": m.replay_hits,
                 "misses": m.replay_misses,
             },
@@ -1000,7 +992,6 @@ class SweepServer:
         runner = self._runner
         if runner is None and n_jobs <= 1:
             by_fingerprint = {entry.fingerprint: entry for entry in batch}
-            cache_dir = str(self.cache.cache_dir) if self.cache is not None else None
 
             def feed_runner(spec: JobSpec) -> Dict[str, object]:
                 entry = by_fingerprint[spec.fingerprint()]
@@ -1019,7 +1010,7 @@ class SweepServer:
                 # see per-phase progress either way.
                 return execute_job(
                     spec,
-                    cache_dir=cache_dir,
+                    cache_dir=str(self.cache.cache_dir),
                     tracer=PhaseFeed(on_phase),
                 )
 

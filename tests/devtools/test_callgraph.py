@@ -247,7 +247,7 @@ class TestSrcSpotChecks:
     def test_sharded_cache_load_is_thread_reachable(self, project):
         graph = get_callgraph(project)
         reachable = graph.thread_reachable("repro.serve")
-        # self.cache: Optional[ResultCache] resolves the probe, and the
+        # self.cache: ResultCache resolves the probe, and the
         # record read it calls, from the to_thread site; the batch
         # lane's executor reaches the decoding reader.
         assert "repro.runtime.cache.ResultCache.load_document" in reachable

@@ -3,6 +3,7 @@ subcommands against a live test server."""
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -106,31 +107,41 @@ class TestSubmitStatus:
         assert "error" in capsys.readouterr().err
 
 
+def spawn_server(tmp_path, *args):
+    """``repro.serve serve --port 0 *args`` in a child process whose
+    ``TMPDIR`` is the fresh ``tmp_path / "tmp"``; returns the process
+    and its ``(host, port)`` once it accepts."""
+    ready = tmp_path / "ready"
+    (tmp_path / "tmp").mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp_path / "tmp"))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
+         "--ready-file", str(ready), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env,
+    )
+    deadline = time.monotonic() + 60
+    while not ready.exists() or not ready.read_text().strip():
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            pytest.fail(f"server never came up: {proc.communicate()[1]}")
+        time.sleep(0.05)
+    host, port = ready.read_text().split()
+    return proc, (host, int(port))
+
+
 class TestServeProcess:
     def test_shutdown_with_idle_client_exits_cleanly(self, tmp_path):
         # An open, idle connection must not outlive shutdown as a
         # cancelled handler task (asyncio logs those as tracebacks).
-        ready = tmp_path / "ready"
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
-             "--no-cache", "--ready-file", str(ready)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env,
-        )
+        proc, (host, port) = spawn_server(tmp_path, "--no-cache")
         try:
-            deadline = time.monotonic() + 60
-            while not ready.exists() or not ready.read_text().strip():
-                assert proc.poll() is None, proc.communicate()[1]
-                assert time.monotonic() < deadline, "server never came up"
-                time.sleep(0.05)
-            host, port = ready.read_text().split()
-            with socket.create_connection((host, int(port))):
-                with ServeClient(host, int(port)) as client:
+            with socket.create_connection((host, port)):
+                with ServeClient(host, port) as client:
                     assert client.shutdown()["stopping"] is True
                 _, err = proc.communicate(timeout=60)
         finally:
@@ -139,3 +150,20 @@ class TestServeProcess:
                 proc.communicate()
         assert proc.returncode == 0, err
         assert "Traceback" not in err, err
+        assert not os.listdir(tmp_path / "tmp")
+
+    def test_sigterm_removes_the_temporary_store(self, tmp_path, spec):
+        proc, (host, port) = spawn_server(tmp_path, "--no-cache")
+        try:
+            with ServeClient(host, port) as client:
+                assert client.submit(spec.to_dict())["status"] == "done"
+            assert os.listdir(tmp_path / "tmp"), "the store lives in TMPDIR"
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert not os.listdir(tmp_path / "tmp")

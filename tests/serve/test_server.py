@@ -7,6 +7,7 @@ runner injected through the server's ``runner`` seam so the tests
 control exactly when an "execution" finishes.
 """
 
+import asyncio
 import json
 import statistics
 import threading
@@ -97,19 +98,20 @@ class TestColdWarm:
         assert (tmp_path / fp[:2] / fp[2:4] / f"{fp}.json").exists()
 
     def test_cacheless_server_writes_nothing(self, tmp_path, spec):
-        """Without a result cache a submit simulates live: no record,
-        no phase trace, and the default cache directory is never
-        created."""
+        """Without a result cache the server runs over a temporary
+        store: it exists while the server serves, is gone after exit,
+        and the default cache directory is never created."""
         from repro.runtime import default_cache_dir
 
         with ServerThread(cache=None) as srv:
+            store = srv.server.cache.cache_dir
             with ServeClient(srv.host, srv.port) as client:
                 done = client.submit(spec.to_dict())
                 assert done["status"] == "done"
                 assert done["source"] == "executed"
                 assert done["phases"], "live phase progress missing"
-                replay = client.metrics()["replay"]
-        assert replay == {"enabled": False, "hits": 0, "misses": 0}
+                assert store.is_dir()
+        assert not store.exists()
         assert default_cache_dir() == tmp_path / "hymm-cache"
         assert not default_cache_dir().exists()
 
@@ -300,7 +302,8 @@ class TestSingleFlight:
 
     def test_terminal_entry_stops_absorbing(self, spec, result):
         """After a job completes, a re-submit is a fresh lookup (served
-        from the registry on a cache-less server), not a dedup join."""
+        from the store, a temporary one on a cache-less server), not a
+        dedup join."""
         def runner(s):
             return result.to_dict()
 
@@ -309,11 +312,68 @@ class TestSingleFlight:
                 first = client.submit(spec.to_dict())
                 assert first["source"] == "executed"
                 again = client.submit(spec.to_dict())
-                assert again["source"] == "registry"
+                assert again["source"] == "cache-disk"
                 assert again["cache"] == "hit"
                 metrics = client.metrics()
         assert metrics["jobs"]["deduped"] == 0
-        assert metrics["jobs"]["registry_hits"] == 1
+        assert metrics["jobs"]["cache_served"] == 1
+
+
+#: ``/metrics`` ``jobs``: every answer is a store hit or an execution.
+JOB_COUNTERS = {
+    "submitted", "deduped", "cache_served", "executed", "failed", "batches",
+}
+
+
+class TestCachelessStore:
+    """A server given no cache answers every repeat from its own
+    temporary store, on either lane, and removes the store on exit."""
+
+    def test_serial_lane_repeat_is_a_store_hit(self, spec):
+        with ServerThread() as srv:
+            store = srv.server.cache.cache_dir
+            with ServeClient(srv.host, srv.port) as client:
+                first = client.submit(spec.to_dict())
+                again = client.submit(spec.to_dict(), include_result=True)
+                metrics = client.metrics()
+                exposition = client.metrics_prometheus()
+        assert first["source"] == "executed"
+        assert (again["source"], again["cache"]) == ("cache-disk", "hit")
+        assert again["result"]["stats"]["cycles"] == again["result_summary"]["cycles"]
+        assert set(metrics["jobs"]) == JOB_COUNTERS
+        assert "repro_serve_registry" not in exposition
+        assert metrics["jobs"]["cache_served"] == 1
+        # The miss recorded its phase traces in the temporary store.
+        assert metrics["replay"]["misses"] >= 1
+        assert metrics["registry_records"] == 0
+        assert not store.exists()
+
+    def test_pool_lane_repeat_is_a_store_hit(self):
+        specs = [JobSpec("cora", "rwp", 0.05, seed=seed) for seed in range(3)]
+        with ServerThread(settings=ServeSettings(workers=2)) as srv:
+            store = srv.server.cache.cache_dir
+            with ServeClient(srv.host, srv.port) as client:
+                # The first job runs alone; the two queued behind it
+                # share a batch, which the process pool runs.
+                acks = [client.submit(s.to_dict(), wait=False) for s in specs]
+                firsts = [list(client.follow(a["job_id"]))[-1] for a in acks]
+                agains = [client.submit(s.to_dict()) for s in specs]
+                metrics = client.metrics()
+        assert [a["status"] for a in acks] == ["queued"] * 3
+        assert [f["source"] for f in firsts] == ["executed"] * 3
+        assert [a["source"] for a in agains] == ["cache-disk"] * 3
+        assert metrics["jobs"]["executed"] == 3
+        assert metrics["jobs"]["batches"] < 3
+        assert metrics["jobs"]["cache_served"] == 3
+        assert set(metrics["jobs"]) == JOB_COUNTERS
+        assert not store.exists()
+
+    def test_unstarted_server_leaves_no_store(self):
+        server = SweepServer()
+        store = server.cache.cache_dir
+        assert store.is_dir()
+        asyncio.run(server.aclose())
+        assert not store.exists()
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +502,7 @@ class TestFailureAndOps:
             return result.to_dict()
 
         srv = ServerThread(runner=runner).start()
+        store = srv.server.cache.cache_dir
         replies = []
 
         def waiter():
@@ -464,6 +525,8 @@ class TestFailureAndOps:
         ]
         srv._thread.join(timeout=30)
         assert not srv._thread.is_alive()
+        # The store goes after the batch that was still storing into it.
+        assert not store.exists()
 
 
 class TestBatchThread:
@@ -517,3 +580,4 @@ class TestHelpers:
     def test_server_rejects_unroutable_gracefully(self):
         server = SweepServer()
         assert server.metrics.submitted.value == 0
+        asyncio.run(server.aclose())
