@@ -13,7 +13,7 @@ losing the feature:
 6. degree sorting (Table I's preprocessing; tested separately below)
 
 All variants are :class:`repro.runtime.JobSpec` points executed through
-``run_sweep``, with the runner's worker count and caches.
+``run_sweep``, with the runner's worker count and store.
 """
 
 from repro.bench import format_table

@@ -7,7 +7,7 @@ model.
 
 The sweep points are expressed as :class:`repro.runtime.JobSpec`\\ s and
 executed through ``repro.bench.runner.run_sweep``, with the runner's
-worker count and caches.
+worker count and store.
 """
 
 from repro.area import AreaModel

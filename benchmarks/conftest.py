@@ -5,14 +5,12 @@ and writes it into its marked block of ``EXPERIMENTS.md``
 (``<!-- bench:NAME -->`` ... ``<!-- /bench:NAME -->``), so the committed
 report holds exactly what the default-scale run measures.  A
 ``REPRO_FULL_SCALE=1`` run only prints: the committed blocks always
-hold the default scales.  Simulations are memoised in-process
-(``repro.bench.runner``), so benches that read the same runs (Fig. 7,
-8, 9, 11) only pay for them once per session.
-
-The suite attaches no result cache, so every run simulates live and
-writes nothing else: phase traces are recorded and replayed only
-through a cache, and a session never checks numbers replayed from
-traces that older code recorded.
+hold the default scales.  Every simulation runs over the runner's
+private temporary store (``repro.bench.runner``), so benches that read
+the same runs (Fig. 7, 8, 9, 11) only pay for them once per session.
+That store starts empty and is removed at exit, so a session never
+checks numbers that an earlier run (or older code) stored, and it
+writes nothing to the persistent cache.
 """
 
 from __future__ import annotations

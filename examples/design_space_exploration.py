@@ -8,7 +8,9 @@ designer adopting HyMM would actually study.
 
 Every sweep point is a ``repro.runtime.JobSpec`` executed through the
 parallel sweep engine, so the whole exploration fans out over worker
-processes and is served from the persistent result cache on re-runs.
+processes.  With ``--cache-dir`` it is served from that persistent
+result cache on re-runs; without it, it runs over a temporary store
+removed at exit.
 
 Run:  python examples/design_space_exploration.py [--jobs N] [--cache-dir DIR]
 """
@@ -17,8 +19,8 @@ import argparse
 import sys
 
 from repro import AreaModel, HyMMConfig
-from repro.bench import format_table
-from repro.runtime import JobSpec, ResultCache, SweepExecutor
+from repro.bench import configure_runtime, format_table, run_sweep
+from repro.runtime import JobSpec
 
 _DATASET = "amazon-photo"
 _SCALE = 0.15
@@ -52,15 +54,13 @@ def main() -> None:
                  for f in thresholds]
     pe_specs = [_spec(n_pes=pes) for pes in pe_widths]
 
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    executor = SweepExecutor(
-        n_jobs=args.jobs,
-        cache=cache,
+    configure_runtime(n_jobs=args.jobs, cache_dir=args.cache_dir)
+    sweep = run_sweep(
+        dmb_specs + thr_specs + pe_specs,
         progress=lambda rec, done, total: print(
             f"  [{done}/{total}] {rec.label}: {rec.status}", file=sys.stderr
         ),
     )
-    sweep = executor.run(dmb_specs + thr_specs + pe_specs)
     print(f"Sweep: {sweep.manifest.summary()}\n")
 
     print("DMB capacity sweep (performance vs area):")

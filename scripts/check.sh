@@ -64,6 +64,13 @@ run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
     --cache-dir "$store_dir"
 run python scripts/check_store.py "$store_dir"
 rm -rf "$store_dir"
+# A --no-cache run keeps its results and traces in a private temporary
+# store and removes it at exit: its TMPDIR ends empty.
+no_cache_tmp="$(mktemp -d)"
+run env TMPDIR="$no_cache_tmp" python -m repro.bench fig7 --no-cache \
+    --datasets cora
+run test -z "$(ls -A "$no_cache_tmp")"
+rm -rf "$no_cache_tmp"
 
 # Replay end to end: with its result record cleared, a repeated submit
 # must replay exactly the phases its first run recorded in the cache

@@ -2,10 +2,9 @@
 
 Each public function returns structured rows/series *and* a formatted
 text table, so the pytest benches in ``benchmarks/`` and the scripts in
-``examples/`` share one implementation.  Simulation results are memoised
-per (dataset, scale, accelerator, config) within a process, so the four
-figure benches that read the same runs (Fig. 7/8/9/11) only simulate
-once.
+``examples/`` share one implementation.  Every simulation runs over one
+result store per process (``repro.bench.runner``), so the four figure
+benches that read the same runs (Fig. 7/8/9/11) only simulate once.
 """
 
 from typing import TYPE_CHECKING
@@ -16,7 +15,6 @@ if TYPE_CHECKING:
     from repro.bench import figures, tables
     from repro.bench.report import format_table, render_series
     from repro.bench.runner import (
-        clear_cache,
         configure_runtime,
         job_spec,
         run_accelerator,
@@ -40,7 +38,6 @@ __all__ = [
     "run_sweep",
     "job_spec",
     "configure_runtime",
-    "clear_cache",
     "format_table",
     "render_series",
     "tables",
@@ -54,8 +51,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "BENCH_DATASETS", "bench_scale", "full_scale_requested", "make_model",
     ),
     "repro.bench.runner": (
-        "clear_cache", "configure_runtime", "job_spec", "run_accelerator",
-        "run_suite", "run_sweep",
+        "configure_runtime", "job_spec", "run_accelerator", "run_suite",
+        "run_sweep",
     ),
     "repro.bench.report": ("format_table", "render_series"),
     "repro.bench.tables": ("tables",),

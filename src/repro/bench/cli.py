@@ -16,10 +16,11 @@ files.
 
 Simulation execution goes through :mod:`repro.runtime`: the
 simulations the requested experiments need are collected up front and
-fanned out over ``--jobs`` worker processes, with results persisted in
-an on-disk cache (``~/.cache/hymm-repro`` or ``--cache-dir``) so a
-re-run completes without re-simulating.  ``--no-cache`` disables the
-cache, and with it phase-trace replay: nothing is written.
+fanned out over ``--jobs`` worker processes, with results and phase
+traces persisted in an on-disk cache (``~/.cache/hymm-repro`` or
+``--cache-dir``) so a re-run completes without re-simulating.
+``--no-cache`` (or a cache directory that cannot be created) runs over
+a private temporary store instead, removed when the run exits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import os
 import pathlib
 import sys
-import time
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.bench import figures, tables
@@ -153,24 +153,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read or write the persistent result cache",
+        help="run over a private temporary store instead of the "
+             "persistent result cache",
     )
     return parser
 
 
 def _configure_runtime(args) -> None:
     from repro.bench.runner import configure_runtime
+    from repro.runtime.cache import default_cache_dir
 
-    if args.no_cache:
-        configure_runtime(n_jobs=args.jobs, disk_cache=False)
-        return
-    try:
-        configure_runtime(
-            n_jobs=args.jobs, cache_dir=args.cache_dir, disk_cache=True
-        )
-    except OSError as exc:  # unwritable cache location: degrade, don't die
-        print(f"[runtime] disk cache disabled ({exc})", file=sys.stderr)
-        configure_runtime(n_jobs=args.jobs, disk_cache=False)
+    if not args.no_cache:
+        try:
+            configure_runtime(
+                n_jobs=args.jobs,
+                cache_dir=args.cache_dir or str(default_cache_dir()),
+            )
+            return
+        except OSError as exc:  # unwritable cache location: degrade, don't die
+            print(f"[runtime] using a temporary store ({exc})", file=sys.stderr)
+    configure_runtime(n_jobs=args.jobs)
 
 
 def _prewarm(names: List[str], datasets: Iterable[str], args, out_dir) -> None:
@@ -202,27 +204,10 @@ def _prewarm(names: List[str], datasets: Iterable[str], args, out_dir) -> None:
                 f"(will retry serially)",
                 file=sys.stderr,
             )
-        _persist_manifest(manifest, out_dir)
-
-
-def _persist_manifest(manifest, out_dir: Optional[pathlib.Path]) -> None:
-    from repro.bench.runner import runtime_settings
-
-    payload = manifest.to_dict()
-    targets = []
-    if out_dir is not None:
-        targets.append(out_dir / "run_manifest.json")
-    disk = runtime_settings()["disk_cache"]
-    if disk is not None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        manifest_dir = disk.cache_dir / "manifests"
-        manifest_dir.mkdir(parents=True, exist_ok=True)
-        targets.append(manifest_dir / f"sweep-{stamp}.json")
-    for path in targets:
-        try:
-            path.write_text(json.dumps(payload, indent=2) + "\n")
-        except OSError:
-            pass
+        if out_dir is not None:
+            (out_dir / "run_manifest.json").write_text(
+                json.dumps(manifest.to_dict(), indent=2) + "\n"
+            )
 
 
 def _write_outputs(name: str, out: Dict[str, object], out_dir: pathlib.Path) -> None:

@@ -1,19 +1,20 @@
 """Shared simulation runner on top of the ``repro.runtime`` subsystem.
 
 Execution policy lives in :mod:`repro.runtime`; this module keeps the
-bench-facing conveniences: a bounded in-process memo (keyed by the
-runtime job fingerprint, LRU-evicted so unbounded sweeps cannot grow
-memory without limit), an optional process-wide disk cache and worker
-count configured once by the CLI (:func:`configure_runtime`), and the
+bench-facing conveniences: the process-wide worker count and result
+store, configured once (:func:`configure_runtime`), and the
 aggregation-phase metric helpers the figure generators read.  Every
 simulation goes through :func:`run_sweep`, i.e. one
-:class:`SweepExecutor` run.
+:class:`SweepExecutor` run over that store, so a repeated point (the
+Fig. 7/8/9/11 benches read the same runs) is a store hit.  The store
+is the persistent one the CLI selects, or else a private temporary
+store this process makes on first use and removes at exit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+import atexit
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.hymm import HyMMConfig
 from repro.hymm.base import RunResult
@@ -27,6 +28,9 @@ from repro.runtime import (
 )
 from repro.bench.workloads import bench_scale
 
+if TYPE_CHECKING:
+    from tempfile import TemporaryDirectory
+
 __all__ = [
     "DEFAULT_ACCELERATORS",
     "ALL_ACCELERATORS",
@@ -37,67 +41,65 @@ __all__ = [
     "run_accelerator",
     "run_suite",
     "run_sweep",
-    "prime_cache",
     "aggregation_cycles",
     "aggregation_utilization",
     "aggregation_hit_rate",
     "phase_snapshot_rows",
     "merged_phase_snapshot",
-    "clear_cache",
 ]
 
 #: The dataflows of the paper's Figure 7 comparison, plus extensions.
 DEFAULT_ACCELERATORS = ("op", "rwp", "hymm")
 ALL_ACCELERATORS = ("op", "rwp", "cwp", "gcod", "op-deferred", "op-tiled", "hymm")
 
-#: In-process memo: job fingerprint -> RunResult, LRU-bounded.
-_CACHE: "OrderedDict[str, RunResult]" = OrderedDict()
-_MEMO_LIMIT = 256
-
 #: Process-wide execution defaults (set by :func:`configure_runtime`).
 _N_JOBS = 1
-#: Also where executions record and replay phase traces; without it
-#: every run simulates live.
-_DISK_CACHE: Optional[ResultCache] = None
+#: The store every sweep runs over; ``None`` until the private
+#: temporary store is made (:func:`_store`).
+_STORE: Optional[ResultCache] = None
+#: The private store's directory, while there is one.
+_PRIVATE: "Optional[TemporaryDirectory[str]]" = None
 
 
 def configure_runtime(
-    n_jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    disk_cache: Optional[bool] = None,
-    memo_limit: Optional[int] = None,
+    n_jobs: Optional[int] = None, cache_dir: Optional[str] = None
 ) -> None:
     """Set process-wide execution defaults (used by the CLI).
 
     ``n_jobs`` is the default worker count for :func:`run_suite` /
-    :func:`run_sweep`; ``disk_cache=True`` attaches a persistent
-    :class:`ResultCache` (at ``cache_dir`` or the default location),
-    ``disk_cache=False`` detaches it; ``memo_limit`` resizes the
-    in-process memo.
+    :func:`run_sweep`.  ``cache_dir`` selects the persistent
+    :class:`ResultCache` there; ``None`` selects a private temporary
+    store, made on first use and removed when it is replaced or when
+    the interpreter exits.  A ``cache_dir`` that cannot be created
+    raises ``OSError`` and changes nothing.
     """
-    global _N_JOBS, _DISK_CACHE, _MEMO_LIMIT
+    global _N_JOBS, _STORE, _PRIVATE
+    store = None if cache_dir is None else ResultCache(cache_dir)
     if n_jobs is not None:
         _N_JOBS = max(1, int(n_jobs))
-    if disk_cache is True or (disk_cache is None and cache_dir is not None):
-        _DISK_CACHE = ResultCache(cache_dir)
-    elif disk_cache is False:
-        _DISK_CACHE = None
-    if memo_limit is not None:
-        if memo_limit <= 0:
-            raise ValueError("memo_limit must be positive")
-        _MEMO_LIMIT = memo_limit
-        while len(_CACHE) > _MEMO_LIMIT:
-            _CACHE.popitem(last=False)
+    if _PRIVATE is not None:
+        atexit.unregister(_PRIVATE.cleanup)
+        _PRIVATE.cleanup()
+        _PRIVATE = None
+    _STORE = store
+
+
+def _store() -> ResultCache:
+    """The process-wide store, making the private one on first use."""
+    global _STORE, _PRIVATE
+    if _STORE is None:
+        import tempfile  # here only: a persistent store never needs it
+
+        _PRIVATE = tempfile.TemporaryDirectory(prefix="repro-bench-")
+        atexit.register(_PRIVATE.cleanup)
+        _STORE = ResultCache(_PRIVATE.name)
+    return _STORE
 
 
 def runtime_settings() -> Dict[str, object]:
-    """The current process-wide defaults (for tests and the CLI)."""
-    return {
-        "n_jobs": _N_JOBS,
-        "disk_cache": _DISK_CACHE,
-        "memo_limit": _MEMO_LIMIT,
-        "memo_size": len(_CACHE),
-    }
+    """The current process-wide worker count and store (the private
+    store is made here if there is none yet)."""
+    return {"n_jobs": _N_JOBS, "cache": _store()}
 
 
 def job_spec(
@@ -122,19 +124,6 @@ def job_spec(
     )
 
 
-def _memo_put(fingerprint: str, result: RunResult) -> None:
-    _CACHE[fingerprint] = result
-    _CACHE.move_to_end(fingerprint)
-    while len(_CACHE) > _MEMO_LIMIT:
-        _CACHE.popitem(last=False)
-
-
-def prime_cache(spec: JobSpec, result: RunResult) -> None:
-    """Insert an externally produced result into the in-process memo
-    (the CLI primes sweep results so figure generators hit memory)."""
-    _memo_put(spec.fingerprint(), result)
-
-
 def run_accelerator(
     dataset: str,
     kind: str,
@@ -143,13 +132,13 @@ def run_accelerator(
     seed: int = 0,
     config: Optional[HyMMConfig] = None,
 ) -> RunResult:
-    """Simulate one accelerator on one dataset (memoised).
+    """Simulate one accelerator on one dataset.
 
     ``config=None`` uses each accelerator's paper-default configuration
-    (HyMM unified buffer, baselines split buffers).  The in-process memo
-    is consulted first; a miss is a one-job :func:`run_sweep`, so it
-    takes the executor's path (disk cache when configured, retry).  A
-    job that still fails raises ``RuntimeError`` with its error.
+    (HyMM unified buffer, baselines split buffers).  This is a one-job
+    :func:`run_sweep`, so a point already in the store is a hit and a
+    miss takes the executor's path (trace replay, retry).  A job that
+    still fails raises ``RuntimeError`` with its error.
     """
     spec = job_spec(dataset, kind, scale, n_layers, seed, config)
     return _result_for(run_sweep([spec], n_jobs=1), spec)
@@ -199,38 +188,21 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 1,
 ) -> SweepResult:
-    """Execute a batch of jobs through the runtime and prime the memo.
+    """Execute a batch of jobs through the runtime.
 
-    Jobs already in the memo are served from it; the rest go through
-    :class:`SweepExecutor` (disk cache, process pool, retry) with the
+    One :class:`SweepExecutor` run over the process-wide store: stored
+    jobs are hits, the rest run (process pool, retry) with the
     process-wide defaults unless overridden.  Failed jobs are recorded
     in the returned manifest, not raised -- a later
     :func:`run_accelerator` call will retry them.
     """
-    workers = _N_JOBS if n_jobs is None else max(1, int(n_jobs))
-    sweep = SweepResult()
-    todo = []
-    for spec in specs:
-        fingerprint = spec.fingerprint()
-        if fingerprint in _CACHE:
-            _CACHE.move_to_end(fingerprint)
-            sweep.results[fingerprint] = _CACHE[fingerprint]
-        else:
-            todo.append(spec)
-    if todo:
-        executor = SweepExecutor(
-            n_jobs=workers,
-            cache=_DISK_CACHE,
-            timeout=timeout,
-            retries=retries,
-            progress=progress,
-        )
-        executed = executor.run(todo)
-        sweep.manifest = executed.manifest
-        for fingerprint, result in executed.results.items():
-            sweep.results[fingerprint] = result
-            _memo_put(fingerprint, result)
-    return sweep
+    return SweepExecutor(
+        _store(),
+        n_jobs=_N_JOBS if n_jobs is None else n_jobs,
+        timeout=timeout,
+        retries=retries,
+        progress=progress,
+    ).run(specs)
 
 
 def aggregation_cycles(result: RunResult) -> int:
@@ -272,10 +244,3 @@ def merged_phase_snapshot(result: RunResult, suffix: str = "") -> SimStats:
         if phase.endswith(suffix):
             merged.merge(snap)
     return merged
-
-
-def clear_cache() -> int:
-    """Drop memoised runs; returns how many were cached."""
-    n = len(_CACHE)
-    _CACHE.clear()
-    return n

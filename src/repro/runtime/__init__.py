@@ -7,14 +7,14 @@ and *which* experiments need the results (``repro.bench``):
 * :class:`JobSpec` -- one simulation point (dataset, accelerator,
   scale, layers, seed, config overrides) with a stable content-hash
   fingerprint that is identical across processes and sessions.
-* :class:`SweepExecutor` -- fans a batch of jobs out over a process
-  pool with per-job timeout and bounded retry, falling back to
-  in-process serial execution when ``n_jobs=1`` or no pool can be
-  created.
-* :class:`ResultCache` -- persistent on-disk JSON records keyed by job
-  fingerprint + schema/code version, so repeated figure/table runs and
-  CI re-runs skip already-simulated points, and the only home of
-  phase traces.
+* :class:`SweepExecutor` -- runs a batch of jobs over a
+  :class:`ResultCache`, fanning the misses out over a process pool
+  with per-job timeout and bounded retry, falling back to in-process
+  serial execution when ``n_jobs=1`` or no pool can be created.
+* :class:`ResultCache` -- on-disk records keyed by job fingerprint
+  (which covers the schema version and the result-computing source),
+  so repeated figure/table runs and CI re-runs skip already-simulated
+  points, and the only home of phase traces.
 * :class:`RunManifest` -- per-sweep accounting (queued/done/failed,
   cache hit rate, wall-clock per job) surfaced by the bench CLI.
 
@@ -32,7 +32,6 @@ if TYPE_CHECKING:
         execute_job,
         execute_spec,
         make_accelerator,
-        replay_summary,
     )
     from repro.runtime.executor import SweepExecutor, SweepResult
     from repro.runtime.job import SCHEMA_VERSION, JobSpec
@@ -51,7 +50,6 @@ __all__ = [
     "execute_job",
     "execute_spec",
     "make_accelerator",
-    "replay_summary",
     "to_jsonable",
 ]
 
@@ -64,6 +62,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.runtime.manifest": ("JobRecord", "RunManifest"),
     "repro.runtime.executor": ("SweepExecutor", "SweepResult"),
     "repro.runtime.execute": (
-        "execute_job", "execute_spec", "make_accelerator", "replay_summary",
+        "execute_job", "execute_spec", "make_accelerator",
     ),
 })

@@ -29,7 +29,6 @@ the blobs::
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
         blobs/<h[0:2]>/<h>.npy  # output matrices, h = SHA-256 of the file
-        manifests/              # sweep manifests (written by the CLI)
         traces/                 # phase traces (see job_trace_store)
 
 :class:`TraceStore` holds one job's phase traces flat in that job's
@@ -39,16 +38,18 @@ output blobs (:func:`job_trace_store`)::
 
     <cache_dir>/traces/<fp[0:2]>/<fingerprint>/<phase signature>.json
 
-Traces live only here: a job records and replays them exactly when it
-runs against a cache, and a job without one simulates live and writes
-nothing.
+Traces live only here: every job the runtime executes records and
+replays them in its sweep's cache.  They sit under the job's
+fingerprint, so a change to the code that computes results retires
+them with the result records.
 
 Invalidation rules:
 
-* the fingerprint already encodes the job schema version and the
-  ``repro`` package version, so upgrading either simply stops hitting
-  old records (job schema v6 compresses records, so plain-JSON records
-  of v5 and earlier are never hit);
+* the fingerprint already encodes the job schema version and a hash of
+  the source that computes results (:func:`repro.runtime.job.code_digest`),
+  so changing either simply stops hitting old records and traces (job
+  schema v6 compresses records, so plain-JSON records of v5 and
+  earlier are never hit);
 * a record whose embedded ``RunResult`` schema version no longer
   matches the code is treated as a miss and evicted;
 * unreadable/corrupt records (truncated writes, a broken zlib stream,

@@ -6,6 +6,11 @@ loads everything a job runs -- the accelerators, the workload layer and
 the trace replay -- so a process that imports it (a sweep, a pool
 worker, a server's first batch) pays for that once, up front, and the
 lighter parts of ``repro.runtime`` (specs, the store) load without it.
+
+A job the runtime runs always runs against a result cache:
+:func:`execute_job` records and replays its phase traces there.
+:func:`execute_spec` alone simulates every phase live and writes
+nothing (``python -m repro.obs trace`` and tests use it).
 """
 
 from __future__ import annotations
@@ -72,18 +77,6 @@ def make_accelerator(
     raise ValueError(f"unknown accelerator kind {kind!r}")
 
 
-def replay_summary(session: Optional[object]) -> Optional[Dict[str, int]]:
-    """Replay accounting of one finished session: phases replayed from
-    the store vs simulated live and recorded.  ``None`` in, ``None``
-    out (a run without a cache)."""
-    if session is None:
-        return None
-    return {
-        "replayed": len(session.replayed),
-        "recorded": len(session.recorded),
-    }
-
-
 def execute_spec(
     spec: JobSpec,
     tracer: Optional[Tracer] = None,
@@ -119,7 +112,7 @@ def execute_spec(
 
 def execute_job(
     spec: JobSpec,
-    cache_dir: Optional[str] = None,
+    cache_dir: str,
     tracer: Optional[Tracer] = None,
 ) -> Dict[str, object]:
     """Worker entry point: run one job and return its serialised dict.
@@ -137,13 +130,12 @@ def execute_job(
     serial lane passes a :class:`~repro.obs.tracer.PhaseFeed` to stream
     per-phase progress while the job runs.
 
-    With ``cache_dir`` (the job's result cache) the run records and
-    replays phase traces in the job's store there
+    The run records and replays phase traces in the job's store in
+    ``cache_dir``, the job's result cache
     (:func:`repro.runtime.cache.job_trace_store`), and the returned dict
     carries a ``"replay"`` side channel, ``{"replayed": n, "recorded":
     m}``, that :class:`~repro.runtime.executor.SweepExecutor` folds into
-    the run manifest.  Without a cache the run simulates live and writes
-    nothing.
+    the run manifest.
     """
     # Re-establish the submitting request's correlation context in this
     # (possibly pool-worker) process: JobSpec.corr_id is how the ID
@@ -159,17 +151,15 @@ def execute_job(
             extra={"fingerprint": spec.fingerprint(), "job": spec.describe()},
         )
     try:
-        session = (
-            TraceSession(job_trace_store(cache_dir, spec))
-            if cache_dir is not None else None
-        )
+        session = TraceSession(job_trace_store(cache_dir, spec))
         with span("runtime.execute", job=spec.describe()):
             doc = execute_spec(
                 spec, tracer=tracer, replay_session=session
             ).to_dict()
-        summary = replay_summary(session)
-        if summary is not None:
-            doc["replay"] = summary
+        doc["replay"] = {
+            "replayed": len(session.replayed),
+            "recorded": len(session.recorded),
+        }
     except Exception as exc:
         if _log.isEnabledFor(logging.WARNING):
             _log.warning(
@@ -187,7 +177,7 @@ def execute_job(
             extra={
                 "fingerprint": spec.fingerprint(),
                 "wall_s": round(time.perf_counter() - t0, 6),
-                "replay": summary,
+                "replay": doc["replay"],
             },
         )
     return doc

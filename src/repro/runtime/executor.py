@@ -5,7 +5,8 @@ a :class:`SweepResult` (results keyed by fingerprint + a
 :class:`RunManifest`).  The policy:
 
 * duplicate specs are collapsed (one execution per fingerprint);
-* every spec is first looked up in the optional :class:`ResultCache`;
+* every sweep runs over a :class:`ResultCache`, and every spec is
+  first looked up there;
 * misses run on a ``ProcessPoolExecutor`` when ``n_jobs > 1``, with a
   per-job timeout (measured from submission; best-effort, since a
   running worker cannot be interrupted) and bounded retry on worker
@@ -20,12 +21,11 @@ a :class:`SweepResult` (results keyed by fingerprint + a
 * that wire document is also what the cache stores: this class is the
   only code that probes and stores results, and the serve front end and
   ``repro.bench`` run every job through it;
-* with a cache, executed jobs record/replay phase traces in it: each
-  worker replays phases whose chained signature is already in the
-  job's trace directory and records the rest, reporting the counts
-  back through a side channel the parent folds into the manifest's
-  ``replay_hits``/``replay_misses``.  Without a cache, jobs simulate
-  live and nothing is written.
+* executed jobs record/replay phase traces in the cache: each worker
+  replays phases whose chained signature is already in the job's trace
+  directory and records the rest, reporting the counts back through a
+  side channel the parent folds into the manifest's
+  ``replay_hits``/``replay_misses``.
 
 A failed job (after retries) is recorded in the manifest and simply
 absent from the results -- callers decide whether that is fatal.
@@ -155,11 +155,11 @@ class SweepExecutor:
 
     def __init__(
         self,
+        cache: ResultCache,
         n_jobs: int = 1,
-        cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
-        runner: Optional[Callable[[JobSpec], object]] = None,
+        runner: Optional[Callable[[JobSpec], Mapping[str, object]]] = None,
         progress: Optional[ProgressFn] = None,
         batch_by_workload: bool = True,
         keep_docs: bool = False,
@@ -172,12 +172,12 @@ class SweepExecutor:
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
-        #: The built-in runner records and replays phase traces in the
-        #: cache (a picklable directory string reaches pool workers).
-        self.runner: Callable[[JobSpec], object] = (
+        #: Returns a job's wire document.  The built-in runner records
+        #: and replays phase traces in the cache (a picklable directory
+        #: string reaches pool workers).
+        self.runner: Callable[[JobSpec], Mapping[str, object]] = (
             runner if runner is not None else functools.partial(
-                execute_job,
-                cache_dir=str(cache.cache_dir) if cache is not None else None,
+                execute_job, cache_dir=str(cache.cache_dir)
             )
         )
         self.progress = progress
@@ -204,16 +204,13 @@ class SweepExecutor:
         pending: List[JobSpec] = []
         with span("runtime.cache_probe", jobs=len(unique)):
             for spec in unique:
-                cached = (
-                    self.cache.load(spec) if self.cache is not None else None
-                )
+                cached = self.cache.load(spec)
                 if cached is not None:
                     _CACHE_PROBES_TOTAL.labels("hit").inc()
                     sweep.results[spec.fingerprint()] = cached
                     self._record(sweep, spec, STATUS_CACHE_HIT, worker="cache")
                 else:
-                    if self.cache is not None:
-                        _CACHE_PROBES_TOTAL.labels("miss").inc()
+                    _CACHE_PROBES_TOTAL.labels("miss").inc()
                     pending.append(spec)
 
         if pending:
@@ -226,8 +223,7 @@ class SweepExecutor:
                     self._run_serial(leftover, sweep)
 
         sweep.manifest.wall_seconds = time.perf_counter() - start
-        if self.cache is not None:
-            sweep.manifest.cache_stats = self.cache.stats()
+        sweep.manifest.cache_stats = self.cache.stats()
         return sweep
 
     # ------------------------------------------------------------------
@@ -281,30 +277,25 @@ class SweepExecutor:
         self,
         sweep: SweepResult,
         spec: JobSpec,
-        raw: object,
+        raw: Mapping[str, object],
         attempts: int,
         wall: float,
         worker: str,
         rss_kb: Optional[int] = None,
     ) -> None:
-        if isinstance(raw, Mapping):
-            # Strip the runner's replay side-channel (phases replayed
-            # from the trace store vs recorded live) into the manifest;
-            # what is left is the wire document, decoded here and
-            # stored as-is (the job is encoded once, by its worker).
-            doc = dict(raw)
-            replay_info = doc.pop("replay", None)
-            if isinstance(replay_info, Mapping):
-                sweep.manifest.replay_hits += int(replay_info.get("replayed", 0))
-                sweep.manifest.replay_misses += int(replay_info.get("recorded", 0))
-            result: object = RunResult.from_dict(doc)
-            if self.cache is not None:
-                self.cache.store(spec, doc)
-            if self.keep_docs:
-                sweep.docs[spec.fingerprint()] = doc
-        else:
-            result = raw
-        sweep.results[spec.fingerprint()] = result
+        # Strip the runner's replay side-channel (phases replayed from
+        # the trace store vs recorded live) into the manifest; what is
+        # left is the wire document, decoded here and stored as-is (the
+        # job is encoded once, by its worker).
+        doc = dict(raw)
+        replay_info = doc.pop("replay", None)
+        if isinstance(replay_info, Mapping):
+            sweep.manifest.replay_hits += int(replay_info.get("replayed", 0))
+            sweep.manifest.replay_misses += int(replay_info.get("recorded", 0))
+        sweep.results[spec.fingerprint()] = RunResult.from_dict(doc)
+        self.cache.store(spec, doc)
+        if self.keep_docs:
+            sweep.docs[spec.fingerprint()] = doc
         self._record(sweep, spec, STATUS_DONE, attempts, wall, worker,
                      rss_kb=rss_kb)
 

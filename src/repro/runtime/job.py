@@ -5,24 +5,31 @@ outcome -- the workload (dataset, scale, layers, seeds), the
 accelerator (kind, optional config, optional sort mode) -- and nothing
 that doesn't (worker count, cache location).  Its fingerprint is a
 SHA-256 over the canonical JSON form of those fields plus the result
-schema version and the package version, so two processes (or two
-sessions, or two CI runs) computing the fingerprint of the same point
-always agree, and any change that could alter results (a field, the
-result schema, the simulator version) changes the key.
+schema version and :func:`code_digest`, a hash of the source that
+computes results, so two processes (or two sessions, or two CI runs)
+of the same code computing the fingerprint of the same point always
+agree, and any change that could alter results (a field, the result
+schema, a byte of that source) changes the key.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-# ``repro/__init__`` imports nothing eagerly (its exports load on first
-# access), so the package, version included, is complete before any
-# submodule runs.
-from repro import __version__ as _REPRO_VERSION
+import repro
 from repro.hymm.config import HyMMConfig
+
+#: Packages (every ``.py`` under each) and modules of ``repro`` whose
+#: source determines a job's result: the simulator, the accelerators,
+#: the model and dataset code, the workload builder, and the map from
+#: a job's kind to its accelerator.
+CODE_PACKAGES = ("baselines", "gcn", "graphs", "hymm", "sim", "sparse")
+CODE_MODULES = ("bench/workloads.py", "runtime/execute.py")
 
 #: Version of the JobSpec/RunResult wire format.  Bump whenever the
 #: canonical payload or the serialised result layout changes; every
@@ -40,7 +47,35 @@ from repro.hymm.config import HyMMConfig
 #: ``phase_cycles``/``phase_stats`` and lack ``phase_occupancy``.
 #: v6: cache records are zlib-compressed JSON under the same names, and
 #: ``RunResult.extra`` no longer carries the node permutation.
-SCHEMA_VERSION = 6
+#: v7: the payload keys the code by :func:`code_digest`, a hash of the
+#: result-computing source, in place of the package version.
+SCHEMA_VERSION = 7
+
+
+def code_files(root: str) -> List[str]:
+    """The result-determining source files under the package directory
+    ``root``, as sorted ``/``-separated paths relative to it."""
+    names = list(CODE_MODULES)
+    for pkg in CODE_PACKAGES:
+        for base, _, files in os.walk(os.path.join(root, pkg)):
+            rel = os.path.relpath(base, root).replace(os.sep, "/")
+            names += [f"{rel}/{name}" for name in files if name.endswith(".py")]
+    return sorted(names)
+
+
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """SHA-256 over the path and bytes of each of this package's
+    :func:`code_files`, read without importing them, once per process."""
+    root = os.path.dirname(repro.__file__)
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 16)
+    for name in code_files(root):
+        with open(os.path.join(root, name), "rb") as fh:
+            digest.update(f"{name}\0{os.fstat(fh.fileno()).st_size}\0".encode())
+            while n := fh.readinto(buf):
+                digest.update(memoryview(buf)[:n])
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -88,7 +123,7 @@ class JobSpec:
         for debugging cache keys)."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "repro_version": _REPRO_VERSION,
+            "code": code_digest(),
             "dataset": self.dataset,
             "kind": self.kind,
             "scale": self.scale,

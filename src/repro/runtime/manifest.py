@@ -4,8 +4,8 @@ Every :class:`~repro.runtime.executor.SweepExecutor` run produces one
 :class:`RunManifest` -- how many jobs were queued, which came from the
 cache, which executed where (pool worker vs in-process serial), how
 many attempts and seconds each took, and what failed with which error.
-The bench CLI prints the summary line and can persist the whole
-manifest as JSON next to the cache.
+The bench CLI prints the summary line and, with ``--output DIR``,
+writes the whole manifest as ``DIR/run_manifest.json``.
 """
 
 from __future__ import annotations

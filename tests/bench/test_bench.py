@@ -12,7 +12,6 @@ from repro.bench import runner as runner_mod
 from repro.bench.report import replace_block
 from repro.bench.runner import (
     aggregation_cycles,
-    clear_cache,
     configure_runtime,
     job_spec,
     make_accelerator,
@@ -22,6 +21,7 @@ from repro.bench.runner import (
     runtime_settings,
 )
 from repro.bench.workloads import BENCH_DATASETS, bench_scale, make_model
+from repro.runtime import default_cache_dir
 
 
 class TestReport:
@@ -75,15 +75,27 @@ class TestWorkloads:
 
 
 class TestRunner:
-    def test_run_accelerator_cached(self):
-        clear_cache()
+    def test_run_accelerator_cached(self, monkeypatch):
+        """The second call on one spec is a one-job sweep that the
+        runner's private store answers, with equal stats."""
+        sweeps = []
+
+        def recording_run_sweep(*args, **kwargs):
+            sweeps.append(run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(runner_mod, "run_sweep", recording_run_sweep)
         a = run_accelerator("cora", "rwp", scale=0.05)
         b = run_accelerator("cora", "rwp", scale=0.05)
-        assert a is b
-        assert clear_cache() >= 1
+        assert [s.manifest.executed for s in sweeps] == [1, 0]
+        assert [s.manifest.cache_hits for s in sweeps] == [0, 1]
+        assert b.stats.to_dict() == a.stats.to_dict()
+        store = runtime_settings()["cache"]
+        assert store.hits == 1 and store.stores == 1
+        assert store.cache_dir != default_cache_dir()
+        assert not default_cache_dir().exists()
 
     def test_run_accelerator_raises_job_error_after_retry(self, monkeypatch):
-        clear_cache()
         attempts = []
 
         def broken(spec, **kwargs):
@@ -115,50 +127,45 @@ class TestRunner:
         assert agg > 0
         assert agg < r.stats.cycles
 
-    def test_memo_keyed_by_fingerprint(self):
-        clear_cache()
+    def test_store_keyed_by_fingerprint(self):
         run_accelerator("cora", "rwp", scale=0.05)
+        store = runtime_settings()["cache"]
         fp = job_spec("cora", "rwp", 0.05).fingerprint()
-        assert fp in runner_mod._CACHE
+        assert (store.cache_dir / fp[:2] / fp[2:4] / f"{fp}.json").exists()
+        assert store.size() == 1
 
-    def test_memo_is_bounded(self):
-        clear_cache()
-        configure_runtime(memo_limit=2)
-        try:
-            run_accelerator("cora", "rwp", scale=0.05)
-            run_accelerator("cora", "op", scale=0.05)
-            run_accelerator("cora", "rwp", scale=0.05, seed=1)
-            assert len(runner_mod._CACHE) == 2
-            # The oldest entry (rwp seed 0) was LRU-evicted.
-            assert job_spec("cora", "rwp", 0.05).fingerprint() not in runner_mod._CACHE
-        finally:
-            configure_runtime(memo_limit=256)
-
-    def test_disk_cache_round_trip(self, tmp_path):
-        clear_cache()
-        configure_runtime(cache_dir=str(tmp_path), disk_cache=True)
+    def test_persistent_store_round_trip(self, tmp_path):
+        configure_runtime(cache_dir=str(tmp_path))
         first = run_accelerator("cora", "rwp", scale=0.05)
-        clear_cache()  # drop the memo; force the disk path
         second = run_accelerator("cora", "rwp", scale=0.05)
         assert second is not first
         assert second.stats.cycles == first.stats.cycles
-        disk = runtime_settings()["disk_cache"]
+        disk = runtime_settings()["cache"]
+        assert disk.cache_dir == tmp_path
         assert disk.hits == 1 and disk.stores == 1
 
-    def test_run_sweep_primes_memo(self):
-        clear_cache()
+    def test_run_sweep_fills_store(self):
         specs = [job_spec("cora", k, 0.05) for k in ("rwp", "op")]
         sweep = run_sweep(specs, n_jobs=1)
         assert len(sweep.results) == 2
-        # run_accelerator now hits the memo (identity-preserved).
-        assert run_accelerator("cora", "rwp", scale=0.05) is (
-            sweep.results[specs[0].fingerprint()]
+        # run_accelerator now hits the store.
+        again = run_accelerator("cora", "rwp", scale=0.05)
+        assert runtime_settings()["cache"].hits == 1
+        assert again.stats.to_dict() == (
+            sweep.results[specs[0].fingerprint()].stats.to_dict()
         )
 
+    def test_replacing_the_private_store_removes_it(self):
+        run_accelerator("cora", "rwp", scale=0.05)
+        private = runtime_settings()["cache"].cache_dir
+        assert private.is_dir()
+        configure_runtime(n_jobs=1)
+        assert not private.exists()
+        assert runtime_settings()["cache"].cache_dir != private
+
     def test_run_suite_parallel_matches_serial(self):
-        clear_cache()
         serial = run_suite("cora", kinds=("rwp", "hymm"), scale=0.05)
-        clear_cache()
+        configure_runtime(n_jobs=1)  # a fresh store: the pool must simulate
         parallel = run_suite("cora", kinds=("rwp", "hymm"), scale=0.05, n_jobs=2)
         for kind in ("rwp", "hymm"):
             assert parallel[kind].stats.cycles == serial[kind].stats.cycles

@@ -109,12 +109,9 @@ class TestSpecCollection:
 class TestRuntimeIntegration:
     @pytest.fixture(autouse=True)
     def _small(self, monkeypatch):
-        from repro.bench.runner import clear_cache
-
         monkeypatch.setattr(
             "repro.bench.workloads._FAST_SCALES", {"cora": 0.05}
         )
-        clear_cache()
 
     def test_parallel_run_writes_json_and_manifest(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -135,12 +132,10 @@ class TestRuntimeIntegration:
         assert "[runtime]" in err
 
     def test_second_invocation_hits_cache(self, tmp_path, capsys):
-        from repro.bench.runner import clear_cache
-
         cache = tmp_path / "cache"
         argv = ["fig7", "--datasets", "cora", "--cache-dir", str(cache)]
         assert main(argv) == 0
-        clear_cache()  # fresh process simulation: memo gone, disk warm
+        assert "3 simulated" in capsys.readouterr().err
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "3 cache hits (100%)" in err
@@ -151,8 +146,55 @@ class TestRuntimeIntegration:
 
         out = main(["fig7", "--datasets", "cora", "--no-cache"])
         assert out == 0
-        assert runtime_settings()["disk_cache"] is None
-        # Neither result records nor phase traces: the default cache
-        # directory is never created.
+        store = runtime_settings()["cache"]
+        assert store.size() == 3
+        # Result records and phase traces went to the private store:
+        # the default cache directory is never created.
         assert default_cache_dir() == tmp_path / "hymm-cache"
+        assert store.cache_dir != default_cache_dir()
         assert not default_cache_dir().exists()
+
+    def test_unwritable_cache_dir_falls_back_to_a_private_store(
+        self, tmp_path, capsys
+    ):
+        from repro.bench.runner import runtime_settings
+
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = main(["fig7", "--datasets", "cora",
+                    "--cache-dir", str(blocker / "cache")])
+        assert out == 0
+        assert "using a temporary store" in capsys.readouterr().err
+        assert runtime_settings()["cache"].size() == 3
+
+
+def test_no_cache_run_leaves_tmpdir_empty(tmp_path):
+    """A ``--no-cache`` run records phases in its private store, which
+    it removes at exit: ``TMPDIR`` ends empty and the default cache
+    directory is never created."""
+    import os
+    import subprocess
+    import sys
+
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    out = tmp_path / "out"
+    env = dict(
+        os.environ,
+        TMPDIR=str(tmpdir),
+        REPRO_CACHE_DIR=str(tmp_path / "default-cache"),
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, "-m", "repro.bench", "fig7", "--datasets", "cora",
+         "--no-cache", "--output", str(out)],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["executed"] == 3
+    assert manifest["replay_misses"] > 0
+    assert list(tmpdir.iterdir()) == []
+    assert not (tmp_path / "default-cache").exists()

@@ -16,12 +16,13 @@ from repro.sparse import COOMatrix
 @pytest.fixture(autouse=True)
 def _isolated_runtime(tmp_path, monkeypatch):
     """Keep the persistent result cache out of the real home directory
-    and reset the process-wide runtime defaults after every test."""
+    and reset the process-wide runtime defaults after every test (which
+    also removes the runner's private store, if the test made one)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "hymm-cache"))
     yield
     from repro.bench import runner
 
-    runner.configure_runtime(n_jobs=1, disk_cache=False)
+    runner.configure_runtime(n_jobs=1)
 
 
 @pytest.fixture

@@ -317,7 +317,7 @@ def _blob_files(root):
 
 
 def _stored_json(root):
-    return [p for p in root.rglob("*.json") if "manifests" not in p.parts]
+    return list(root.rglob("*.json"))
 
 
 class TestOutputBlobs:
@@ -465,15 +465,18 @@ class TestOutputBlobs:
         )
 
     def test_no_cache_writes_nothing(self, tmp_path, spec, result):
+        """A sweep writes nothing outside its own store: no result,
+        trace or blob reaches the default cache directory."""
         from repro.runtime import SweepExecutor
 
-        sweep = SweepExecutor().run([spec])
+        store = tmp_path / "store"
+        sweep = SweepExecutor(cache=ResultCache(store)).run([spec])
         assert sweep.manifest.executed == 1
         assert sweep.manifest.replay_hits == 0
-        assert sweep.manifest.replay_misses == 0
+        assert sweep.manifest.replay_misses > 0
         for ours, theirs in zip(result.outputs, sweep.for_spec(spec).outputs):
             assert np.array_equal(ours, theirs)
-        assert sorted(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == [store]
 
     def test_no_record_or_trace_holds_inline_arrays(self, tmp_path):
         from repro.runtime import SweepExecutor

@@ -9,7 +9,7 @@ serial execution.  Wall-clock fields (``wall_seconds`` and the measured
 import numpy as np
 import pytest
 
-from repro.runtime import JobSpec, SweepExecutor
+from repro.runtime import JobSpec, ResultCache, SweepExecutor
 
 _SPECS = [
     JobSpec(dataset="cora", kind="op", scale=0.05),
@@ -31,13 +31,15 @@ def _comparable(result):
 
 
 @pytest.fixture(scope="module")
-def serial():
-    return SweepExecutor(n_jobs=1).run(_SPECS)
+def serial(tmp_path_factory):
+    store = ResultCache(tmp_path_factory.mktemp("serial"))
+    return SweepExecutor(cache=store, n_jobs=1).run(_SPECS)
 
 
 @pytest.fixture(scope="module")
-def parallel():
-    return SweepExecutor(n_jobs=4).run(_SPECS)
+def parallel(tmp_path_factory):
+    store = ResultCache(tmp_path_factory.mktemp("parallel"))
+    return SweepExecutor(cache=store, n_jobs=4).run(_SPECS)
 
 
 def test_both_complete(serial, parallel):
@@ -60,12 +62,14 @@ def test_bit_identical_results(serial, parallel, index):
     assert _comparable(ours) == _comparable(theirs)
 
 
-def test_progress_callback_fires(serial):
+def test_progress_callback_fires(serial, tmp_path):
     events = []
 
     def progress(record, done, total):
         events.append((record.status, done, total))
 
-    SweepExecutor(n_jobs=1, progress=progress).run(_SPECS[:2])
+    SweepExecutor(
+        cache=ResultCache(tmp_path), n_jobs=1, progress=progress
+    ).run(_SPECS[:2])
     assert len(events) == 2
     assert events[-1][1:] == (2, 2)

@@ -1,7 +1,8 @@
 """SweepExecutor: serial fallback, pool execution, timeout, retry.
 
 Custom runners injected here must be module-level (picklable) because
-the pool ships them to worker processes.
+the pool ships them to worker processes.  Each returns a real wire
+document (:func:`_doc`), which the executor decodes and stores.
 """
 
 import functools
@@ -10,8 +11,11 @@ import time
 
 import pytest
 
+from repro.hymm.base import RunResult
+from repro.hymm.config import HyMMConfig
 from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_spec
 from repro.runtime.manifest import STATUS_CACHE_HIT, STATUS_DONE, STATUS_FAILED
+from repro.sim.stats import SimStats
 from tests.store_records import read_record
 
 
@@ -21,11 +25,29 @@ def _spec(kind="rwp", **kw):
     return JobSpec(**base)
 
 
+@pytest.fixture
+def store(tmp_path):
+    return ResultCache(tmp_path / "store")
+
+
 # ----------------------------------------------------------------------
 # Injectable runners (top-level for pickling)
 # ----------------------------------------------------------------------
+def _doc(spec, label):
+    """The wire document of an empty run whose ``extra`` carries
+    ``label``."""
+    return RunResult(
+        spec.kind, spec.dataset, HyMMConfig(), SimStats(), [],
+        extra={"label": label},
+    ).to_dict()
+
+
+def _label(result):
+    return result.extra["label"]
+
+
 def ok_runner(spec):
-    return f"ok:{spec.kind}:{spec.seed}"
+    return _doc(spec, f"ok:{spec.kind}:{spec.seed}")
 
 
 def failing_runner(spec):
@@ -34,7 +56,7 @@ def failing_runner(spec):
 
 def slow_runner(spec):
     time.sleep(2.0)
-    return "too late"
+    return _doc(spec, "too late")
 
 
 def flaky_runner(marker_dir, spec):
@@ -44,33 +66,33 @@ def flaky_runner(marker_dir, spec):
     if not marker.exists():
         marker.write_text("attempted")
         raise RuntimeError("first attempt always fails")
-    return f"recovered:{spec.kind}"
+    return _doc(spec, f"recovered:{spec.kind}")
 
 
 # ----------------------------------------------------------------------
 class TestSerial:
-    def test_serial_executes_real_job(self):
-        sweep = SweepExecutor(n_jobs=1).run([_spec()])
+    def test_serial_executes_real_job(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1).run([_spec()])
         result = sweep.for_spec(_spec())
         assert result is not None
         assert result.stats.cycles > 0
         assert sweep.manifest.executed == 1
         assert sweep.manifest.records[0].worker == "serial"
 
-    def test_serial_matches_direct_execution(self):
+    def test_serial_matches_direct_execution(self, store):
         direct = execute_spec(_spec())
-        via_executor = SweepExecutor(n_jobs=1).run([_spec()]).for_spec(_spec())
+        via_executor = SweepExecutor(cache=store, n_jobs=1).run([_spec()]).for_spec(_spec())
         assert via_executor.stats.cycles == direct.stats.cycles
 
-    def test_duplicates_collapse(self):
-        sweep = SweepExecutor(n_jobs=1, runner=ok_runner).run(
+    def test_duplicates_collapse(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=ok_runner).run(
             [_spec(), _spec(), _spec(kind="op")]
         )
         assert sweep.manifest.total == 2
         assert len(sweep.results) == 2
 
-    def test_serial_retry_then_fail(self):
-        sweep = SweepExecutor(n_jobs=1, runner=failing_runner, retries=2).run(
+    def test_serial_retry_then_fail(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=failing_runner, retries=2).run(
             [_spec()]
         )
         record = sweep.manifest.records[0]
@@ -79,14 +101,14 @@ class TestSerial:
         assert "synthetic worker failure" in record.error
         assert sweep.for_spec(_spec()) is None
 
-    def test_serial_flaky_recovers(self, tmp_path):
+    def test_serial_flaky_recovers(self, store, tmp_path):
         runner = functools.partial(flaky_runner, str(tmp_path))
-        sweep = SweepExecutor(n_jobs=1, runner=runner, retries=1).run([_spec()])
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=runner, retries=1).run([_spec()])
         assert sweep.manifest.executed == 1
         assert sweep.manifest.records[0].attempts == 2
-        assert sweep.results[_spec().fingerprint()] == "recovered:rwp"
+        assert _label(sweep.results[_spec().fingerprint()]) == "recovered:rwp"
 
-    def test_serial_groups_jobs_by_workload(self, monkeypatch):
+    def test_serial_groups_jobs_by_workload(self, store, monkeypatch):
         """Specs alternating between two workloads build each model
         once, and the one-workload memo keeps only the last."""
         from repro.bench import workloads
@@ -104,29 +126,29 @@ class TestSerial:
             _spec(kind=kind, seed=seed)
             for kind in ("rwp", "op") for seed in (0, 1)
         ]
-        sweep = SweepExecutor(n_jobs=1).run(specs)
+        sweep = SweepExecutor(cache=store, n_jobs=1).run(specs)
         assert sweep.manifest.executed == 4
         assert loads == [("cora", 0), ("cora", 1)]
         assert workloads.make_model.cache_info().currsize == 1
 
 
 class TestPool:
-    def test_pool_runs_all_jobs(self):
+    def test_pool_runs_all_jobs(self, store):
         specs = [_spec(seed=i) for i in range(4)]
-        sweep = SweepExecutor(n_jobs=2, runner=ok_runner).run(specs)
+        sweep = SweepExecutor(cache=store, n_jobs=2, runner=ok_runner).run(specs)
         assert sweep.manifest.executed == 4
         assert {r.worker for r in sweep.manifest.records} == {"pool"}
         for spec in specs:
-            assert sweep.for_spec(spec) == f"ok:rwp:{spec.seed}"
+            assert _label(sweep.for_spec(spec)) == f"ok:rwp:{spec.seed}"
 
-    def test_pool_executes_real_simulation(self):
-        sweep = SweepExecutor(n_jobs=2).run([_spec(), _spec(kind="op")])
+    def test_pool_executes_real_simulation(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=2).run([_spec(), _spec(kind="op")])
         assert sweep.manifest.executed == 2
         for spec in (_spec(), _spec(kind="op")):
             assert sweep.for_spec(spec).stats.cycles > 0
 
-    def test_pool_failure_after_retries(self):
-        sweep = SweepExecutor(n_jobs=2, runner=failing_runner, retries=1).run(
+    def test_pool_failure_after_retries(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=2, runner=failing_runner, retries=1).run(
             [_spec()]
         )
         record = sweep.manifest.records[0]
@@ -134,17 +156,17 @@ class TestPool:
         assert record.attempts == 2
         assert "synthetic worker failure" in record.error
 
-    def test_pool_flaky_recovers(self, tmp_path):
+    def test_pool_flaky_recovers(self, store, tmp_path):
         runner = functools.partial(flaky_runner, str(tmp_path))
         specs = [_spec(seed=i) for i in range(3)]
-        sweep = SweepExecutor(n_jobs=2, runner=runner, retries=1).run(specs)
+        sweep = SweepExecutor(cache=store, n_jobs=2, runner=runner, retries=1).run(specs)
         assert sweep.manifest.executed == 3
         assert sweep.manifest.failed == 0
 
-    def test_timeout_fails_job(self):
+    def test_timeout_fails_job(self, store):
         start = time.monotonic()
         sweep = SweepExecutor(
-            n_jobs=2, runner=slow_runner, timeout=0.3, retries=0
+            cache=store, n_jobs=2, runner=slow_runner, timeout=0.3, retries=0
         ).run([_spec()])
         elapsed = time.monotonic() - start
         record = sweep.manifest.records[0]
@@ -152,11 +174,11 @@ class TestPool:
         assert "timed out" in record.error
         assert elapsed < 1.9  # did not wait for the 2s sleep
 
-    def test_timeout_validation(self):
+    def test_timeout_validation(self, store):
         with pytest.raises(ValueError):
-            SweepExecutor(timeout=0)
+            SweepExecutor(cache=store, timeout=0)
         with pytest.raises(ValueError):
-            SweepExecutor(retries=-1)
+            SweepExecutor(cache=store, retries=-1)
 
 
 class TestCacheIntegration:
@@ -268,8 +290,8 @@ class TestCacheIntegration:
         payload = json.dumps(sweep.manifest.to_dict())
         assert _spec().fingerprint() in payload
 
-    def test_summary_mentions_counts(self):
-        sweep = SweepExecutor(n_jobs=1, runner=ok_runner).run([_spec()])
+    def test_summary_mentions_counts(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=ok_runner).run([_spec()])
         text = sweep.manifest.summary()
         assert "1 job" in text and "1 simulated" in text
 
@@ -287,31 +309,31 @@ class TestManifestStatuses:
 
 
 class TestTelemetry:
-    def test_serial_records_rss(self):
-        sweep = SweepExecutor(n_jobs=1, runner=ok_runner).run([_spec()])
+    def test_serial_records_rss(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=ok_runner).run([_spec()])
         record = sweep.manifest.records[0]
         assert record.max_rss_kb is not None
         assert record.max_rss_kb > 0
         assert record.timed_out is False
 
-    def test_pool_records_worker_rss(self):
-        sweep = SweepExecutor(n_jobs=2, runner=ok_runner).run(
+    def test_pool_records_worker_rss(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=2, runner=ok_runner).run(
             [_spec(seed=i) for i in range(2)]
         )
         for record in sweep.manifest.records:
             assert record.max_rss_kb is not None
             assert record.max_rss_kb > 0
 
-    def test_timeout_sets_timed_out_flag(self):
+    def test_timeout_sets_timed_out_flag(self, store):
         sweep = SweepExecutor(
-            n_jobs=2, runner=slow_runner, timeout=0.3, retries=0
+            cache=store, n_jobs=2, runner=slow_runner, timeout=0.3, retries=0
         ).run([_spec()])
         record = sweep.manifest.records[0]
         assert record.timed_out is True
         assert sweep.manifest.timeouts == 1
 
-    def test_manifest_dict_carries_telemetry(self):
-        sweep = SweepExecutor(n_jobs=1, runner=ok_runner).run([_spec()])
+    def test_manifest_dict_carries_telemetry(self, store):
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=ok_runner).run([_spec()])
         payload = sweep.manifest.to_dict()
         assert payload["timeouts"] == 0
         assert payload["retries"] == 0
@@ -323,7 +345,7 @@ class TestTelemetry:
         assert job["max_rss_kb"] == sweep.manifest.records[0].max_rss_kb
         assert job["timed_out"] is False
 
-    def test_retries_counted(self, tmp_path):
+    def test_retries_counted(self, store, tmp_path):
         runner = functools.partial(flaky_runner, str(tmp_path))
-        sweep = SweepExecutor(n_jobs=1, runner=runner, retries=1).run([_spec()])
+        sweep = SweepExecutor(cache=store, n_jobs=1, runner=runner, retries=1).run([_spec()])
         assert sweep.manifest.retries == 1

@@ -1,14 +1,50 @@
 """JobSpec: fingerprint stability, sensitivity, serialisation."""
 
+import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.hymm import HyMMConfig
 from repro.runtime import SCHEMA_VERSION, JobSpec
+from repro.runtime.job import code_digest, code_files
+
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+
+#: ``repro`` source a job loads whose bytes are not hashed into its
+#: key, each with the reason it cannot change a result.  A directory
+#: entry (ending in ``/``) covers every file under it.
+NOT_HASHED = {
+    "__init__.py": "package init: lazy re-exports, computes nothing",
+    "_lazy.py": "the lazy re-export helper",
+    "bench/__init__.py": "package init: lazy re-exports",
+    "obs/__init__.py": "package init: re-exports",
+    "obs/tracer.py": "simulated-time tracing, which never changes a result",
+    "runtime/__init__.py": "package init: lazy re-exports",
+    "runtime/cache.py": "the store: record and trace layout is covered by "
+                        "SCHEMA_VERSION",
+    "runtime/job.py": "the key itself: every field is in the payload",
+    "runtime/serialize.py": "the wire form, covered by SCHEMA_VERSION",
+    "telemetry/": "wall-clock logs, metrics and spans, which only observe",
+}
+
+
+def _python(code, src, timeout=300):
+    """Run ``code`` in a fresh interpreter importing ``repro`` from
+    ``src``; returns its stripped stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=timeout,
+    ).stdout.strip()
 
 
 def _spec(**overrides):
@@ -70,6 +106,60 @@ class TestFingerprint:
 
     def test_payload_embeds_schema_version(self):
         assert _spec().canonical_payload()["schema_version"] == SCHEMA_VERSION
+
+
+class TestCodeKey:
+    def test_payload_embeds_code_digest(self):
+        assert _spec().canonical_payload()["code"] == code_digest()
+        files = code_files(str(PACKAGE))
+        assert {"sim/engine.py", "bench/workloads.py",
+                "runtime/execute.py"} <= set(files)
+        assert files == sorted(files)
+
+    def test_every_module_a_job_loads_is_hashed_or_allowed(self, tmp_path):
+        """A fresh interpreter runs a tiny job of every kind, through
+        the executor's path: each ``repro`` file it loads is hashed into
+        the key or listed in ``NOT_HASHED`` with its reason."""
+        code = f"""
+import json, pathlib, sys
+import repro
+from repro.runtime import JobSpec, execute_job
+for kind in ("hymm", "rwp", "op", "op-deferred", "op-tiled", "gcod", "cwp"):
+    execute_job(JobSpec("cora", kind, 0.05), cache_dir={str(tmp_path)!r})
+root = pathlib.Path(repro.__file__).resolve().parent
+print(json.dumps(sorted(
+    pathlib.Path(module.__file__).resolve().relative_to(root).as_posix()
+    for name, module in list(sys.modules.items())
+    if name == "repro" or name.startswith("repro.")
+)))
+"""
+        loaded = json.loads(_python(code, PACKAGE.parent).splitlines()[-1])
+        hashed = set(code_files(str(PACKAGE)))
+        unkeyed = [
+            name for name in loaded
+            if name not in hashed and name not in NOT_HASHED
+            and not any(name.startswith(d) for d in NOT_HASHED if d.endswith("/"))
+        ]
+        assert unkeyed == []
+        assert hashed & set(loaded)
+
+    def test_source_bytes_change_the_fingerprint(self, tmp_path):
+        """On a copy of the package: the copy keys a job as this tree
+        does, an edit to an unhashed file keeps the key, and an edit to
+        a hashed one changes it."""
+        src = tmp_path / "src"
+        shutil.copytree(PACKAGE, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = ("from repro.runtime import JobSpec;"
+                "print(JobSpec('cora', 'hymm', 0.05).fingerprint())")
+        fingerprint = JobSpec("cora", "hymm", 0.05).fingerprint()
+        assert _python(code, src) == fingerprint
+        with open(src / "repro" / "serve" / "server.py", "a") as fh:
+            fh.write("\n# an edit outside the hashed source\n")
+        assert _python(code, src) == fingerprint
+        with open(src / "repro" / "sim" / "engine.py", "a") as fh:
+            fh.write("\n# an edit to the simulator\n")
+        assert _python(code, src) != fingerprint
 
 
 class TestValidation:

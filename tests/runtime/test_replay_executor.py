@@ -17,7 +17,13 @@ from __future__ import annotations
 import pytest
 
 from repro.hymm.config import HyMMConfig
-from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_job
+from repro.runtime import (
+    JobSpec,
+    ResultCache,
+    SweepExecutor,
+    execute_job,
+    execute_spec,
+)
 from repro.runtime.cache import TraceStore
 from repro.sim.replay import (
     AGGREGATION_REQUIRED_KEYS,
@@ -84,11 +90,13 @@ class TestExecutorRecordThenReplay:
         assert not (tmp_path / "hymm-cache").exists()
 
     def test_replay_disabled_counts_nothing(self, tmp_path):
-        # No cache, no traces: every run simulates live.
-        for _ in range(2):
-            sweep = SweepExecutor(n_jobs=1).run([_spec()])
+        # A fresh store holds no traces: each sweep over its own store
+        # simulates every phase live and replays nothing.
+        for name in ("a", "b"):
+            cache = ResultCache(tmp_path / name)
+            sweep = SweepExecutor(n_jobs=1, cache=cache).run([_spec()])
             assert sweep.manifest.replay_hits == 0
-            assert sweep.manifest.replay_misses == 0
+            assert sweep.manifest.replay_misses > 0
 
     def test_execute_job_side_channel(self, tmp_path):
         first = execute_job(_spec(), cache_dir=str(tmp_path))
@@ -110,9 +118,16 @@ class TestExecutorRecordThenReplay:
         again = execute_job(variant, cache_dir=str(tmp_path))["replay"]
         assert again == {"replayed": recorded["recorded"], "recorded": 0}
 
-    def test_execute_job_replay_off_has_no_side_channel(self):
-        doc = execute_job(_spec())
+    def test_live_run_has_no_side_channel(self, tmp_path, monkeypatch):
+        """``execute_spec`` alone (``repro.obs trace``) simulates live:
+        no replay accounting, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        doc = execute_spec(_spec()).to_dict()
         assert "replay" not in doc
+        assert _canon(doc) == _canon(
+            execute_job(_spec(), cache_dir=str(tmp_path / "c"))
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
 
 class TestStoreHoldsOnlyResultOutputs:
