@@ -14,7 +14,10 @@ held by result records, phase traces and output blobs, then exits 1 if
   phase traces share that one blob store;
 * any blob is named by no result or trace record: traces keep no
   output of their own, so every blob is some result's output;
-* a combination trace names an output: only aggregation traces do;
+* a trace record names other than exactly one output blob, or its
+  ``combination`` part holds simulator state (``buffer``, ``engine``
+  or ``dram_next_free``): each layer's one record names the layer's
+  output, and only its aggregation part is restored;
 * any trace record lies outside ``CACHE_DIR/traces/<fp[0:2]>/<fp>/``
   (``fp`` the 64-hex job fingerprint): each job's traces live in its
   own directory of the cache.
@@ -30,6 +33,10 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from repro.runtime.cache import decode_record, default_cache_dir
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
+#: Simulator state a trace's combination part must not store: replay
+#: restores the aggregation's state over it.
+_STATE_KEYS = frozenset({"buffer", "engine", "dram_next_free"})
 
 
 def _trace_dir_ok(parts: Tuple[str, ...]) -> bool:
@@ -66,9 +73,13 @@ def _check_record(
     if kind == "records":
         refs = record.get("result", {}).get("outputs", [])
     else:
-        refs = [record["output"]] if "output" in record else []
-        if refs and str(record.get("phase", "")).endswith(".combination"):
-            problems.append(f"{path} is a combination trace naming an output")
+        refs = [d for d in _dicts(record) if "blob" in d]
+        if len(refs) != 1:
+            problems.append(f"{path} is a trace naming {len(refs)} output blobs")
+        part = record.get("combination")
+        dead = _STATE_KEYS.intersection(part) if isinstance(part, dict) else ()
+        if dead:
+            problems.append(f"{path} stores combination state {sorted(dead)}")
     named.update(ref["blob"] for ref in refs if isinstance(ref, dict) and "blob" in ref)
 
 

@@ -186,12 +186,12 @@ class AcceleratorBase:
 
         ``replay_session`` (optional, a
         :class:`repro.sim.replay.TraceSession`) turns on the trace
-        record/replay lane: layers whose two phase signatures both hit
-        the trace store are *replayed* -- restore the recorded
-        post-phase state, merge the recorded stats delta, take the
-        stored output -- instead of simulated, bit-identically (see the
-        exactness argument in :mod:`repro.sim.replay`); any other layer
-        simulates live and records both phases.
+        record/replay lane: layers whose record hits the trace store
+        are *replayed* -- merge the recorded stats deltas, restore the
+        recorded post-layer state, take the stored output -- instead of
+        simulated, bit-identically (see the exactness argument in
+        :mod:`repro.sim.replay`); any other layer simulates live and
+        records both phases.
         Replay is disabled while a full tracer is attached (the engine
         and buffer events it narrates only exist during live
         simulation), but recording still runs.  Tracers that consume
@@ -244,15 +244,17 @@ class AcceleratorBase:
         cum_mark = 0
 
         def close_phase(
-            name: str, occupancy: Optional[Dict[str, int]] = None
+            name: str,
+            occupancy: Optional[Dict[str, int]] = None,
+            now: Optional[float] = None,
         ) -> None:
             nonlocal mark, base_snapshot, cum_mark
-            now = engine.drain()
-            # End-of-phase buffer composition (Section III dynamics).
-            # Replayed aggregation phases pass the recorded composition:
-            # their restored state is already past the W/XW invalidates,
-            # so reading the live buffer here would under-count what the
-            # live phase saw.
+            # Replayed phases pass the recorded end cycle and buffer
+            # composition (Section III dynamics): a replayed combination
+            # has no state of its own, and a replayed aggregation's is
+            # already past the W/XW invalidates, so reading the live
+            # engine or buffer here would not see what the live phase saw.
+            now = engine.drain() if now is None else now
             phase_occupancy[name] = (
                 {k: int(v) for k, v in occupancy.items()}
                 if occupancy is not None
@@ -288,29 +290,22 @@ class AcceleratorBase:
             not tracer.enabled or tracer.replay_compatible
         )
 
-        def apply_trace(name: str, rec: Dict[str, object]) -> None:
-            """Apply one recorded phase: restore the post-phase
-            simulator state, merge the stats delta (cycles zeroed --
+        def replay_phase(name: str, rec: Dict[str, object]) -> None:
+            """Merge one recorded phase's stats delta (cycles zeroed --
             run totals are assigned once, at the end, from the restored
-            state), and close the phase exactly as the live path would
-            from that state."""
-            buffer.restore_state(rec["buffer"])
-            engine.restore_state(rec["engine"])
-            dram.next_free = float(rec["dram_next_free"])
+            state) and close the phase as the live path did, at its
+            recorded ``drain`` cycle if it has one."""
             delta = SimStats.from_dict(rec["stats"])
             delta.cycles = 0
             stats.merge(delta)
-            close_phase(name, occupancy=rec["occupancy"])
+            close_phase(name, occupancy=rec["occupancy"], now=rec.get("drain"))
 
         def trace_record(name: str) -> Dict[str, object]:
-            """The phase record `apply_trace` consumes, captured from
-            the live simulator right after the phase closed."""
+            """What `replay_phase` consumes of a live phase, captured
+            right after it closed."""
             return {
                 "stats": phase_snapshots[name].to_dict(),
                 "occupancy": phase_occupancy[name],
-                "buffer": buffer.snapshot_state(),
-                "engine": engine.snapshot_state(),
-                "dram_next_free": dram.next_free,
             }
 
         for layer_idx, layer in enumerate(model.layers):
@@ -319,16 +314,20 @@ class AcceleratorBase:
             agg_name = f"layer{layer_idx}.aggregation"
             comb_sig = replay.next_signature(comb_name) if replay is not None else ""
             agg_sig = replay.next_signature(agg_name) if replay is not None else ""
-            recs = (
-                replay.lookup_layer(comb_sig, comb_name, agg_sig, agg_name)
+            rec = (
+                replay.lookup_layer(comb_name, agg_sig, agg_name)
                 if use_replay else None
             )
-            if recs is not None:
-                # The layer replays whole: its aggregation record names
+            if rec is not None:
+                # The layer replays whole: close the combination at its
+                # recorded cycle, restore the post-layer state, and take
                 # the layer's output as ``outputs`` holds it.
-                apply_trace(comb_name, recs[0])
-                apply_trace(agg_name, recs[1])
-                outputs.append(recs[1]["output"])
+                replay_phase(comb_name, rec["combination"])
+                buffer.restore_state(rec["buffer"])
+                engine.restore_state(rec["engine"])
+                dram.next_free = float(rec["dram_next_free"])
+                replay_phase(agg_name, rec)
+                outputs.append(rec["output"])
                 dense_h = None
             else:
                 if layer_idx == 0:
@@ -340,7 +339,7 @@ class AcceleratorBase:
                     xw = combination_dense(ctx, dense_h, layer.weights)
                 close_phase(comb_name)
                 if replay is not None:
-                    replay.record(comb_sig, comb_name, trace_record(comb_name))
+                    replay.record(comb_sig, comb_name, dict(trace_record(comb_name), drain=mark))
                 axw = self.run_aggregation(ctx, prep, xw)
                 close_phase(agg_name)
                 if layer.activation is not None:
@@ -350,14 +349,18 @@ class AcceleratorBase:
             # W and XW are dead after the aggregation consumed them.
             buffer.invalidate(CLASS_W)
             buffer.invalidate(CLASS_XW)
-            if replay is not None and recs is None:
-                # Aggregation records capture state *after* the W/XW
+            if replay is not None and rec is None:
+                # Layer records capture state *after* the W/XW
                 # invalidates: a replayed layer restores straight to the
                 # post-invalidate point, and the invalidates above then
                 # no-op on restored state.
-                replay.record(
-                    agg_sig, agg_name, dict(trace_record(agg_name), output=outputs[-1])
-                )
+                replay.record(agg_sig, agg_name, dict(
+                    trace_record(agg_name),
+                    buffer=buffer.snapshot_state(),
+                    engine=engine.snapshot_state(),
+                    dram_next_free=dram.next_free,
+                    output=outputs[-1],
+                ))
 
         stats.cycles = int(math.ceil(max(engine.drain(), dram.busy_until)))
         tail = stats.cycles - cum_mark

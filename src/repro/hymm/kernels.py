@@ -177,9 +177,9 @@ def combination_op(
     w_base = ctx.amap.w_addr(ctx.layer, 0, h)
     xw_base = ctx.amap.xw_addr(ctx.layer, 0, h)
     weights32 = weights.astype(VALUE_DTYPE, copy=False)
-    # One dtype conversion per kernel invocation, sliced per entry.
+    # Weights convert once per invocation; feature values per entry (one
+    # per feature column), so no float64 copy of the operand is held.
     weights64 = weights32.astype(np.float64)
-    values64 = features_csc.values.astype(np.float64)
     deferred = _DeferredPartials(ctx) if merge_mode == "deferred" else None
     touched = set()
     line_offsets = np.arange(lpr, dtype=np.int64)
@@ -198,7 +198,7 @@ def combination_op(
             ctx, entry.indices, xw_base, lpr, merge_mode, deferred, touched
         )
         xw[entry.indices] += (
-            values64[entry.lo:entry.hi][:, None] * weights64[f][None, :]
+            entry.values.astype(np.float64)[:, None] * weights64[f][None, :]
         )
 
     if merge_mode == "deferred":

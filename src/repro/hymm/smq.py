@@ -59,9 +59,9 @@ class SMQEntry:
     values: np.ndarray
     stream_bytes: int
     #: Span of this entry in the operand's ``values`` array
-    #: (``values is matrix.values[lo:hi]``).  Kernels convert the whole
-    #: operand's values to float64 once and slice per entry with these,
-    #: instead of calling ``astype`` on every entry.
+    #: (``values is matrix.values[lo:hi]``).  The aggregation kernels
+    #: convert the whole operand's values to float64 once and slice per
+    #: entry with these, instead of calling ``astype`` on every entry.
     lo: int = 0
     hi: int = 0
 

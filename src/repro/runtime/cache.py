@@ -32,11 +32,11 @@ the blobs::
         traces/                 # phase traces (see job_trace_store)
 
 :class:`TraceStore` holds one job's phase traces flat in that job's
-own directory, sharded by fingerprint, and the outputs its aggregation
-records name in the cache's own ``blobs/`` -- the result record's own
-output blobs (:func:`job_trace_store`)::
+own directory, sharded by fingerprint, one record per layer, and the
+outputs its records name in the cache's own ``blobs/`` -- the result
+record's own output blobs (:func:`job_trace_store`)::
 
-    <cache_dir>/traces/<fp[0:2]>/<fingerprint>/<phase signature>.json
+    <cache_dir>/traces/<fp[0:2]>/<fingerprint>/<aggregation signature>.json
 
 Traces live only here: every job the runtime executes records and
 replays them in its sweep's cache.  They sit under the job's
@@ -478,12 +478,12 @@ class ResultCache:
 class TraceStore:
     """One job's resolved phase-timing traces (record/replay).
 
-    Keys are the 64-hex chained phase signatures :mod:`repro.sim.replay`
-    computes; records are JSON dicts carrying the phase's resolved
-    timing -- stats delta, post-phase simulator state and, for an
-    aggregation, the layer's output matrix -- stored flat as
-    ``<root>/<sig>.json``, where ``root`` is the job's own trace
-    directory.  The output matrix goes to a
+    Keys are the 64-hex chained aggregation signatures
+    :mod:`repro.sim.replay` computes; records are JSON dicts carrying
+    one layer's resolved timing -- both phases' stats deltas, the
+    post-layer simulator state and the layer's output matrix -- stored
+    flat as ``<root>/<sig>.json``, where ``root`` is the job's own
+    trace directory.  The output matrix goes to a
     :class:`BlobStore` under ``blob_dir`` (default ``<root>/blobs``):
     :meth:`store_trace` takes it as an array and :meth:`load_trace`
     hands it back as one, so replay never encodes or decodes it as

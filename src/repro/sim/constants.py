@@ -17,5 +17,7 @@ ENGINE_KINDS = ("scalar", "batched")
 #: structural misses instead of wrong replays.  v2: the phase output is
 #: a content-addressed ``.npy`` blob reference, not inline base64.  v3:
 #: only aggregation records name an output -- the layer's output as the
-#: result holds it -- and a layer replays whole or not at all.
-TRACE_SCHEMA_VERSION = 3
+#: result holds it -- and a layer replays whole or not at all.  v4: one
+#: record per layer, under the aggregation signature; its nested
+#: combination part keeps no simulator state.
+TRACE_SCHEMA_VERSION = 4

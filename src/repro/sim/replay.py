@@ -1,24 +1,23 @@
-"""Record/replay of resolved per-phase timing traces.
+"""Record/replay of resolved per-layer timing traces.
 
 The phase-level speed lane beside the batched engine (see
 ``docs/performance.md``): a live simulation resolves every address
-through the buffer model once and *records*, per accelerator phase, the
-phase's full outcome -- the :class:`~repro.sim.stats.SimStats` delta,
-the end-of-phase occupancy, the complete post-phase simulator state
-(buffer arena, engine timelines, DRAM channel clock) and, for an
-aggregation, the layer's output.  Any later run that reaches the same
-phase *with the same pre-state* replays the record instead of
-simulating: restore state, merge the stats delta.  A repeated job (a sweep re-run after its
-result records were dropped, a cache entry evicted and asked for
-again) skips the buffer model entirely.
+through the buffer model once and *records*, per layer, one record:
+the aggregation's :class:`~repro.sim.stats.SimStats` delta, end-of-phase
+occupancy, complete post-phase simulator state (buffer arena, engine
+timelines, DRAM channel clock) and the layer's output, plus a nested
+``"combination"`` part with only what closing that phase reads -- its
+stats delta, occupancy and ``drain`` cycle.  Any later run that reaches
+the same layer *with the same pre-state* replays the record instead of
+simulating: merge the stats deltas, restore state.  A repeated job (a
+sweep re-run after its result records were dropped, a cache entry
+evicted and asked for again) skips the buffer model entirely.
 
-Replay is per layer.  Only the aggregation record names an output: the
-layer's output exactly as ``RunResult.outputs`` holds it
-(post-activation, original node order), so it is the same blob the
-result record names.  A combination record names none, so a layer
-replays only when both of its records hit; otherwise the whole layer
-simulates live.  A live layer after a replayed one takes its input from
-the stored output, mapped back to the dataflow's node order by the
+Replay is per layer: the whole layer replays or simulates live.  The
+record names the layer's output exactly as ``RunResult.outputs`` holds
+it (post-activation, original node order), so it is the same blob the
+result record names.  A live layer after a replayed one takes its input
+from the stored output, mapped back to the dataflow's node order by the
 inverse permutation -- a gather, so exact.
 
 Why this is exact
@@ -34,7 +33,9 @@ is established by a *chained signature*::
 induction, two runs holding the same ``sig_k`` hold bit-identical
 pre-state at phase ``k`` -- same seed inputs, same phases executed --
 so the recorded post-state and stats delta are exactly what the live
-phase would produce.  Every float in the snapshots is a dyadic
+phase would produce.  A replayed combination needs no state: closing
+it reads only the recorded drain cycle, and the aggregation's restore
+sets all the state.  Every float in the snapshots is a dyadic
 rational (the simulator builds cycle values from ``max`` and additions
 of on-grid quantities), so its JSON text round-trips the state exactly,
 and the store's zlib compression of that text is lossless.
@@ -46,8 +47,9 @@ hashes the whole config too, so two jobs never share a trace whatever
 knobs they differ in.
 
 Storage is a :class:`repro.runtime.cache.TraceStore`: one
-``<sig>.json`` (zlib-compressed JSON) per phase in the job's own trace
-directory.  An aggregation record names its output by hash, as a
+``<sig>.json`` (zlib-compressed JSON) per layer, under its aggregation
+signature, in the job's own trace directory; a job that dies between a
+layer's phases writes none.  The record names its output by hash, as a
 content-addressed ``.npy`` blob in the result cache's own ``blobs/``,
 shared with the result record.  Writes are atomic; a corrupt record,
 or one whose blob is missing or fails its hash check, is evicted and
@@ -97,21 +99,23 @@ _LOOKUP_MS = _registry.histogram(
 )
 _RECORD_MS = _registry.histogram(
     "repro_replay_record_ms",
-    "Wall milliseconds to persist one phase record",
+    "Wall milliseconds to persist one layer record",
 )
 
 
-#: Keys every applicable phase record must carry.  ``lookup`` verifies
-#: them *before* handing the record to the run loop, so a truncated or
+#: Keys every layer record must carry.  ``lookup`` verifies them
+#: *before* handing the record to the run loop, so a truncated or
 #: hand-edited record (valid JSON, wrong shape) is a clean miss -- the
-#: phase simulates live -- instead of a KeyError halfway through a
+#: layer simulates live -- instead of a KeyError halfway through a
 #: state restore.
 RECORD_REQUIRED_KEYS = frozenset(
-    {"stats", "occupancy", "buffer", "engine", "dram_next_free"}
+    {"stats", "occupancy", "buffer", "engine", "dram_next_free", "output",
+     "combination"}
 )
 
-#: An aggregation record also carries the layer's output.
-AGGREGATION_REQUIRED_KEYS = RECORD_REQUIRED_KEYS | {"output"}
+#: Keys the record's nested ``"combination"`` part must carry: what
+#: closing that phase reads, and no simulator state.
+COMBINATION_REQUIRED_KEYS = frozenset({"stats", "occupancy", "drain"})
 
 
 def _hash_array(h: "hashlib._Hash", arr: np.ndarray) -> None:
@@ -157,8 +161,8 @@ class TraceSession:
         session.open(accelerator.name, config, model)
         comb = session.next_signature("layer0.combination")
         agg = session.next_signature("layer0.aggregation")
-        recs = session.lookup_layer(comb, "layer0.combination",
-                                    agg, "layer0.aggregation")
+        rec = session.lookup_layer("layer0.combination",
+                                   agg, "layer0.aggregation")
         # None -> simulate the layer live, session.record() each phase
 
     ``replayed`` / ``recorded`` list the phase names served each way,
@@ -173,6 +177,8 @@ class TraceSession:
         self._sig: Optional[str] = None
         self.replayed: List[str] = []
         self.recorded: List[str] = []
+        #: (phase, record) of a combination awaiting its aggregation.
+        self._combination: Optional[Tuple[str, Dict[str, object]]] = None
         #: Correlation ID of the request this session serves (bound in
         #: the worker before the session is created); joins the
         #: session's log records to the submit that caused them.
@@ -205,14 +211,15 @@ class TraceSession:
         self, sig: str, phase: str, required: FrozenSet[str] = RECORD_REQUIRED_KEYS
     ) -> Optional[Dict[str, object]]:
         """The stored record for ``sig`` if its schema matches and it
-        carries every ``required`` key, else ``None`` (simulate live).
+        carries every ``required`` key and every
+        :data:`COMBINATION_REQUIRED_KEYS` key in its combination part,
+        else ``None`` (simulate live).
 
         Stale (older schema) and structurally incomplete records are
         misses by design -- replay must fall back to live simulation on
         anything it cannot apply whole, since a partial restore would
         corrupt the simulator state the chained signature vouches for.
-        A hit is not yet a replay: :meth:`lookup_layer` tallies it once
-        the whole layer hits.
+        A hit is not yet a replay: :meth:`lookup_layer` tallies it.
         """
         t0 = time.perf_counter()
         record = self.store.load_trace(sig)
@@ -221,7 +228,10 @@ class TraceSession:
             miss = "absent"
         elif record.get("trace_schema") != TRACE_SCHEMA_VERSION:
             miss = "stale-schema"
-        elif not required.issubset(record):
+        elif not required.issubset(record) or not (
+            isinstance(record.get("combination"), dict)
+            and COMBINATION_REQUIRED_KEYS.issubset(record["combination"])
+        ):
             miss = "incomplete"
         else:
             return record
@@ -233,34 +243,40 @@ class TraceSession:
         return None
 
     def lookup_layer(
-        self, comb_sig: str, comb: str, agg_sig: str, agg: str
-    ) -> Optional[Tuple[Dict[str, object], Dict[str, object]]]:
-        """Both records of one layer -- combination phase ``comb``, then
-        aggregation phase ``agg`` -- or ``None`` when either misses.
+        self, comb: str, agg_sig: str, agg: str
+    ) -> Optional[Dict[str, object]]:
+        """The record of one layer -- combination phase ``comb``, then
+        aggregation phase ``agg`` -- stored under the aggregation's
+        signature ``agg_sig``, or ``None`` on a miss.
 
-        A layer replays whole or not at all: its combination record
-        names no output, so the aggregation that would consume the
-        combination's product must replay too.  A hit tallies both
-        phases in ``replayed``.
+        A layer replays whole or not at all: the record holds both
+        phases, and only the aggregation part holds simulator state.  A
+        hit tallies both phases in ``replayed``.
         """
-        comb_rec = self.lookup(comb_sig, comb)
-        if comb_rec is None:
-            return None
-        agg_rec = self.lookup(agg_sig, agg, AGGREGATION_REQUIRED_KEYS)
-        if agg_rec is None:
-            return None
-        _PHASES_TOTAL.labels("replayed").inc(2)
-        self.replayed += [comb, agg]
-        return comb_rec, agg_rec
+        record = self.lookup(agg_sig, agg)
+        if record is not None:
+            _PHASES_TOTAL.labels("replayed").inc(2)
+            self.replayed += [comb, agg]
+        return record
 
     def record(self, sig: str, phase: str, record: Dict[str, object]) -> None:
-        """Persist one phase record under ``sig``."""
-        record = dict(record)
+        """Take one live phase's record.  A combination's (no
+        ``"output"``) is held; the aggregation's that follows persists
+        the layer under ``sig``, the held part nested as
+        ``"combination"``.  A layer is stored whole or not at all."""
+        if "output" not in record:
+            self._combination = (phase, dict(record))
+            return
+        if self._combination is None:
+            raise RuntimeError(f"{phase} recorded without its combination")
+        comb, combination = self._combination
+        self._combination = None
+        record = dict(record, combination=combination)
         record["trace_schema"] = TRACE_SCHEMA_VERSION
         record["sig"] = sig
         record["phase"] = phase
         t0 = time.perf_counter()
         self.store.store_trace(sig, record)
         _RECORD_MS.observe((time.perf_counter() - t0) * 1e3)
-        _PHASES_TOTAL.labels("recorded").inc()
-        self.recorded.append(phase)
+        _PHASES_TOTAL.labels("recorded").inc(2)
+        self.recorded += [comb, phase]

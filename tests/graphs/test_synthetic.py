@@ -180,7 +180,7 @@ class TestFeatureMatrix:
     @pytest.mark.xfail(
         strict=True,
         reason="positions are thinned by keeping the lowest flat indices, "
-        "so the last rows get no features (see ROADMAP direction 1)",
+        "so the last rows get no features (see ROADMAP direction 3)",
     )
     def test_last_row_has_features(self):
         f = sparse_feature_matrix(1000, 100, density=0.05, seed=0)

@@ -9,7 +9,9 @@ concatenated batch, ``to_coo`` / ``lexsort`` / re-compress per
 ``prepare``) measured 4.6x for synthesis and 4.8-6.5x for ``prepare``;
 the direct paths measure at most about 2.4x.  Fingerprinting a model
 for its trace signatures copies no operand: hashing each one through
-``tobytes()`` peaked at the size of the largest.
+``tobytes()`` peaked at the size of the largest.  The outer-product
+combination holds no float64 copy of the feature operand's values: one
+peaked at about 10 B per non-zero, and per-column conversion at 1.7.
 
 ``tracemalloc`` counts NumPy's buffers byte for byte, so these bounds
 are deterministic and independent of the allocator and the host.
@@ -19,6 +21,7 @@ import tracemalloc
 
 import pytest
 
+import repro.baselines.op as op_module
 from repro.bench.workloads import make_model
 from repro.graphs.synthetic import sparse_feature_matrix
 from repro.runtime.execute import make_accelerator
@@ -72,3 +75,27 @@ def test_fingerprint_peak(traced):
     operands += [layer.weights for layer in model.layers]
     _, peak = _peak_above_current(lambda: model_fingerprint(model))
     assert peak < max(a.nbytes for a in operands)
+
+
+class _Stop(Exception):
+    """Ends an inference after its first combination."""
+
+
+def test_combination_op_peak(traced, monkeypatch):
+    model = make_model("amazon-photo", 0.25, n_layers=2, seed=0)
+    accelerator = make_accelerator("op-deferred")
+    peaks = []
+
+    def measured(ctx, features_csc, weights, merge_mode):
+        _, peak = _peak_above_current(lambda: kernel(
+            ctx, features_csc, weights, merge_mode=merge_mode
+        ))
+        peaks.append((peak, features_csc.values.size))
+        raise _Stop
+
+    kernel = op_module.combination_op
+    monkeypatch.setattr(op_module, "combination_op", measured)
+    with pytest.raises(_Stop):
+        accelerator.run_inference(model)
+    (peak, nnz), = peaks
+    assert peak < 8 * nnz

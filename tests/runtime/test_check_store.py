@@ -71,8 +71,22 @@ def _unnamed_blob(root):
 
 def _combination_output(root):
     ref = read_record(_records(root)[0])["result"]["outputs"][0]
-    with edited_record(_traces(root, ".combination")[0]) as record:
-        record["output"] = ref
+    with edited_record(_traces(root, ".aggregation")[0]) as record:
+        record["combination"]["output"] = ref
+
+
+def _trace_without_output(root):
+    with edited_record(_traces(root, ".aggregation")[0]) as record:
+        del record["output"]
+
+
+def _combination_state(key):
+    def plant(root):
+        with edited_record(_traces(root, ".aggregation")[0]) as record:
+            record["combination"][key] = record[key]
+
+    plant.__name__ = f"_combination_{key}"
+    return plant
 
 
 def _plain_json_record(root):
@@ -95,7 +109,12 @@ def _no_blob_dir(root):
 @pytest.mark.parametrize("plant,message", [
     (_inline_array, "inline array"),
     (_unnamed_blob, "no result or trace record names"),
-    (_combination_output, "combination trace naming an output"),
+    (_combination_output, "naming 2 output blobs"),
+    (_trace_without_output, "naming 0 output blobs"),
+    (_combination_state("buffer"), "stores combination state ['buffer']"),
+    (_combination_state("engine"), "stores combination state ['engine']"),
+    (_combination_state("dram_next_free"),
+     "stores combination state ['dram_next_free']"),
     (_plain_json_record, "unreadable"),
     (_stray_npy, "blob outside"),
     (_misplaced_trace, "trace record outside"),

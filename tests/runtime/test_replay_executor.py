@@ -26,7 +26,7 @@ from repro.runtime import (
 )
 from repro.runtime.cache import TraceStore
 from repro.sim.replay import (
-    AGGREGATION_REQUIRED_KEYS,
+    COMBINATION_REQUIRED_KEYS,
     RECORD_REQUIRED_KEYS,
     TraceSession,
 )
@@ -134,17 +134,32 @@ class TestStoreHoldsOnlyResultOutputs:
     def test_cold_cache_blobs_are_the_result_outputs(self, tmp_path):
         """Phase traces add no blob of their own: in a cold cache the
         blob files are exactly the outputs the result records name."""
-        specs = [_spec(kind=kind, n_layers=2) for kind in ("rwp", "gcod", "hymm")]
+        n_layers = 2
+        specs = [_spec(kind=kind, n_layers=n_layers)
+                 for kind in ("rwp", "gcod", "hymm")]
         SweepExecutor(n_jobs=1, cache=ResultCache(tmp_path)).run(specs)
         records = list(tmp_path.glob("??/??/*.json"))
         assert len(records) == len(specs)
-        assert len(_trace_files(tmp_path)) == 4 * len(specs)
+        assert len(_trace_files(tmp_path)) == n_layers * len(specs)
         named = {
             ref["blob"]
             for path in records
             for ref in read_record(path)["result"]["outputs"]
         }
         assert named == {p.stem for p in (tmp_path / "blobs").glob("??/*.npy")}
+
+    def test_one_trace_file_per_layer(self, tmp_path):
+        """A cold 2-layer job writes one trace record per layer, and no
+        combination part stores simulator state."""
+        result = execute_job(_spec(n_layers=2), cache_dir=str(tmp_path))
+        assert result["replay"]["recorded"] == 4
+        files = _trace_files(tmp_path)
+        assert len(files) == 2
+        for path in files:
+            record = read_record(path)
+            assert record["phase"].endswith(".aggregation")
+            assert set(record["combination"]) == COMBINATION_REQUIRED_KEYS
+            assert "buffer" in record and "buffer" not in record["combination"]
 
 
 class TestFallback:
@@ -164,12 +179,15 @@ class TestFallback:
         healed = execute_job(_spec(), cache_dir=str(tmp_path))
         assert healed["replay"]["replayed"] > 0
 
-    @pytest.mark.parametrize("missing", sorted(AGGREGATION_REQUIRED_KEYS))
+    @pytest.mark.parametrize("missing", sorted(RECORD_REQUIRED_KEYS) + [
+        f"combination.{key}" for key in sorted(COMBINATION_REQUIRED_KEYS)
+    ])
     def test_stale_record_missing_key_is_miss(self, tmp_path, missing):
         baseline = execute_job(_spec(), cache_dir=str(tmp_path))
+        outer, _, inner = missing.rpartition(".")
         for path in _trace_files(tmp_path):
             with edited_record(path) as record:
-                record.pop(missing, None)
+                (record[outer] if outer else record).pop(inner, None)
         rerun = execute_job(_spec(), cache_dir=str(tmp_path))
         assert rerun["replay"]["replayed"] == 0
         assert rerun["replay"]["recorded"] == baseline["replay"]["recorded"]
@@ -177,32 +195,36 @@ class TestFallback:
 
     def test_session_lookup_validates_schema_and_shape(self, tmp_path):
         """Unit-level: ``lookup`` rejects wrong-schema and incomplete
-        records, and ``lookup_layer`` tallies a replay only when both of
-        a layer's records apply."""
+        records, a combination part included, and ``lookup_layer``
+        tallies both phases of a layer whose record applies."""
         import numpy as np
 
         from repro.sim.replay import TRACE_SCHEMA_VERSION
 
         store = TraceStore(tmp_path)
         session = TraceSession(store)
-        comb = dict.fromkeys(RECORD_REQUIRED_KEYS, 0)
-        agg = dict(comb, output=np.zeros((2, 2)))
+        comb = dict.fromkeys(COMBINATION_REQUIRED_KEYS, 0)
+        agg = dict.fromkeys(RECORD_REQUIRED_KEYS - {"combination"}, 0)
+        agg["output"] = np.zeros((2, 2))
         session.record("a" * 64, "comb0", comb)
+        assert session.recorded == []
         session.record("b" * 64, "agg0", agg)
-        assert session.lookup("a" * 64, "comb0") is not None
+        assert session.recorded == ["comb0", "agg0"]
+        assert session.lookup("a" * 64, "comb0") is None  # never written
+        assert session.lookup("b" * 64, "agg0") is not None
         assert session.replayed == []
-        assert session.lookup_layer("a" * 64, "comb0", "b" * 64, "agg0")
+        assert session.lookup_layer("comb0", "b" * 64, "agg0")
         assert session.replayed == ["comb0", "agg0"]
 
-        stale = dict(comb, trace_schema=TRACE_SCHEMA_VERSION + 1)
+        layer = store.load_trace("b" * 64)
+        stale = dict(layer, trace_schema=TRACE_SCHEMA_VERSION + 1)
         store.store_trace("c" * 64, stale)
-        assert session.lookup("c" * 64, "comb1") is None
-        assert session.lookup_layer("c" * 64, "comb1", "b" * 64, "agg1") is None
+        assert session.lookup("c" * 64, "agg1") is None
+        assert session.lookup_layer("comb1", "c" * 64, "agg1") is None
 
-        # A combination record is not an aggregation record: it names
-        # no output, so it cannot end a replayed layer.
-        assert session.lookup(
-            "a" * 64, "agg2", AGGREGATION_REQUIRED_KEYS
-        ) is None
-        assert session.lookup_layer("a" * 64, "comb2", "a" * 64, "agg2") is None
+        # A combination part that is not a mapping, or lacks a key,
+        # cannot close its phase.
+        for part in (0, dict.fromkeys(COMBINATION_REQUIRED_KEYS - {"drain"}, 0)):
+            store.store_trace("d" * 64, dict(layer, combination=part))
+            assert session.lookup_layer("comb2", "d" * 64, "agg2") is None
         assert session.replayed == ["comb0", "agg0"]

@@ -11,10 +11,11 @@ snapshots and occupancy, and output matrices).
 
 Also covered: config knobs in the signature chain (timing knobs and
 HyMM's tiling knobs must miss), corrupt-record and damaged-output-blob
-degradation to live simulation, per-layer replay (a layer replays whole
-or runs live, and a live layer after a replayed one starts from the
-stored output), the no-replay-under-tracer contract, and the signature
-chain's sensitivity to model content and phase order.
+degradation to live simulation, per-layer replay (a layer is one record,
+it replays whole or runs live, and a live layer after a replayed one
+starts from the stored output), the no-replay-under-tracer contract and
+the phase feed a replay still drives, and the signature chain's
+sensitivity to model content and phase order.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import pytest
 
 from repro.bench.workloads import make_model
 from repro.hymm.config import HyMMConfig
-from repro.obs.tracer import ChromeTracer
+from repro.obs.tracer import ChromeTracer, PhaseFeed
 from repro.runtime.cache import BlobStore, TraceStore
 from repro.runtime.execute import make_accelerator
 from repro.sim.replay import (
+    COMBINATION_REQUIRED_KEYS,
     TRACE_SCHEMA_VERSION,
     TraceSession,
     _hash_array,
@@ -166,22 +168,26 @@ def _trace_records(root):
 
 
 def test_trace_records_name_their_output_blob(tmp_path, model2):
-    """Each aggregation record names the layer's output exactly as the
+    """Each layer's one record names the layer's output exactly as the
     result holds it -- the same content-addressed blob a result record
-    names -- and combination records name no output.  Replay hands back
-    the bit-identical arrays."""
+    names -- and its combination part names none and keeps only what
+    closing that phase reads.  Replay hands back the bit-identical
+    arrays."""
     root = tmp_path / "traces"
     store = TraceStore(root)
     recording = TraceSession(store)
     live = _run(model2, "hymm", session=recording, **SMALL)
     records = _trace_records(root)
-    assert sorted(records) == sorted(recording.recorded)
+    assert sorted(records) == ["layer0.aggregation", "layer1.aggregation"]
+    assert recording.recorded == [
+        f"layer{layer}.{phase}"
+        for layer in range(2) for phase in ("combination", "aggregation")
+    ]
     result_blobs = BlobStore(tmp_path / "result-blobs")
     for layer, output in enumerate(live.outputs):
-        _, comb = records[f"layer{layer}.combination"]
-        _, agg = records[f"layer{layer}.aggregation"]
-        assert "output" not in comb
-        assert agg["output"] == result_blobs.put(output)
+        _, record = records[f"layer{layer}.aggregation"]
+        assert record["output"] == result_blobs.put(output)
+        assert set(record["combination"]) == COMBINATION_REQUIRED_KEYS
     assert "data_b64" not in json.dumps([r for _, r in records.values()])
     assert len(_trace_blobs(root)) == len(live.outputs)
     replaying = TraceSession(store)
@@ -189,6 +195,61 @@ def test_trace_records_name_their_output_blob(tmp_path, model2):
         live, _run(model2, "hymm", session=replaying, **SMALL), "hymm replay"
     )
     assert replaying.replayed == recording.recorded
+
+
+def test_unfinished_layer_writes_no_file(tmp_path, model):
+    """A run that dies between a layer's two phases leaves nothing for
+    that layer: the combination part is held until the aggregation
+    record writes both, and a rerun records the layer whole."""
+    root = tmp_path / "traces"
+    store = TraceStore(root)
+    acc = make_accelerator("rwp")
+    acc.config = acc.config.with_overrides(**SMALL)
+
+    class Killed(Exception):
+        pass
+
+    def killed(*args):
+        raise Killed
+
+    acc.run_aggregation = killed
+    session = TraceSession(store)
+    with pytest.raises(Killed):
+        acc.run_inference(model, replay_session=session)
+    assert not session.recorded
+    assert not root.exists() or not list(root.iterdir())
+    rerun = TraceSession(store)
+    _run(model, "rwp", session=rerun, **SMALL)
+    assert rerun.recorded == ["layer0.combination", "layer0.aggregation"]
+    assert not rerun.replayed
+
+
+def test_aggregation_without_combination_is_refused(tmp_path):
+    session = TraceSession(TraceStore(tmp_path))
+    with pytest.raises(RuntimeError):
+        session.record("a" * 64, "layer0.aggregation", {"output": np.zeros(2)})
+    assert not list(tmp_path.iterdir())
+
+
+def test_phase_feed_rows_replay_as_live(tmp_path, model2):
+    """A replayed run feeds a :class:`PhaseFeed` the live run's rows --
+    phase names, end cycles and counters -- from the records alone."""
+
+    def feed_rows(session):
+        rows = []
+        _run(model2, "hymm", session=session,
+             tracer=PhaseFeed(lambda *row: rows.append(row)), **SMALL)
+        return rows
+
+    store = TraceStore(tmp_path / "traces")
+    live = feed_rows(TraceSession(store))
+    replaying = TraceSession(store)
+    assert feed_rows(replaying) == live
+    assert len(replaying.replayed) == 4 and not replaying.recorded
+    assert [name for name, _, _ in live][:4] == [
+        "layer0.combination", "layer0.aggregation",
+        "layer1.combination", "layer1.aggregation",
+    ]
 
 
 @pytest.mark.parametrize("kind", ["hymm", "gcod"])
@@ -210,9 +271,10 @@ def test_live_layer_after_replayed_layer(tmp_path, model2, kind):
 
 
 def test_combination_hit_alone_is_not_replayed(tmp_path, model2):
-    """A combination record whose aggregation record is gone is neither
-    applied nor counted: the whole layer runs live and re-records, and
-    the next layer still replays on top of it."""
+    """A layer whose record is gone is neither applied nor counted,
+    though its combination's signature is still in the chain: the whole
+    layer runs live and re-records, and the next layer still replays on
+    top of it."""
     live = _run(model2, "rwp", **SMALL)
     root = tmp_path / "traces"
     store = TraceStore(root)
