@@ -55,8 +55,9 @@ rm -f "$experiments_before"
 
 # Store layout (CI's bench-smoke job): a parallel fig7 run, its cached
 # rerun, then no record or trace may hold an inline array, the output
-# blobs must exist, and no blob or trace may lie outside the cache's
-# own layout.
+# blobs must exist, each compressed, hashing to its name and matching
+# every reference to it, and no blob or trace may lie outside the
+# cache's own layout.
 store_dir="$(mktemp -d)"
 run python -m repro.bench fig7 --jobs 2 --datasets cora amazon-photo \
     --cache-dir "$store_dir" --output "$store_dir/out"

@@ -10,8 +10,14 @@ held by result records, phase traces and output blobs, then exits 1 if
   through the store's own reader, since records are compressed -- is
   unreadable or holds an inline array (``data_b64``): every output
   matrix must live in the content-addressed blob store, once;
-* any ``*.npy`` lies outside ``CACHE_DIR/blobs``: result records and
-  phase traces share that one blob store;
+* any raw ``*.npy`` file lies anywhere in the store: a blob is a
+  zlib stream of its ``.npy`` header and top byte plane followed by
+  its lower byte planes (``repro.runtime.cache.BlobStore``);
+* any blob (``*.npyz``) lies outside ``CACHE_DIR/blobs``: result
+  records and phase traces share that one blob store;
+* any blob does not hash to its name, does not read back as a whole
+  ``.npy`` array, or holds a dtype or shape other than a reference
+  naming it says;
 * any blob is named by no result or trace record: traces keep no
   output of their own, so every blob is some result's output;
 * a trace record names other than exactly one output blob, or its
@@ -25,12 +31,18 @@ held by result records, phase traces and output blobs, then exits 1 if
 
 from __future__ import annotations
 
+import hashlib
 import re
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.runtime.cache import decode_record, default_cache_dir
+from repro.runtime.cache import (
+    BLOB_SUFFIX,
+    decode_record,
+    default_cache_dir,
+    inflate_blob,
+)
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
@@ -58,11 +70,13 @@ def _dicts(value: Any) -> Iterator[Dict[str, Any]]:
             yield from _dicts(item)
 
 
-def _check_record(
-    path: Path, kind: str, named: Set[str], problems: List[str]
-) -> None:
-    """Add the blobs ``path`` names to ``named``, and what is wrong with
-    it to ``problems``."""
+#: Blob digest -> ``(record path, reference)`` of every reference to it.
+Refs = Dict[str, List[Tuple[Path, Dict[str, Any]]]]
+
+
+def _check_record(path: Path, kind: str, named: Refs, problems: List[str]) -> None:
+    """Add the blob references ``path`` holds to ``named``, and what is
+    wrong with it to ``problems``."""
     try:
         record = decode_record(path.read_bytes())
     except (OSError, ValueError) as exc:
@@ -80,7 +94,28 @@ def _check_record(
         dead = _STATE_KEYS.intersection(part) if isinstance(part, dict) else ()
         if dead:
             problems.append(f"{path} stores combination state {sorted(dead)}")
-    named.update(ref["blob"] for ref in refs if isinstance(ref, dict) and "blob" in ref)
+    for ref in refs:
+        if isinstance(ref, dict) and "blob" in ref:
+            named.setdefault(ref["blob"], []).append((path, ref))
+
+
+def _check_blob(path: Path, refs: List[Tuple[Path, Dict[str, Any]]]) -> List[str]:
+    """What is wrong with the blob file ``path``, named by ``refs``."""
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != path.stem:
+        return [f"{path} does not hash to its name"]
+    try:
+        dtype, shape, _ = inflate_blob(data)
+    except (ValueError, TypeError) as exc:
+        return [f"{path} is unreadable: {exc}"]
+    if not refs:
+        return [f"{path} is a blob no result or trace record names"]
+    return [
+        f"{path} holds {dtype}{shape}, but {record} names it as "
+        f"{ref.get('dtype')}{ref.get('shape')}"
+        for record, ref in refs
+        if [ref.get("dtype"), ref.get("shape")] != [dtype, shape]
+    ]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -90,7 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "records": [0, 0], "traces": [0, 0], "blobs": [0, 0], "other": [0, 0],
     }
     problems: List[str] = []
-    named: Set[str] = set()
+    named: Refs = {}
     blobs: List[Path] = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         parts = path.relative_to(root).parts
@@ -104,6 +139,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         totals[kind][0] += 1
         totals[kind][1] += path.stat().st_size
         if path.suffix == ".npy":
+            problems.append(f"{path} is a raw .npy file")
+        elif path.suffix == BLOB_SUFFIX:
             if top == "blobs":
                 blobs.append(path)
             else:
@@ -115,10 +152,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if kind in ("records", "traces") and path.suffix == ".json":
             _check_record(path, kind, named, problems)
-    problems += [
-        f"{path} is a blob no result or trace record names"
-        for path in blobs if path.stem not in named
-    ]
+    for path in blobs:
+        problems += _check_blob(path, named.get(path.stem, []))
     for kind, (files, size) in totals.items():
         print(f"{kind:8s} {files:6d} files {size:12,d} bytes")
     if not (root / "blobs").is_dir():

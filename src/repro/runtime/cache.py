@@ -4,13 +4,14 @@ Result and trace records are one zlib-compressed JSON file each, named
 ``.json`` all the same, and share the record I/O below
 (:func:`decode_record`, :func:`write_record`).  Neither holds an output
 matrix inline: each matrix is written once, as a content-addressed
-``.npy`` file in a :class:`BlobStore`, and records refer to it as
-``{"blob": <sha256>, "dtype", "shape"}``.  A sweep that computes the
-same product under several dataflows or timing knobs therefore keeps
-one copy of it, shared by every record that names it.  Blobs stay raw
-``.npy``: zlib would save about a third of their bytes but add a
-decompression to every hit read (``docs/performance.md``, "Store
-size").
+file in a :class:`BlobStore` (its ``.npy`` header and the top byte of
+every scalar deflated, the lower bytes raw), and records refer to it
+as ``{"blob": <sha256>, "dtype", "shape"}``.  A sweep that computes
+the same product under several dataflows or timing knobs therefore
+keeps one copy of it, shared by every record that names it.  The
+deflated top bytes save about a fifth of a float32 blob, and only a
+reader that returns the outputs pays to inflate them
+(``docs/performance.md``, "Store size").
 
 :class:`ResultCache` maps a job fingerprint to its ``RunResult``
 (``{"fingerprint", "spec", "result", ...}``), sharded into two levels
@@ -20,16 +21,17 @@ returned, stored as-is except that its ``"outputs"`` are blob
 references; :class:`~repro.runtime.executor.SweepExecutor` is the only
 code that stores records.  :meth:`ResultCache.load_document` rebuilds
 the wire document from the record and the blob bytes (the ``.npy``
-data section, checked and base64-encoded) with the standard library
-alone, so a server that only answers hits never imports numpy or the
-simulator.  :meth:`ResultCache.load` makes the same checks on the same
-record and builds a ``RunResult`` with the outputs read straight from
-the blobs::
+data section, inflated, checked and base64-encoded) with the standard
+library alone, so a server that only answers hits never imports numpy
+or the simulator; :meth:`ResultCache.probe` makes the same checks
+without inflating any output, for a hit that answers a summary.
+:meth:`ResultCache.load` makes the same checks on the same record and
+builds a ``RunResult`` with the outputs read straight from the blobs::
 
     <cache_dir>/
         <fp[0:2]>/<fp[2:4]>/<fingerprint>.json
-        blobs/<h[0:2]>/<h>.npy  # output matrices, h = SHA-256 of the file
-        traces/                 # phase traces (see job_trace_store)
+        blobs/<h[0:2]>/<h>.npyz  # output matrices, h = SHA-256 of the file
+        traces/                  # phase traces (see job_trace_store)
 
 :class:`TraceStore` holds one job's phase traces flat in that job's
 own directory, sharded by fingerprint, one record per layer, and the
@@ -49,7 +51,8 @@ Invalidation rules:
   the source that computes results (:func:`repro.runtime.job.code_digest`),
   so changing either simply stops hitting old records and traces (job
   schema v6 compresses records, so plain-JSON records of v5 and
-  earlier are never hit);
+  earlier are never hit, and v8 splits and deflates blobs, so no
+  record of v7 or earlier names a raw ``.npy`` blob);
 * a record whose embedded ``RunResult`` schema version no longer
   matches the code is treated as a miss and evicted;
 * unreadable/corrupt records (truncated writes, a broken zlib stream,
@@ -58,10 +61,11 @@ Invalidation rules:
   :attr:`ResultCache.corrupt` -- a damaged cache degrades to cold, it
   never fails a run;
 * every blob read re-hashes the file and checks its ``.npy`` header
-  against the reference's dtype and shape: a missing, truncated or
-  mismatched blob makes the record naming it corrupt (evicted and
-  counted, as above), and a damaged blob itself is deleted so the
-  next store rewrites it.  A damaged blob is never served.
+  against the reference's dtype and shape (a read that inflates the
+  data checks its length too): a missing, truncated or mismatched
+  blob makes the record naming it corrupt (evicted and counted, as
+  above), and a damaged blob itself is deleted so the next store
+  rewrites it.  A damaged blob is never served.
 
 Writing a blob (and decoding one into an array for a trace replay)
 takes numpy, which those methods import where they run.
@@ -90,8 +94,8 @@ import threading
 import time
 import zlib
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple,
-    TypeVar, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Tuple, TypeVar, Union,
 )
 
 from repro.hymm.wire import result_fields
@@ -198,23 +202,48 @@ def write_record(
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
+#: Suffix of a blob file: a zlib stream of a ``.npy`` header and the
+#: top byte of every scalar, then the scalars' other bytes raw.
+BLOB_SUFFIX = ".npyz"
+#: The one zlib level and strategy of every blob's stream.  The
+#: run-length strategy matches only runs of one repeated byte and
+#: Huffman-codes the rest; on the top planes of the benchmark's stores
+#: it keeps the size steadier from one model seed to the next than the
+#: default strategy does (``docs/performance.md``, "Store size").
+_BLOB_LEVEL = 6
+_BLOB_STRATEGY = zlib.Z_RLE
+
 
 class BlobStore:
-    """Content-addressed ``.npy`` files, one per distinct array::
+    """Content-addressed output matrices, one file per distinct array::
 
-        <root>/<h[0:2]>/<h>.npy     # h = SHA-256 of the file's bytes
+        <root>/<h[0:2]>/<h>.npyz    # h = SHA-256 of the file's bytes
+
+    The file splits the array's little-endian scalars into byte planes
+    (plane ``i`` holds byte ``i`` of every scalar, in C order; a complex
+    scalar is its two floats).  One zlib stream holds the ``.npy``
+    header and the top plane -- a float's sign and high exponent bits,
+    a few distinct values per matrix -- and the lower planes follow it
+    raw, plane 0 first.  Deflating the lower planes too would save more
+    on post-ReLU features, but only in proportion to their zeros, so a
+    store's size would follow how many hidden units a model's weights
+    leave dead (``docs/performance.md``, "Store size").
 
     :meth:`put` returns the reference a record stores in place of the
-    array, ``{"blob": h, "dtype", "shape"}``; :meth:`get` turns it back
-    into the bit-identical array, or raises ``ValueError`` when the
-    blob is missing or damaged.
+    array, ``{"blob": h, "dtype", "shape"}``.  Every reader re-hashes
+    the file and checks its ``.npy`` header against the reference's
+    dtype and shape: :meth:`check` inflates the header alone,
+    :meth:`read` the whole file (so it checks the data's length too),
+    and :meth:`get` turns that back into the bit-identical array.
+    Each raises ``ValueError`` when the blob is missing, damaged or
+    does not match the reference.
     """
 
     def __init__(self, root: Union[str, os.PathLike[str]]) -> None:
         self.root = pathlib.Path(root)
 
     def _path(self, digest: str) -> pathlib.Path:
-        return self.root / digest[:2] / f"{digest}.npy"
+        return self.root / digest[:2] / f"{digest}{BLOB_SUFFIX}"
 
     def put(self, array: np.ndarray) -> Dict[str, Any]:
         """Store ``array`` (once per content); returns its reference."""
@@ -222,15 +251,21 @@ class BlobStore:
 
         contiguous = np.asarray(array, order="C")
         little = contiguous.astype(contiguous.dtype.newbyteorder("<"), copy=False)
-        if little.dtype.hasobject:
-            raise ValueError("object arrays are not stored as blobs")
-        # The file is the .npy header followed by the array's own
-        # buffer: hashed and written without copying the array.
+        if little.dtype.kind not in _NPY_KINDS:
+            raise ValueError(f"{little.dtype} arrays are not stored as blobs")
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
             header, np.lib.format.header_data_from_array_1_0(little)
         )
-        chunks = [header.getvalue(), little.reshape(-1).view(np.uint8).data]
+        lane = _lane(little.dtype.kind, little.dtype.itemsize)
+        planes = little.reshape(-1).view(np.uint8).reshape(-1, lane).T
+        deflate = zlib.compressobj(_BLOB_LEVEL, strategy=_BLOB_STRATEGY)
+        chunks = [
+            deflate.compress(header.getvalue()),
+            deflate.compress(np.ascontiguousarray(planes[-1]).data),
+            deflate.flush(),
+            np.ascontiguousarray(planes[:-1]).data,
+        ]
         sha = hashlib.sha256()
         for chunk in chunks:
             sha.update(chunk)
@@ -244,16 +279,12 @@ class BlobStore:
             "shape": list(contiguous.shape),
         }
 
-    def read(self, ref: Mapping[str, Any]) -> memoryview:
-        """The raw bytes of the array ``ref`` names -- little-endian, C
-        order: the ``.npy`` file after its header -- re-hashed on every
-        read, with the header checked against ``ref``'s dtype and shape.
-
-        Stdlib only.  A blob whose bytes no longer hash to its name is
-        deleted (so the next :meth:`put` of that content rewrites it)
-        before the ``ValueError`` is raised; a missing blob, or one
-        that does not match ``ref``, raises ``ValueError`` too.
-        """
+    def _stored(self, ref: Mapping[str, Any]) -> bytes:
+        """The bytes of the blob file ``ref`` names, re-hashed.  A blob
+        whose bytes no longer hash to its name is deleted (so the next
+        :meth:`put` of that content rewrites it) before the
+        ``ValueError`` is raised; a missing blob raises ``ValueError``
+        too."""
         digest = ref["blob"]
         if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
             raise ValueError(f"malformed blob reference {digest!r}")
@@ -266,13 +297,24 @@ class BlobStore:
         if hashlib.sha256(data).hexdigest() != digest:
             _evict(path)
             raise ValueError(f"blob {digest} is damaged")
-        descr, shape, start = _npy_header(data)
-        name = _dtype_name(descr)
-        if name is None or name != ref["dtype"] or list(shape) != list(ref["shape"]):
-            raise ValueError(f"blob {digest} does not match its reference")
-        if len(data) - start != math.prod(shape) * int(descr[2:]):
-            raise ValueError(f"blob {digest} holds the wrong number of bytes")
-        return memoryview(data)[start:]
+        return data
+
+    def check(self, ref: Mapping[str, Any]) -> None:
+        """Check the blob ``ref`` names without inflating its data: the
+        file re-hashed, and the ``.npy`` header at the head of its
+        stream checked against ``ref``.  Stdlib only."""
+        name, shape = _blob_header(self._stored(ref))
+        _match(ref, name, shape)
+
+    def read(self, ref: Mapping[str, Any]) -> memoryview:
+        """The raw bytes of the array ``ref`` names -- little-endian, C
+        order: the ``.npy`` data after its header -- rebuilt from the
+        re-hashed file (:func:`inflate_blob`), with the header checked
+        against ``ref``'s dtype and shape and the data's length against
+        the header.  Stdlib only."""
+        name, shape, data = inflate_blob(self._stored(ref))
+        _match(ref, name, shape)
+        return data
 
     def get(self, ref: Mapping[str, Any]) -> np.ndarray:
         """The array ``ref`` names, bit-identical to the one stored, as
@@ -284,24 +326,97 @@ class BlobStore:
         return flat.astype(dtype, copy=False).reshape(ref["shape"])
 
 
+def _match(ref: Mapping[str, Any], name: str, shape: List[int]) -> None:
+    if name != ref["dtype"] or shape != list(ref["shape"]):
+        raise ValueError(f"blob {ref['blob']} does not match its reference")
+
+
+def _blob_header(data: bytes) -> Tuple[str, List[int]]:
+    """``(dtype name, shape)`` from the ``.npy`` header at the head of
+    the blob file ``data``, inflating nothing after the header.
+
+    Raises ``ValueError`` unless the stream inflates to a header
+    :meth:`BlobStore.put` writes.
+    """
+    inflate = zlib.decompressobj()
+    try:
+        head = inflate.decompress(data, _NPY_PREFIX)
+        rest = _npy_header_end(head) - len(head)
+        if rest > 0:
+            head += inflate.decompress(inflate.unconsumed_tail, rest)
+    except zlib.error as exc:
+        raise ValueError(f"blob does not inflate: {exc}") from None
+    name, shape, _, _, _ = _npy_header(head)
+    return name, shape
+
+
+def inflate_blob(data: bytes) -> Tuple[str, List[int], memoryview]:
+    """``(dtype name, shape, array bytes)`` of the blob file ``data``:
+    its zlib stream inflated whole, the ``.npy`` header parsed, the
+    length of every byte plane checked against it and the planes
+    interleaved back into the array's little-endian bytes.
+
+    Raises ``ValueError`` unless the file holds the layout
+    :meth:`BlobStore.put` writes.
+    """
+    inflate = zlib.decompressobj()
+    try:
+        head = inflate.decompress(data)
+    except zlib.error as exc:
+        raise ValueError(f"blob does not inflate: {exc}") from None
+    if not inflate.eof:
+        raise ValueError("blob does not inflate: the stream is truncated")
+    name, shape, start, nbytes, lane = _npy_header(head)
+    count = nbytes // lane
+    low = memoryview(data)[len(data) - len(inflate.unused_data):]
+    if len(head) - start != count or len(low) != nbytes - count:
+        raise ValueError("blob holds the wrong number of bytes")
+    top = memoryview(head)[start:]
+    if lane == 1:
+        return name, shape, top
+    array = bytearray(nbytes)
+    array[lane - 1::lane] = top
+    for i in range(lane - 1):
+        array[i::lane] = low[i * count:(i + 1) * count]
+    return name, shape, memoryview(array).toreadonly()
+
+
 #: ``.npy`` format 1.0 magic string and version.
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
+#: Bytes before a ``.npy`` 1.0 header's text: the magic and its length.
+_NPY_PREFIX = len(_NPY_MAGIC) + 2
 #: ``.npy`` type codes of the array kinds a blob may hold.
 _NPY_KINDS = {"b": "bool", "i": "int", "u": "uint", "f": "float", "c": "complex"}
 
 
-def _npy_header(data: bytes) -> Tuple[str, Tuple[int, ...], int]:
-    """``(descr, shape, data offset)`` of the ``.npy`` file ``data``.
-
-    Raises ``ValueError`` unless it is format 1.0 holding a C-order
-    array, the layout :meth:`BlobStore.put` writes.
-    """
-    if not data.startswith(_NPY_MAGIC):
+def _npy_header_end(data: bytes) -> int:
+    """Where the array data starts in the ``.npy`` bytes ``data``
+    begins with: the end of its header."""
+    if len(data) < _NPY_PREFIX or not data.startswith(_NPY_MAGIC):
         raise ValueError("blobs are written as .npy format 1.0")
     (length,) = struct.unpack_from("<H", data, len(_NPY_MAGIC))
-    start = len(_NPY_MAGIC) + 2 + length
+    return _NPY_PREFIX + length
+
+
+def _lane(kind: str, itemsize: int) -> int:
+    """Bytes per scalar of an array item: a complex item is two."""
+    return itemsize // 2 if kind == "c" else itemsize
+
+
+def _npy_header(data: bytes) -> Tuple[str, List[int], int, int, int]:
+    """``(dtype name, shape, data offset, data bytes, bytes per
+    scalar)`` of the ``.npy`` bytes ``data`` begins with (its header at
+    least).
+
+    Raises ``ValueError`` unless it is format 1.0 holding a C-order
+    array of a kind in :data:`_NPY_KINDS`, the layout
+    :meth:`BlobStore.put` writes.
+    """
+    start = _npy_header_end(data)
+    if len(data) < start:
+        raise ValueError("truncated .npy header")
     try:
-        header = ast.literal_eval(data[len(_NPY_MAGIC) + 2:start].decode("latin1").strip())
+        header = ast.literal_eval(data[_NPY_PREFIX:start].decode("latin1").strip())
     except SyntaxError as exc:
         raise ValueError(f"unreadable .npy header: {exc}") from None
     if not isinstance(header, dict) or header.get("fortran_order") is not False:
@@ -309,7 +424,12 @@ def _npy_header(data: bytes) -> Tuple[str, Tuple[int, ...], int]:
     descr, shape = header.get("descr"), header.get("shape")
     if not isinstance(descr, str) or not isinstance(shape, tuple):
         raise ValueError(".npy header without a scalar dtype and a shape")
-    return descr, shape, start
+    name = _dtype_name(descr)
+    if name is None:
+        raise ValueError(f"blobs hold no {descr!r} arrays")
+    itemsize = int(descr[2:])
+    return (name, list(shape), start, math.prod(shape) * itemsize,
+            _lane(descr[1], itemsize))
 
 
 def _dtype_name(descr: str) -> Optional[str]:
@@ -317,7 +437,8 @@ def _dtype_name(descr: str) -> Optional[str]:
     ``.npy`` type code, ``"<f8"`` -> ``"float64"``; ``None`` for any
     other."""
     kind, size = descr[1:2], descr[2:]
-    if descr[:1] not in ("<", "|") or kind not in _NPY_KINDS or not size.isdigit():
+    if (descr[:1] not in ("<", "|") or kind not in _NPY_KINDS
+            or not size.isdigit() or not int(size)):
         return None
     return "bool" if kind == "b" else f"{_NPY_KINDS[kind]}{8 * int(size)}"
 
@@ -348,18 +469,39 @@ class ResultCache:
             / f"{fingerprint}.json"
         )
 
+    def probe(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
+        """The cached result for ``spec`` as its wire document with each
+        output left as its blob reference, or ``None`` (miss).
+
+        What a hit that answers only a summary needs, with every check
+        :meth:`load_document` makes but one: each output's blob is
+        re-hashed and its ``.npy`` header checked
+        (:meth:`BlobStore.check`), but its data is neither inflated nor
+        base64-encoded, so its length goes unchecked -- the hash
+        vouches for it.  Stdlib only.
+        """
+        return self._read(spec, self._summary)
+
+    def _summary(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        doc = dict(record["result"])
+        result_fields(doc)
+        for ref in doc["outputs"]:
+            self.blobs.check(ref)
+        return doc
+
     def load_document(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         """The cached result for ``spec`` as its wire document (the
         ``RunResult.to_dict()`` form), or ``None`` (miss).
 
         The document is built from the record and the blob bytes, with
-        no numpy and no simulator: each output's blob is re-hashed, its
-        ``.npy`` header checked against the reference and its data
-        base64-encoded as the wire form's ``data_b64``.  Records that
-        cannot be parsed, fail :func:`repro.hymm.wire.result_fields`
-        (the result schema version, the config, the stats and every
-        phase snapshot) or name a missing, damaged or mismatched blob
-        are evicted and reported as misses.
+        no numpy and no simulator: each output's blob is re-hashed and
+        inflated, its ``.npy`` header and data length checked against
+        the reference and its data base64-encoded as the wire form's
+        ``data_b64``.  Records that cannot be parsed, fail
+        :func:`repro.hymm.wire.result_fields` (the result schema
+        version, the config, the stats and every phase snapshot) or
+        name a missing, damaged or mismatched blob are evicted and
+        reported as misses.
         """
         return self._read(spec, self._document)
 
@@ -395,8 +537,8 @@ class ResultCache:
         One record read, with every check :meth:`load_document` makes:
         the fields go through :func:`~repro.hymm.wire.result_fields`
         and each output is :meth:`BlobStore.get` of its reference, the
-        blob bytes it re-hashed and checked -- never base64-encoded
-        into a document and decoded again.
+        blob bytes it re-hashed, inflated and checked -- never
+        base64-encoded into a document and decoded again.
         """
         return self._read(spec, self._result)
 

@@ -49,7 +49,10 @@ CODE_MODULES = ("bench/workloads.py", "runtime/execute.py")
 #: ``RunResult.extra`` no longer carries the node permutation.
 #: v7: the payload keys the code by :func:`code_digest`, a hash of the
 #: result-computing source, in place of the package version.
-SCHEMA_VERSION = 7
+#: v8: output blobs hold their ``.npy`` header and top byte plane
+#: deflated and the lower byte planes raw, named by the hash of that
+#: file, so no v8 record names a raw blob.
+SCHEMA_VERSION = 8
 
 
 def code_files(root: str) -> List[str]:

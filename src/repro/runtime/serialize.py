@@ -6,7 +6,7 @@ Two concerns live here:
   process boundaries bit-identically, so in the wire form (pool
   transport, serve replies) arrays travel as base64-encoded
   little-endian raw bytes plus dtype/shape, not as decimal text.  On
-  disk the stores keep them as ``.npy`` blobs instead
+  disk the stores keep them as compressed ``.npy`` blobs instead
   (:class:`repro.runtime.cache.BlobStore`).
 * **Best-effort JSON sanitising** -- experiment dicts and
   ``RunResult.extra`` mix scalars with live objects (region plans, CSR

@@ -45,14 +45,17 @@ from the store.  A server given no cache runs over a private temporary
 store that it removes on shutdown, so it reads nothing another run
 wrote and leaves nothing behind.
 
-A hit is served from the stored bytes:
-:meth:`~repro.runtime.cache.ResultCache.load_document` builds the wire
-document from the record and its blobs with the standard library
-alone, and the reply sends it as it is.  The executor -- and with it
-numpy, the simulator and the workload layer -- is imported by the
-first batch of misses, in its worker thread, timed as the
-``serve.load_executor`` span (``executor_loaded`` in ``/metrics``), so
-a server that only answers hits never loads it.
+A hit is served from the stored bytes, with the standard library
+alone.  A summary-only submit reads
+:meth:`~repro.runtime.cache.ResultCache.probe`: the record, checked,
+and each output blob re-hashed and its header checked, none inflated.
+A reply that carries the result reads
+:meth:`~repro.runtime.cache.ResultCache.load_document`, which inflates
+the blobs into the wire document, and sends it as it is.  The
+executor -- and with it numpy, the simulator and the workload layer --
+is imported by the first batch of misses, in its worker thread, timed
+as the ``serve.load_executor`` span (``executor_loaded`` in
+``/metrics``), so a server that only answers hits never loads it.
 
 Blocking work (cache reads, the executor import, simulation batches)
 runs in worker threads; the event-loop side never touches the disk or
@@ -299,8 +302,12 @@ class JobEntry:
         source: str,
         attempts: int = 0,
         wall_seconds: float = 0.0,
+        with_outputs: bool = True,
     ) -> None:
-        self.result_record = record
+        """Finish the job with the wire document ``record``; without
+        ``with_outputs`` its outputs are blob references (a probe's
+        summary), so it is not kept to reply with."""
+        self.result_record = record if with_outputs else None
         stats = record.get("stats")
         self.result_summary = {
             "accelerator": record.get("accelerator"),
@@ -660,9 +667,15 @@ class SweepServer:
             if candidate.terminal:
                 del self._jobs[fingerprint]
 
+    def _cache_probe(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
+        """Worker-thread cache probe for a summary -> the stored
+        result's wire document with its outputs left as checked blob
+        references."""
+        return self.cache.probe(spec)
+
     def _cache_lookup(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
-        """Worker-thread cache probe -> the stored result's wire
-        document, built from the record and blob bytes."""
+        """Worker-thread cache read -> the stored result's wire
+        document, built from the record and the inflated blobs."""
         return self.cache.load_document(spec)
 
     def _release(self, entry: JobEntry) -> None:
@@ -717,7 +730,7 @@ class SweepServer:
         entry.waiters += 1
         try:
             if entry is not prior:
-                await self._answer_or_enqueue(entry)
+                await self._answer_or_enqueue(entry, request.include_result)
             if request.wait and not entry.terminal:
                 await entry.done.wait()
             await self._send_status(writer, entry, request.include_result)
@@ -725,18 +738,22 @@ class SweepServer:
             entry.waiters -= 1
             self._release(entry)
 
-    async def _answer_or_enqueue(self, entry: JobEntry) -> None:
-        """Complete a new entry from the store, else queue it."""
+    async def _answer_or_enqueue(self, entry: JobEntry, include_result: bool) -> None:
+        """Complete a new entry from the store, else queue it.  Only a
+        submit that returns the result inflates its outputs."""
         with correlation_scope(entry.corr_id):
             probe_start = time.perf_counter()
             with span("serve.cache_probe", job=entry.fingerprint[:12]):
-                record = await asyncio.to_thread(self._cache_lookup, entry.spec)
+                if include_result:
+                    record = await asyncio.to_thread(self._cache_lookup, entry.spec)
+                else:
+                    record = await asyncio.to_thread(self._cache_probe, entry.spec)
             if record is not None:
                 self.metrics.hitpath.observe(
                     (time.perf_counter() - probe_start) * 1000.0
                 )
                 self.metrics.cache_served.inc()
-                entry.complete(record, SOURCE_CACHE_DISK)
+                entry.complete(record, SOURCE_CACHE_DISK, with_outputs=include_result)
             else:
                 # Tag the spec only when it actually travels to a
                 # worker (corr_id is excluded from the fingerprint;

@@ -50,11 +50,12 @@ Storage is a :class:`repro.runtime.cache.TraceStore`: one
 ``<sig>.json`` (zlib-compressed JSON) per layer, under its aggregation
 signature, in the job's own trace directory; a job that dies between a
 layer's phases writes none.  The record names its output by hash, as a
-content-addressed ``.npy`` blob in the result cache's own ``blobs/``,
-shared with the result record.  Writes are atomic; a corrupt record,
-or one whose blob is missing or fails its hash check, is evicted and
-the layer simulates live.  The run loop hands the store the output
-array and gets the array back, so replay never encodes it as text.
+content-addressed blob (the ``.npy`` bytes, its top byte plane
+deflated) in the result cache's own ``blobs/``, shared with the result
+record.  Writes are atomic; a corrupt record, or one whose blob is
+missing or fails its checks, is evicted and the layer simulates live.
+The run loop hands the store the output array and gets the array
+back, so replay never encodes it as text.
 Invalidation is structural -- the chain hashes
 :data:`TRACE_SCHEMA_VERSION`, so any layout change simply stops
 hitting old records.

@@ -241,6 +241,7 @@ class TestSrcSpotChecks:
     def test_cache_probe_is_a_thread_entry(self, project):
         graph = get_callgraph(project)
         entries = graph.thread_entries("repro.serve")
+        assert "repro.serve.server.SweepServer._cache_probe" in entries
         assert "repro.serve.server.SweepServer._cache_lookup" in entries
         assert "repro.serve.server.SweepServer._run_batch" in entries
 
@@ -250,6 +251,8 @@ class TestSrcSpotChecks:
         # self.cache: ResultCache resolves the probe, and the
         # record read it calls, from the to_thread site; the batch
         # lane's executor reaches the decoding reader.
+        assert "repro.runtime.cache.ResultCache.probe" in reachable
+        assert "repro.runtime.cache.BlobStore.check" in reachable
         assert "repro.runtime.cache.ResultCache.load_document" in reachable
         assert "repro.runtime.cache.ResultCache.load" in reachable
         assert "repro.runtime.cache._read_record" in reachable
@@ -260,13 +263,13 @@ class TestSrcSpotChecks:
         assert BLOCKS_IO in read.direct  # open()
         # ResultCache._read counts the probe itself (self.hits += 1)
         # and inherits the blocking read through its _read_record call;
-        # both readers -- load_document (the serve probe) and load --
-        # inherit both from it.
+        # the three readers -- probe (the summary serve probe),
+        # load_document and load -- inherit both from it.
         fx = effects.of("repro.runtime.cache.ResultCache._read")
         assert MUTATES_NONLOCAL in fx.direct
         assert {BLOCKS_IO, MUTATES_NONLOCAL} <= fx.all
         assert fx.via[BLOCKS_IO] == "repro.runtime.cache._read_record"
-        for reader in ("load_document", "load"):
+        for reader in ("probe", "load_document", "load"):
             got = effects.of(f"repro.runtime.cache.ResultCache.{reader}")
             assert {BLOCKS_IO, MUTATES_NONLOCAL} <= got.all
             assert got.via[MUTATES_NONLOCAL] == "repro.runtime.cache.ResultCache._read"

@@ -2,7 +2,11 @@
 the content-addressed output blobs result and trace records share."""
 
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -15,21 +19,32 @@ from repro.runtime import (
     default_cache_dir,
     execute_spec,
 )
-from repro.runtime.cache import BlobStore, job_trace_store, write_record
+from repro.runtime.cache import (
+    _NPY_KINDS,
+    BLOB_SUFFIX,
+    BlobStore,
+    job_trace_store,
+    write_record,
+)
 from repro.runtime.serialize import array_from_dict
 from tests.store_records import edited_record, read_record
 
 
-#: The cache's two readers: the wire document a serve hit sends, built
-#: from the stored bytes, and the ``RunResult`` decoded from it.  Every
-#: corruption test below runs against both, each on a store of its own.
-READERS = ("load_document", "load")
+#: The cache's three readers: the summary a serve hit answers, its
+#: blobs checked but not inflated; the wire document a reply with the
+#: result sends, built from the stored bytes; and the ``RunResult``
+#: decoded from it.  Every corruption test below runs against all
+#: three, each on a store of its own.
+READERS = ("probe", "load_document", "load")
 
 
-def _outputs(read):
-    """The output arrays of what ``read`` returned."""
+def _outputs(cache, read):
+    """The output arrays of what a reader of ``cache`` returned."""
     if isinstance(read, dict):
-        return [array_from_dict(a) for a in read["outputs"]]
+        return [
+            cache.blobs.get(a) if "blob" in a else array_from_dict(a)
+            for a in read["outputs"]
+        ]
     return read.outputs
 
 
@@ -157,6 +172,27 @@ class TestDocumentReader:
             cache.load(spec).to_dict(), sort_keys=True
         )
         assert cache.stats()["hits"] == 2
+
+    def test_probe_checks_blobs_without_inflating_them(
+        self, tmp_path, spec, result, monkeypatch
+    ):
+        """The summary probe is the wire document with each output left
+        as its blob reference: every other field is what
+        ``load_document`` returns, and no blob is inflated."""
+        cache = ResultCache(tmp_path)
+        path = cache.store(spec, result.to_dict())
+        full = cache.load_document(spec)
+
+        def inflate(self, ref):
+            raise AssertionError("the probe inflated a blob")
+
+        monkeypatch.setattr(BlobStore, "read", inflate)
+        summary = cache.probe(spec)
+        assert summary["outputs"] == read_record(path)["result"]["outputs"]
+        assert {k: v for k, v in summary.items() if k != "outputs"} == {
+            k: v for k, v in full.items() if k != "outputs"
+        }
+        assert cache.stats() == {"hits": 2, "misses": 0, "stores": 1, "corrupt": 0}
 
     def test_blob_bytes_read_without_decoding(self, tmp_path):
         store = BlobStore(tmp_path)
@@ -293,27 +329,40 @@ class TestConcurrentWriters:
             p for p in tmp_path.rglob("*") if p.is_file() and (
                 p.name.startswith(".tmp-")
                 or not (p.suffix == ".json"
-                        or (p.suffix == ".npy" and p.parent.parent == blob_dir))
+                        or (p.suffix == BLOB_SUFFIX and p.parent.parent == blob_dir))
             )
         ]
         assert leftovers == []
 
 
+#: Every dtype of every array kind a blob may hold (``_NPY_KINDS``).
+BLOB_DTYPES = (
+    "bool", "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32",
+    "uint64", "float16", "float32", "float64", "complex64", "complex128",
+)
+
+
 def _damage(path, how):
-    """Bit-flip, truncate or delete one blob file."""
+    """Bit-flip, truncate, delete or overwrite one blob file; the
+    overwrite is a valid blob file of another array."""
     if how == "deleted":
         path.unlink()
         return
     data = bytearray(path.read_bytes())
     if how == "bit-flipped":
         data[-1] ^= 0x01
-    else:  # truncated
+    elif how == "truncated":
         data = data[: len(data) // 2]
+    else:  # wrong-array
+        with tempfile.TemporaryDirectory() as other:
+            BlobStore(other).put(np.arange(6, dtype=np.float32).reshape(2, 3))
+            [blob] = pathlib.Path(other).rglob(f"*{BLOB_SUFFIX}")
+            data = blob.read_bytes()
     path.write_bytes(bytes(data))
 
 
 def _blob_files(root):
-    return sorted((root / "blobs").glob("??/*.npy"))
+    return sorted((root / "blobs").glob(f"??/*{BLOB_SUFFIX}"))
 
 
 def _stored_json(root):
@@ -332,9 +381,19 @@ class TestOutputBlobs:
             assert set(ref) == {"blob", "dtype", "shape"}
             assert ref["dtype"] == array.dtype.name
             assert ref["shape"] == list(array.shape)
-            path = tmp_path / "blobs" / ref["blob"][:2] / f"{ref['blob']}.npy"
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["blob"]
-            assert np.array_equal(np.load(path), array)
+            path = tmp_path / "blobs" / ref["blob"][:2] / f"{ref['blob']}{BLOB_SUFFIX}"
+            data = path.read_bytes()
+            assert hashlib.sha256(data).hexdigest() == ref["blob"]
+            # The file is one zlib stream of the .npy header and the
+            # top byte of every float, then the lower byte planes raw.
+            inflate = zlib.decompressobj()
+            head = inflate.decompress(data)
+            assert inflate.eof and array.dtype.itemsize == 4
+            low = np.frombuffer(inflate.unused_data, np.uint8).reshape(3, -1)
+            top = np.frombuffer(head, np.uint8)[len(head) - array.size:]
+            planes = np.vstack([low, top])
+            npy = head[:len(head) - array.size] + planes.T.tobytes()
+            assert np.array_equal(np.load(io.BytesIO(npy)), array)
 
     def test_store_leaves_the_wire_document_inline(self, tmp_path, spec, result):
         doc = result.to_dict()
@@ -342,7 +401,9 @@ class TestOutputBlobs:
         ResultCache(tmp_path).store(spec, doc)
         assert json.dumps(doc) == before
 
-    @pytest.mark.parametrize("how", ["bit-flipped", "truncated", "deleted"])
+    @pytest.mark.parametrize(
+        "how", ["bit-flipped", "truncated", "deleted", "wrong-array"]
+    )
     def test_damaged_blob_evicts_the_record(self, tmp_path, spec, result, how):
         for reader in READERS:
             root = tmp_path / reader
@@ -359,7 +420,7 @@ class TestOutputBlobs:
             cache.store(spec, result.to_dict())
             loaded = getattr(cache, reader)(spec)
             assert loaded is not None
-            for ours, theirs in zip(result.outputs, _outputs(loaded)):
+            for ours, theirs in zip(result.outputs, _outputs(cache, loaded)):
                 assert np.array_equal(ours, theirs)
 
     def test_malformed_reference_is_corrupt_and_touches_no_file(
@@ -369,7 +430,7 @@ class TestOutputBlobs:
             root = tmp_path / reader
             cache = ResultCache(root)
             path = cache.store(spec, result.to_dict())
-            bait = root / "bait.npy"
+            bait = root / f"bait{BLOB_SUFFIX}"
             bait.write_bytes(b"not a blob")
             with edited_record(path) as record:
                 record["result"]["outputs"][0]["blob"] = "../bait"
@@ -419,7 +480,7 @@ class TestOutputBlobs:
             t.join(timeout=60)
         assert not errors
         files = [p for p in (tmp_path / "blobs").rglob("*") if p.is_file()]
-        assert len(files) == 1 and files[0].suffix == ".npy"
+        assert len(files) == 1 and files[0].suffix == BLOB_SUFFIX
 
     def test_round_trip_keeps_dtype_shape_and_bits(self, tmp_path):
         store = BlobStore(tmp_path)
@@ -433,6 +494,34 @@ class TestOutputBlobs:
             back = store.get(store.put(array))
             assert back.dtype == array.dtype and back.shape == array.shape
             assert back.tobytes() == np.ascontiguousarray(array).tobytes()
+
+    @pytest.mark.parametrize("dtype", BLOB_DTYPES)
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 5), ()])
+    def test_compressed_round_trip_every_kind(self, tmp_path, dtype, shape):
+        """Every array kind a blob may hold, empty and 0-d included,
+        comes back bit-identical through its compressed file, and all
+        three readers accept it.  The items are random bytes (bools
+        random 0/1), so every byte plane differs from every other and
+        a plane put back in the wrong place shows."""
+        store = BlobStore(tmp_path)
+        size = int(np.prod(shape))
+        rng = np.random.default_rng(0)
+        if dtype == "bool":
+            array = rng.integers(0, 2, size).astype(bool).reshape(shape)
+        else:
+            nbytes = size * np.dtype(dtype).itemsize
+            array = rng.integers(0, 256, nbytes, dtype=np.uint8).view(dtype).reshape(shape)
+        ref = store.put(array)
+        [path] = list(tmp_path.rglob(f"*{BLOB_SUFFIX}"))
+        assert not path.read_bytes().startswith(b"\x93NUMPY")
+        store.check(ref)
+        assert bytes(store.read(ref)) == array.astype(array.dtype.newbyteorder("<")).tobytes()
+        back = store.get(ref)
+        assert back.dtype == array.dtype and back.shape == array.shape
+        assert back.tobytes() == array.tobytes()
+
+    def test_round_trip_covers_every_npy_kind(self):
+        assert {np.dtype(name).kind for name in BLOB_DTYPES} == set(_NPY_KINDS)
 
     def test_timing_knob_variants_share_output_blobs(self, tmp_path):
         """Two points that differ only in buffer size compute the same
@@ -461,7 +550,7 @@ class TestOutputBlobs:
         # other directory holds a blob.
         assert all(
             p.parent.parent == tmp_path / "blobs"
-            for p in tmp_path.rglob("*.npy")
+            for p in tmp_path.rglob(f"*{BLOB_SUFFIX}")
         )
 
     def test_no_cache_writes_nothing(self, tmp_path, spec, result):

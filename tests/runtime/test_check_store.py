@@ -4,6 +4,7 @@ reader."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import JobSpec, ResultCache, SweepExecutor
-from repro.runtime.cache import BlobStore
+from repro.runtime.cache import BLOB_SUFFIX, BlobStore
 from repro.runtime.serialize import array_to_dict
 from tests.store_records import edited_record, read_record
 
@@ -94,8 +95,38 @@ def _plain_json_record(root):
     path.write_text(json.dumps(read_record(path)), encoding="utf-8")
 
 
+def _blobs(root):
+    return sorted((root / "blobs").glob(f"??/*{BLOB_SUFFIX}"))
+
+
 def _stray_npy(root):
-    np.save(root / "stray.npy", np.zeros(3))
+    blob = _blobs(root)[0]
+    shutil.copy(blob, root / blob.name)
+
+
+def _raw_npy(root):
+    """A blob in the raw layout of job schema 7 and earlier."""
+    np.save(_blobs(root)[0].with_suffix(".npy"), np.zeros(3))
+
+
+def _flipped_blob(root):
+    blob = _blobs(root)[0]
+    data = bytearray(blob.read_bytes())
+    data[-1] ^= 0x01
+    blob.write_bytes(bytes(data))
+
+
+def _blob_not_zlib(root):
+    data = b"not a zlib stream"
+    digest = hashlib.sha256(data).hexdigest()
+    path = root / "blobs" / digest[:2] / f"{digest}{BLOB_SUFFIX}"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+
+
+def _reference_mismatch(root):
+    with edited_record(_records(root)[0]) as record:
+        record["result"]["outputs"][0]["shape"] = [1, 2]
 
 
 def _misplaced_trace(root):
@@ -117,6 +148,10 @@ def _no_blob_dir(root):
      "stores combination state ['dram_next_free']"),
     (_plain_json_record, "unreadable"),
     (_stray_npy, "blob outside"),
+    (_raw_npy, "raw .npy file"),
+    (_flipped_blob, "does not hash to its name"),
+    (_blob_not_zlib, "does not inflate"),
+    (_reference_mismatch, "names it as float32[1, 2]"),
     (_misplaced_trace, "trace record outside"),
     (_no_blob_dir, "is missing"),
 ])

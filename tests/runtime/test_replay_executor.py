@@ -24,7 +24,7 @@ from repro.runtime import (
     execute_job,
     execute_spec,
 )
-from repro.runtime.cache import TraceStore
+from repro.runtime.cache import BLOB_SUFFIX, TraceStore
 from repro.sim.replay import (
     COMBINATION_REQUIRED_KEYS,
     RECORD_REQUIRED_KEYS,
@@ -146,7 +146,9 @@ class TestStoreHoldsOnlyResultOutputs:
             for path in records
             for ref in read_record(path)["result"]["outputs"]
         }
-        assert named == {p.stem for p in (tmp_path / "blobs").glob("??/*.npy")}
+        assert named == {
+            p.stem for p in (tmp_path / "blobs").glob(f"??/*{BLOB_SUFFIX}")
+        }
 
     def test_one_trace_file_per_layer(self, tmp_path):
         """A cold 2-layer job writes one trace record per layer, and no

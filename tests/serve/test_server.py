@@ -18,6 +18,8 @@ import pytest
 from repro.bench.runner import job_spec
 from repro.hymm.base import RunResult
 from repro.runtime import JobSpec, ResultCache, SweepExecutor, execute_spec
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import BLOB_SUFFIX, BlobStore
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import encode
 from repro.serve.server import (
@@ -208,6 +210,73 @@ class TestColdWarm:
                 assert wait_until(
                     lambda: client.status(job_id)["status"] == "done"
                 )
+
+
+# ----------------------------------------------------------------------
+# What a hit reads
+# ----------------------------------------------------------------------
+class TestHitReads:
+    @pytest.fixture
+    def stored(self, tmp_path, spec):
+        """A store holding ``spec``'s result, written by a sweep."""
+        assert SweepExecutor(cache=ResultCache(tmp_path)).run([spec]).manifest.executed == 1
+        return tmp_path
+
+    def test_summary_hit_inflates_and_encodes_no_blob(self, stored, spec, monkeypatch):
+        calls = {"read": 0, "b64encode": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(BlobStore, "read", counted("read", BlobStore.read))
+        monkeypatch.setattr(
+            cache_module.base64, "b64encode",
+            counted("b64encode", cache_module.base64.b64encode),
+        )
+        with ServerThread(cache=ResultCache(stored)) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                summary = client.submit(spec.to_dict())
+                assert summary["source"] == "cache-disk"
+                assert "result" not in summary
+                assert calls == {"read": 0, "b64encode": 0}
+                # A hit that returns the result (a fresh probe: the
+                # first entry is done) inflates and encodes each output
+                # once.
+                full = client.submit(spec.to_dict(), include_result=True)
+        assert full["source"] == "cache-disk"
+        outputs = len(full["result"]["outputs"])
+        assert calls == {"read": outputs, "b64encode": outputs}
+
+    def test_damaged_blob_turns_the_hit_into_a_miss(self, stored, spec):
+        [blob, *_] = sorted((stored / "blobs").glob(f"??/*{BLOB_SUFFIX}"))
+        data = bytearray(blob.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        blob.write_bytes(bytes(data))
+        with ServerThread(cache=ResultCache(stored)) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                again = client.submit(spec.to_dict(), include_result=True)
+                metrics = client.metrics()
+        assert again["source"] == "executed"
+        assert metrics["cache"]["corrupt"] == 1
+        served = RunResult.from_dict(again["result"])
+        for ours, theirs in zip(served.outputs, ResultCache(stored).load(spec).outputs):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_status_result_after_a_summary_hit_is_the_stored_result(
+        self, stored, spec
+    ):
+        cache = ResultCache(stored)
+        with ServerThread(cache=cache) as srv:
+            with ServeClient(srv.host, srv.port) as client:
+                summary = client.submit(spec.to_dict())
+                assert summary["source"] == "cache-disk"
+                later = client.status(summary["job_id"], include_result=True)
+        assert json.dumps(later["result"], sort_keys=True) == json.dumps(
+            cache.load(spec).to_dict(), sort_keys=True
+        )
 
 
 # ----------------------------------------------------------------------

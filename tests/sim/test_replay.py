@@ -29,7 +29,7 @@ import pytest
 from repro.bench.workloads import make_model
 from repro.hymm.config import HyMMConfig
 from repro.obs.tracer import ChromeTracer, PhaseFeed
-from repro.runtime.cache import BlobStore, TraceStore
+from repro.runtime.cache import BLOB_SUFFIX, BlobStore, TraceStore
 from repro.runtime.execute import make_accelerator
 from repro.sim.replay import (
     COMBINATION_REQUIRED_KEYS,
@@ -155,7 +155,7 @@ def test_corrupt_record_degrades_to_live(tmp_path, model):
 
 
 def _trace_blobs(root):
-    return sorted((root / "blobs").glob("??/*.npy"))
+    return sorted((root / "blobs").glob(f"??/*{BLOB_SUFFIX}"))
 
 
 def _trace_records(root):
