@@ -20,6 +20,11 @@ held by result records, phase traces and output blobs, then exits 1 if
   naming it says;
 * any blob is named by no result or trace record: traces keep no
   output of their own, so every blob is some result's output;
+* any stats document -- a result's ``stats`` and each of its
+  ``phase_snapshots``, a trace record's ``stats`` and its
+  ``combination`` part's -- holds its ``partial_timeline`` in pair form
+  or holds a malformed run: every stored timeline is runs ``[x, y,
+  count]`` (``repro.hymm.wire.check_timeline``);
 * a trace record names other than exactly one output blob, or its
   ``combination`` part holds simulator state (``buffer``, ``engine``
   or ``dram_next_free``): each layer's one record names the layer's
@@ -37,6 +42,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.hymm.wire import check_timeline
 from repro.runtime.cache import (
     BLOB_SUFFIX,
     decode_record,
@@ -70,6 +76,20 @@ def _dicts(value: Any) -> Iterator[Dict[str, Any]]:
             yield from _dicts(item)
 
 
+def _stats_documents(record: Dict[str, Any], kind: str) -> Iterator[Tuple[str, Any]]:
+    """``(where, stats document)`` of every stats document a result
+    (``kind == "records"``) or trace record holds."""
+    if kind == "records":
+        result = record.get("result", {})
+        yield "stats", result.get("stats")
+        for phase, snap in result.get("phase_snapshots", {}).items():
+            yield f"phase_snapshots[{phase}]", snap
+    else:
+        yield "stats", record.get("stats")
+        part = record.get("combination")
+        yield "combination.stats", part.get("stats") if isinstance(part, dict) else None
+
+
 #: Blob digest -> ``(record path, reference)`` of every reference to it.
 Refs = Dict[str, List[Tuple[Path, Dict[str, Any]]]]
 
@@ -84,6 +104,11 @@ def _check_record(path: Path, kind: str, named: Refs, problems: List[str]) -> No
         return
     if any("data_b64" in d for d in _dicts(record)):
         problems.append(f"{path} holds an inline array (data_b64)")
+    for where, doc in _stats_documents(record, kind):
+        try:
+            check_timeline(doc["partial_timeline"])
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"{path} {where} has no timeline of runs: {exc}")
     if kind == "records":
         refs = record.get("result", {}).get("outputs", [])
     else:

@@ -29,7 +29,9 @@ from repro.hymm.dmb import AddressMap, make_buffer
 from repro.hymm.kernels import KernelContext, combination_dense, combination_rwp
 from repro.hymm.pe import PEArray
 from repro.hymm.smq import SparseMatrixQueue
-from repro.hymm.wire import RESULT_SCHEMA_VERSION, result_fields
+from repro.hymm.wire import (
+    RESULT_SCHEMA_VERSION, decode_stats, encode_stats, result_fields,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.serialize import array_from_dict, array_to_dict, sanitize_extra
 from repro.sim.buffer import CLASS_W, CLASS_XW
@@ -96,7 +98,11 @@ class RunResult:
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dict; outputs round-trip bit-identically.
 
-        ``extra`` is sanitised: live objects (region plans, CSR
+        The stats and every phase snapshot are stats documents
+        (:func:`repro.hymm.wire.encode_stats`): ``SimStats.to_dict()``
+        with the ``partial_timeline`` pairs stored as runs ``[x, y,
+        count]``, which :meth:`from_dict` expands back to the same
+        pairs.  ``extra`` is sanitised: live objects (region plans, CSR
         matrices) are dropped and their keys recorded under
         ``extra["_dropped"]``, so cached results carry every scalar
         by-product but no pickled simulator state.
@@ -106,10 +112,10 @@ class RunResult:
             "accelerator": self.accelerator,
             "dataset": self.dataset,
             "config": self.config.to_dict(),
-            "stats": self.stats.to_dict(),
+            "stats": encode_stats(self.stats),
             "outputs": [array_to_dict(a) for a in self.outputs],
             "phase_snapshots": {
-                phase: snap.to_dict()
+                phase: encode_stats(snap)
                 for phase, snap in self.phase_snapshots.items()
             },
             "phase_occupancy": {
@@ -295,7 +301,7 @@ class AcceleratorBase:
             run totals are assigned once, at the end, from the restored
             state) and close the phase as the live path did, at its
             recorded ``drain`` cycle if it has one."""
-            delta = SimStats.from_dict(rec["stats"])
+            delta = decode_stats(rec["stats"])
             delta.cycles = 0
             stats.merge(delta)
             close_phase(name, occupancy=rec["occupancy"], now=rec.get("drain"))
@@ -304,7 +310,7 @@ class AcceleratorBase:
             """What `replay_phase` consumes of a live phase, captured
             right after it closed."""
             return {
-                "stats": phase_snapshots[name].to_dict(),
+                "stats": encode_stats(phase_snapshots[name]),
                 "occupancy": phase_occupancy[name],
             }
 

@@ -24,7 +24,8 @@ the wire document from the record and the blob bytes (the ``.npy``
 data section, inflated, checked and base64-encoded) with the standard
 library alone, so a server that only answers hits never imports numpy
 or the simulator; :meth:`ResultCache.probe` makes the same checks
-without inflating any output, for a hit that answers a summary.
+without inflating any output or expanding any stats timeline, for a
+hit that answers a summary.
 :meth:`ResultCache.load` makes the same checks on the same record and
 builds a ``RunResult`` with the outputs read straight from the blobs::
 
@@ -98,7 +99,7 @@ from typing import (
     Tuple, TypeVar, Union,
 )
 
-from repro.hymm.wire import result_fields
+from repro.hymm.wire import check_result, result_fields
 from repro.runtime.job import SCHEMA_VERSION, JobSpec
 
 if TYPE_CHECKING:
@@ -474,17 +475,19 @@ class ResultCache:
         output left as its blob reference, or ``None`` (miss).
 
         What a hit that answers only a summary needs, with every check
-        :meth:`load_document` makes but one: each output's blob is
-        re-hashed and its ``.npy`` header checked
-        (:meth:`BlobStore.check`), but its data is neither inflated nor
-        base64-encoded, so its length goes unchecked -- the hash
-        vouches for it.  Stdlib only.
+        :meth:`load_document` makes, done without building what a
+        summary drops.  Each output's blob is re-hashed and its ``.npy``
+        header checked (:meth:`BlobStore.check`), but its data is
+        neither inflated nor base64-encoded, so its length goes
+        unchecked -- the hash vouches for it.  The fields go through
+        :func:`repro.hymm.wire.check_result`, which checks every
+        timeline's runs without expanding them.  Stdlib only.
         """
         return self._read(spec, self._summary)
 
     def _summary(self, record: Dict[str, Any]) -> Dict[str, Any]:
         doc = dict(record["result"])
-        result_fields(doc)
+        check_result(doc)
         for ref in doc["outputs"]:
             self.blobs.check(ref)
         return doc

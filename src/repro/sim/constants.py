@@ -19,5 +19,7 @@ ENGINE_KINDS = ("scalar", "batched")
 #: only aggregation records name an output -- the layer's output as the
 #: result holds it -- and a layer replays whole or not at all.  v4: one
 #: record per layer, under the aggregation signature; its nested
-#: combination part keeps no simulator state.
-TRACE_SCHEMA_VERSION = 4
+#: combination part keeps no simulator state.  v5: both parts' stats
+#: are stats documents, their ``partial_timeline`` stored as runs
+#: (:func:`repro.hymm.wire.encode_stats`).
+TRACE_SCHEMA_VERSION = 5

@@ -7,7 +7,9 @@ the aggregation's :class:`~repro.sim.stats.SimStats` delta, end-of-phase
 occupancy, complete post-phase simulator state (buffer arena, engine
 timelines, DRAM channel clock) and the layer's output, plus a nested
 ``"combination"`` part with only what closing that phase reads -- its
-stats delta, occupancy and ``drain`` cycle.  Any later run that reaches
+stats delta, occupancy and ``drain`` cycle.  Both stats deltas are
+stats documents (:func:`repro.hymm.wire.encode_stats`), their
+footprint timelines stored as runs.  Any later run that reaches
 the same layer *with the same pre-state* replays the record instead of
 simulating: merge the stats deltas, restore state.  A repeated job (a
 sweep re-run after its result records were dropped, a cache entry
@@ -72,12 +74,13 @@ import hashlib
 import json
 import logging
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gcn.model import GCNModel
 from repro.hymm.config import HyMMConfig
+from repro.hymm.wire import check_stats
 from repro.sim.constants import TRACE_SCHEMA_VERSION
 from repro.telemetry import get_logger, get_registry
 
@@ -152,6 +155,18 @@ def model_fingerprint(model: GCNModel) -> str:
     return h.hexdigest()
 
 
+def _stats_ok(record: Dict[str, Any]) -> bool:
+    """Both stats documents of a layer record pass
+    :func:`repro.hymm.wire.check_stats`, so the run loop's decode of
+    them cannot fail halfway through a replay."""
+    try:
+        check_stats(record["stats"])
+        check_stats(record["combination"]["stats"])
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 class TraceSession:
     """One run's view of the trace store: signature chain + counters.
 
@@ -216,8 +231,9 @@ class TraceSession:
         :data:`COMBINATION_REQUIRED_KEYS` key in its combination part,
         else ``None`` (simulate live).
 
-        Stale (older schema) and structurally incomplete records are
-        misses by design -- replay must fall back to live simulation on
+        Stale (older schema) and structurally incomplete records, and
+        records whose stats documents fail their checks, are misses by
+        design -- replay must fall back to live simulation on
         anything it cannot apply whole, since a partial restore would
         corrupt the simulator state the chained signature vouches for.
         A hit is not yet a replay: :meth:`lookup_layer` tallies it.
@@ -234,6 +250,8 @@ class TraceSession:
             and COMBINATION_REQUIRED_KEYS.issubset(record["combination"])
         ):
             miss = "incomplete"
+        elif not _stats_ok(record):
+            miss = "malformed-stats"
         else:
             return record
         if _log.isEnabledFor(logging.DEBUG):

@@ -282,18 +282,43 @@ class SimStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimStats":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``KeyError`` on a missing field and ``TypeError`` on a
+        counter that is not an ``int`` (a ``bool`` is not) or a per-tag
+        counter that is not a dict of ``str`` -> ``int``: every reader
+        of a stored result or trace checks its stats here.
+        """
         return cls(
-            cycles=data["cycles"],
-            busy_cycles=data["busy_cycles"],
-            dram_read_bytes=Counter(data["dram_read_bytes"]),
-            dram_write_bytes=Counter(data["dram_write_bytes"]),
-            buffer_hits=Counter(data["buffer_hits"]),
-            buffer_misses=Counter(data["buffer_misses"]),
-            lsq_forwards=data["lsq_forwards"],
-            partial_peak_bytes=data["partial_peak_bytes"],
-            partial_spill_bytes=data["partial_spill_bytes"],
-            partials_produced=data["partials_produced"],
-            requests_issued=data["requests_issued"],
+            cycles=_int(data, "cycles"),
+            busy_cycles=_int(data, "busy_cycles"),
+            dram_read_bytes=_tag_counter(data, "dram_read_bytes"),
+            dram_write_bytes=_tag_counter(data, "dram_write_bytes"),
+            buffer_hits=_tag_counter(data, "buffer_hits"),
+            buffer_misses=_tag_counter(data, "buffer_misses"),
+            lsq_forwards=_int(data, "lsq_forwards"),
+            partial_peak_bytes=_int(data, "partial_peak_bytes"),
+            partial_spill_bytes=_int(data, "partial_spill_bytes"),
+            partials_produced=_int(data, "partials_produced"),
+            requests_issued=_int(data, "requests_issued"),
             partial_timeline=[tuple(pair) for pair in data["partial_timeline"]],
         )
+
+
+def _int(data: Dict[str, Any], key: str) -> int:
+    """``data[key]``, which must be an ``int`` and not a ``bool``."""
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError(f"SimStats.{key} is {value!r}, not an int")
+    return value
+
+
+def _tag_counter(data: Dict[str, Any], key: str) -> Counter[str]:
+    """``data[key]`` as a Counter; it must be a dict of ``str`` ->
+    ``int`` (no ``bool`` values)."""
+    value = data[key]
+    if not isinstance(value, dict) or not all(
+        type(tag) is str and type(count) is int for tag, count in value.items()
+    ):
+        raise TypeError(f"SimStats.{key} is {value!r}, not a dict of str -> int")
+    return Counter(value)

@@ -202,25 +202,65 @@ class TestDocumentReader:
         assert store.get(ref).flags.writeable is False
 
 
+def _set_stats(key, value, where="stats"):
+    """A fault setting ``key`` of the result's stats (or of the phase
+    snapshot ``where``) to ``value``."""
+    def plant(doc):
+        stats = doc[where] if where == "stats" else doc["phase_snapshots"][where]
+        stats[key] = value
+    return plant
+
+
+#: Faults in a stored result that a field check catches.  The stats
+#: cases hold every counter to ``int`` (a ``bool`` is not one), every
+#: per-tag counter to a dict of ``str`` -> ``int``, and every timeline
+#: to runs ``[x, y, count]`` with ``count >= 1``.
+FIELD_FAULTS = {
+    "config": lambda doc: doc["config"].update(engine="warp-drive"),
+    "stats": lambda doc: doc["stats"].pop("busy_cycles"),
+    "phase-snapshot": lambda doc: doc["phase_snapshots"]["layer0.aggregation"].pop("cycles"),
+    **{
+        f"cycles-{name}": _set_stats("cycles", value)
+        for name, value in [
+            ("str", "7"), ("float", 7.5), ("null", None), ("list", [1]), ("bool", True),
+        ]
+    },
+    "snapshot-cycles-str": _set_stats("cycles", "7", "layer0.aggregation"),
+    **{
+        f"tags-{name}": _set_stats("dram_read_bytes", value)
+        for name, value in [
+            ("list", [["A", 1]]), ("float", {"A": 1.5}), ("bool", {"A": True}),
+            ("null", {"A": None}),
+        ]
+    },
+    **{
+        f"run-{name}": _set_stats("partial_timeline", value, where)
+        for where in ("stats", "layer0.aggregation")
+        for name, value in [
+            (f"count-0-{where}", [[0, 64, 0]]),
+            (f"float-{where}", [[0, 64.5, 1]]),
+            (f"arity-{where}", [[0, 64, 1, 1]]),
+            (f"pairs-{where}", [[0, 64], [64, 64]]),
+            (f"not-a-list-{where}", {"0": 64}),
+        ]
+    },
+}
+
+
 class TestFieldChecks:
-    @pytest.mark.parametrize("damage", ["config", "stats", "phase-snapshot"])
+    @pytest.mark.parametrize("damage", sorted(FIELD_FAULTS))
     def test_record_failing_a_field_check_is_corrupt(
         self, tmp_path, spec, result, damage
     ):
-        """Both readers apply ``HyMMConfig.from_dict`` and
-        ``SimStats.from_dict`` to the config, the stats and every phase
-        snapshot: a record failing one is evicted, never served."""
+        """Every reader applies ``HyMMConfig.from_dict`` and the stats
+        checks (``SimStats.from_dict`` and the timeline's runs) to the
+        config, the stats and every phase snapshot: a record failing
+        one is evicted, never served."""
         for reader in READERS:
             cache = ResultCache(tmp_path / reader)
             path = cache.store(spec, result.to_dict())
             with edited_record(path) as record:
-                doc = record["result"]
-                if damage == "config":
-                    doc["config"]["engine"] = "warp-drive"
-                elif damage == "stats":
-                    del doc["stats"]["busy_cycles"]
-                else:
-                    del doc["phase_snapshots"]["layer0.aggregation"]["cycles"]
+                FIELD_FAULTS[damage](record["result"])
             assert getattr(cache, reader)(spec) is None
             assert not path.exists()
             assert cache.corrupt == 1

@@ -90,6 +90,18 @@ def _combination_state(key):
     return plant
 
 
+def _pair_timeline(root):
+    """A result's stats holding its timeline as pairs, as before runs."""
+    with edited_record(_records(root)[0]) as record:
+        record["result"]["phase_snapshots"]["layer0.aggregation"][
+            "partial_timeline"] = [[64, 128], [128, 128]]
+
+
+def _malformed_trace_run(root):
+    with edited_record(_traces(root, ".aggregation")[0]) as record:
+        record["combination"]["stats"]["partial_timeline"] = [[64, 128, 0]]
+
+
 def _plain_json_record(root):
     path = _records(root)[0]
     path.write_text(json.dumps(read_record(path)), encoding="utf-8")
@@ -146,6 +158,8 @@ def _no_blob_dir(root):
     (_combination_state("engine"), "stores combination state ['engine']"),
     (_combination_state("dram_next_free"),
      "stores combination state ['dram_next_free']"),
+    (_pair_timeline, "phase_snapshots[layer0.aggregation] has no timeline of runs"),
+    (_malformed_trace_run, "combination.stats has no timeline of runs"),
     (_plain_json_record, "unreadable"),
     (_stray_npy, "blob outside"),
     (_raw_npy, "raw .npy file"),

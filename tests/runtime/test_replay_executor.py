@@ -196,17 +196,21 @@ class TestFallback:
         assert _canon(rerun) == _canon(baseline)
 
     def test_session_lookup_validates_schema_and_shape(self, tmp_path):
-        """Unit-level: ``lookup`` rejects wrong-schema and incomplete
-        records, a combination part included, and ``lookup_layer``
-        tallies both phases of a layer whose record applies."""
+        """Unit-level: ``lookup`` rejects wrong-schema, incomplete and
+        malformed-stats records, a combination part included, and
+        ``lookup_layer`` tallies both phases of a layer whose record
+        applies."""
         import numpy as np
 
+        from repro.hymm.wire import encode_stats
         from repro.sim.replay import TRACE_SCHEMA_VERSION
+        from repro.sim.stats import SimStats
 
         store = TraceStore(tmp_path)
         session = TraceSession(store)
         comb = dict.fromkeys(COMBINATION_REQUIRED_KEYS, 0)
         agg = dict.fromkeys(RECORD_REQUIRED_KEYS - {"combination"}, 0)
+        comb["stats"] = agg["stats"] = encode_stats(SimStats())
         agg["output"] = np.zeros((2, 2))
         session.record("a" * 64, "comb0", comb)
         assert session.recorded == []
@@ -229,4 +233,16 @@ class TestFallback:
         for part in (0, dict.fromkeys(COMBINATION_REQUIRED_KEYS - {"drain"}, 0)):
             store.store_trace("d" * 64, dict(layer, combination=part))
             assert session.lookup_layer("comb2", "d" * 64, "agg2") is None
+
+        # Stats a replay could not decode whole: a counter that is not
+        # an int, or a timeline that is not runs, in either part.
+        bad_cycles = dict(layer["stats"], cycles="7")
+        pairs = dict(layer["stats"], partial_timeline=[[64, 128]])
+        for bad in (
+            dict(layer, stats=bad_cycles),
+            dict(layer, stats=pairs),
+            dict(layer, combination=dict(layer["combination"], stats=pairs)),
+        ):
+            store.store_trace("e" * 64, bad)
+            assert session.lookup_layer("comb3", "e" * 64, "agg3") is None
         assert session.replayed == ["comb0", "agg0"]

@@ -18,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.runner import ALL_ACCELERATORS
 from repro.devtools.analyzer.core import Project
 from repro.devtools.analyzer.rules.wire_schema import reachable_wire_classes
 from repro.hymm.base import RunResult
 from repro.hymm.config import HyMMConfig
+from repro.hymm.wire import check_timeline, decode_timeline, encode_timeline
+from repro.runtime.execute import execute_job, execute_spec
 from repro.runtime.job import JobSpec
 from repro.sim.memory import DRAMConfig
 from repro.sim.stats import TRAFFIC_TAGS, SimStats
@@ -194,3 +197,65 @@ def test_jobspec_round_trip_property(dataset, kind, scale, n_layers, seed, sort_
     restored = through_json(original)
     assert restored == original
     assert restored.fingerprint() == original.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# The partial timeline's run codec (repro.hymm.wire).
+# ----------------------------------------------------------------------
+STRIDE = SimStats.PARTIAL_TIMELINE_STRIDE
+
+#: x values on and off the sampling grid, so runs both form and break.
+timeline_x = st.integers(-4, 64).map(lambda k: k * STRIDE) | st.integers()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(timeline_x, st.integers(-2, 2) | st.integers())))
+def test_timeline_runs_round_trip_property(pairs):
+    runs = encode_timeline(pairs)
+    check_timeline(runs)
+    assert decode_timeline(json.loads(json.dumps(runs))) == pairs
+
+
+@pytest.mark.parametrize("pairs,runs", [
+    ([], []),
+    ([(0, 5), (64, 5), (128, 5)], [[0, 5, 3]]),
+    # Equal footprints across a gap in x are two runs, not one.
+    ([(0, 5), (64, 5), (256, 5)], [[0, 5, 2], [256, 5, 1]]),
+    ([(64, 1), (128, 2), (192, 2), (193, 2)], [[64, 1, 1], [128, 2, 2], [193, 2, 1]]),
+])
+def test_timeline_runs(pairs, runs):
+    assert encode_timeline(pairs) == runs
+    assert decode_timeline(runs) == pairs
+
+
+@pytest.mark.parametrize("kind", ALL_ACCELERATORS)
+def test_every_kind_round_trips_its_stats(kind):
+    """The stats and phase snapshots a live run produces are what its
+    wire document decodes to, after a trip through JSON."""
+    live = execute_spec(JobSpec("cora", kind, 0.05, n_layers=2))
+    wire = json.loads(json.dumps(live.to_dict()))
+    for doc in (wire["stats"], *wire["phase_snapshots"].values()):
+        check_timeline(doc["partial_timeline"])
+    restored = RunResult.from_dict(wire)
+    assert restored.stats.to_dict() == live.stats.to_dict()
+    assert {p: s.to_dict() for p, s in restored.phase_snapshots.items()} == {
+        p: s.to_dict() for p, s in live.phase_snapshots.items()
+    }
+
+
+def test_replayed_op_tiled_stats_equal_live(tmp_path):
+    """A replay decodes both phases' stats documents of every layer
+    record back into the live run's counters and timeline."""
+    spec = JobSpec("cora", "op-tiled", 0.1, n_layers=2)
+    live = execute_spec(spec)
+    assert len(live.stats.partial_timeline) > 100
+    recorded = execute_job(spec, cache_dir=str(tmp_path))
+    replayed = execute_job(spec, cache_dir=str(tmp_path))
+    assert recorded["replay"]["replayed"] == 0
+    assert replayed["replay"] == {"replayed": 4, "recorded": 0}
+    for doc in (recorded, replayed):
+        result = RunResult.from_dict(doc)
+        assert result.stats.to_dict() == live.stats.to_dict()
+        assert {p: s.to_dict() for p, s in result.phase_snapshots.items()} == {
+            p: s.to_dict() for p, s in live.phase_snapshots.items()
+        }

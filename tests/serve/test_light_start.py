@@ -107,9 +107,12 @@ HIT_ONLY_SERVER = """
 
 class TestHitOnlyServer:
     def test_hits_load_neither_numpy_nor_the_simulator(self, tmp_path):
-        specs = [JobSpec("cora", kind, 0.05, n_layers=2) for kind in ("hymm", "op")]
+        specs = [
+            JobSpec("cora", kind, 0.05, n_layers=2)
+            for kind in ("hymm", "op", "op-tiled")
+        ]
         cache = ResultCache(tmp_path)
-        assert SweepExecutor(cache=cache).run(specs).manifest.executed == 2
+        assert SweepExecutor(cache=cache).run(specs).manifest.executed == 3
         report = run_python(
             HIT_ONLY_SERVER, str(tmp_path),
             json.dumps([s.to_dict() for s in specs]), json.dumps(HEAVY),
