@@ -100,7 +100,8 @@ def combination_rwp(
     mac_load_batch, store_batch = engine.mac_load_batch, engine.store_batch
     w_base = ctx.amap.w_addr(ctx.layer, 0, h)
     xw_base = ctx.amap.xw_addr(ctx.layer, 0, h)
-    weights32 = weights.astype(VALUE_DTYPE, copy=False)
+    # One float64 conversion per kernel call, gathered per row.
+    weights64 = weights.astype(VALUE_DTYPE, copy=False).astype(np.float64)
     line_offsets = np.arange(lpr, dtype=np.int64)
 
     for entry in ctx.smq.iter_csr(features):
@@ -109,7 +110,7 @@ def combination_rwp(
         mac_load_batch(_row_line_addrs(w_base, idx, lpr), CLASS_W, "W")
         if extra:
             mac_local(extra * idx.size)
-        xw[entry.pointer] = ctx.pe.rwp_row(entry.values, weights32[idx])
+        xw[entry.pointer] = ctx.pe.rwp_row(entry.values, weights64[idx])
         store_batch(xw_base + entry.pointer * lpr + line_offsets, CLASS_XW, "XW")
     return xw
 
@@ -141,8 +142,10 @@ def combination_dense(
     # Every row touches every weight line, in the same ascending order.
     w_addrs = w_base + np.arange(width_in * lpr_out, dtype=np.int64)
 
+    # Float32 operands, float64 accumulation, one rounding (the PE rule).
     xw = (
-        dense_in.astype(VALUE_DTYPE) @ weights.astype(VALUE_DTYPE)
+        dense_in.astype(VALUE_DTYPE, copy=False).astype(np.float64)
+        @ weights.astype(VALUE_DTYPE, copy=False).astype(np.float64)
     ).astype(VALUE_DTYPE)
     for i in range(n):
         load_batch(in_base + i * lpr_in + in_offsets, CLASS_XW, "H")
@@ -242,6 +245,8 @@ def aggregation_rwp(
     xw_base = ctx.amap.xw_addr(ctx.layer, 0, h)
     out_base = ctx.amap.out_addr(ctx.layer, 0, h)
     line_offsets = np.arange(lpr, dtype=np.int64)
+    # One float64 conversion per kernel call, gathered per row.
+    xw64 = xw.astype(VALUE_DTYPE, copy=False).astype(np.float64)
 
     for entry in ctx.smq.iter_csr(adj_csr, extra_pointers):
         stream(entry.stream_bytes, "A")
@@ -250,7 +255,7 @@ def aggregation_rwp(
         if extra:
             engine.mac_local(extra * idx.size)
         i = entry.pointer + row_offset
-        out[i] = ctx.pe.rwp_row(entry.values, xw[idx])
+        out[i] = ctx.pe.rwp_row(entry.values, xw64[idx])
         store_batch(
             out_base + i * lpr + line_offsets, CLASS_OUT, "AXW", allocate=False
         )

@@ -11,7 +11,14 @@ buffer bookkeeping:
   the PE stationary buffers while scalars from the sparse row stream by.
 * **OP mode** is input-stationary: the dense row of the current sparse
   column sits in the stationary buffers while partial products stream
-  out toward the DMB accumulator.
+  out toward the DMB accumulator (the OP kernels in
+  :mod:`repro.hymm.kernels` scatter-add them in float64).
+
+Both modes follow one arithmetic rule: float32 operands, products
+accumulated in float64 (where they are exact), and one rounding of each
+output element to float32.  So every dataflow computes the same bits,
+except where two float64 sums taken in different orders round to
+different float32 values, which is rare.
 """
 
 from __future__ import annotations
@@ -49,22 +56,12 @@ class PEArray:
 
         ``values`` are the row's non-zero scalars, ``dense_rows`` the
         matching dense rows (``nnz x width``); returns the finished
-        output row.
+        output row.  Callers pass ``dense_rows`` already in float64 (one
+        conversion per kernel call): the float32 products are exact in
+        float64, accumulate there, and round to float32 once -- the
+        same rule as every outer-product path.
         """
         if values.size == 0:
             return np.zeros(dense_rows.shape[1] if dense_rows.ndim == 2 else 0,
                             dtype=VALUE_DTYPE)
-        return (values.astype(VALUE_DTYPE) @ dense_rows.astype(VALUE_DTYPE)).astype(
-            VALUE_DTYPE
-        )
-
-    @staticmethod
-    def op_column(values: np.ndarray, dense_row: np.ndarray) -> np.ndarray:
-        """Input-stationary partial products of one sparse column.
-
-        Returns an ``nnz x width`` block of partial outputs, one per
-        non-zero, each destined for the output row the non-zero names.
-        """
-        return (
-            values.astype(VALUE_DTYPE)[:, None] * dense_row.astype(VALUE_DTYPE)[None, :]
-        ).astype(VALUE_DTYPE)
+        return (values.astype(np.float64) @ dense_rows).astype(VALUE_DTYPE)

@@ -90,16 +90,14 @@ def decode_timeline(runs: Any) -> List[Tuple[int, int]]:
 def encode_stats(stats: SimStats) -> Dict[str, Any]:
     """The stats document of ``stats``: ``stats.to_dict()`` with its
     timeline as runs."""
-    doc = stats.to_dict()
-    doc["partial_timeline"] = encode_timeline(stats.partial_timeline)
-    return doc
+    return stats.to_dict(partial_timeline=encode_timeline(stats.partial_timeline))
 
 
 def decode_stats(doc: Mapping[str, Any]) -> SimStats:
     """Inverse of :func:`encode_stats`: the runs expanded, every counter
     checked by :meth:`SimStats.from_dict`."""
     return SimStats.from_dict(
-        dict(doc, partial_timeline=decode_timeline(doc["partial_timeline"]))
+        doc, partial_timeline=decode_timeline(doc["partial_timeline"])
     )
 
 
@@ -108,7 +106,7 @@ def check_stats(doc: Mapping[str, Any]) -> SimStats:
     checked but not expanded; returns the counters with an empty
     timeline."""
     check_timeline(doc["partial_timeline"])
-    return SimStats.from_dict(dict(doc, partial_timeline=[]))
+    return SimStats.from_dict(doc, partial_timeline=[])
 
 
 def _fields(

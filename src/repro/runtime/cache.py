@@ -332,6 +332,11 @@ def _match(ref: Mapping[str, Any], name: str, shape: List[int]) -> None:
         raise ValueError(f"blob {ref['blob']} does not match its reference")
 
 
+#: Input bytes :func:`_blob_header` hands the decompressor at a time,
+#: so reading a header holds no copy of the rest of the file.
+_HEADER_SLICE = 1024
+
+
 def _blob_header(data: bytes) -> Tuple[str, List[int]]:
     """``(dtype name, shape)`` from the ``.npy`` header at the head of
     the blob file ``data``, inflating nothing after the header.
@@ -340,11 +345,18 @@ def _blob_header(data: bytes) -> Tuple[str, List[int]]:
     :meth:`BlobStore.put` writes.
     """
     inflate = zlib.decompressobj()
+    view = memoryview(data)
+    head, end, pos = b"", _NPY_PREFIX, 0
     try:
-        head = inflate.decompress(data, _NPY_PREFIX)
-        rest = _npy_header_end(head) - len(head)
-        if rest > 0:
-            head += inflate.decompress(inflate.unconsumed_tail, rest)
+        while len(head) < end:
+            chunk = inflate.unconsumed_tail
+            if not chunk:
+                if pos >= len(view):
+                    break
+                chunk, pos = view[pos:pos + _HEADER_SLICE], pos + _HEADER_SLICE
+            head += inflate.decompress(chunk, end - len(head))
+            if len(head) >= _NPY_PREFIX:
+                end = _npy_header_end(head)
     except zlib.error as exc:
         raise ValueError(f"blob does not inflate: {exc}") from None
     name, shape, _, _, _ = _npy_header(head)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: The declared traffic-tag vocabulary.  Every DRAM/buffer counter is
 #: keyed by one of these components, which is what makes the Fig. 11
@@ -263,8 +263,13 @@ class SimStats:
     # ------------------------------------------------------------------
     # Lossless serialisation (runtime result cache / cross-process)
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Every counter, round-trippable through :meth:`from_dict`."""
+    def to_dict(self, partial_timeline: Optional[List[Any]] = None) -> Dict[str, Any]:
+        """Every counter, round-trippable through :meth:`from_dict`.
+
+        ``partial_timeline``, when given, is stored as the document's
+        timeline in place of :attr:`partial_timeline` as pair lists
+        (the wire form's runs, :func:`repro.hymm.wire.encode_stats`).
+        """
         return {
             "cycles": self.cycles,
             "busy_cycles": self.busy_cycles,
@@ -277,12 +282,23 @@ class SimStats:
             "partial_spill_bytes": self.partial_spill_bytes,
             "partials_produced": self.partials_produced,
             "requests_issued": self.requests_issued,
-            "partial_timeline": [list(pair) for pair in self.partial_timeline],
+            "partial_timeline": (
+                [list(pair) for pair in self.partial_timeline]
+                if partial_timeline is None else partial_timeline
+            ),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SimStats":
+    def from_dict(
+        cls,
+        data: Mapping[str, Any],
+        partial_timeline: Optional[List[Tuple[int, int]]] = None,
+    ) -> "SimStats":
         """Inverse of :meth:`to_dict`.
+
+        ``partial_timeline``, when given, is the timeline as a list of
+        pairs, taken as it is; ``data``'s own is then not read (the
+        wire form decodes its runs, :func:`repro.hymm.wire.decode_stats`).
 
         Raises ``KeyError`` on a missing field and ``TypeError`` on a
         counter that is not an ``int`` (a ``bool`` is not) or a per-tag
@@ -301,11 +317,14 @@ class SimStats:
             partial_spill_bytes=_int(data, "partial_spill_bytes"),
             partials_produced=_int(data, "partials_produced"),
             requests_issued=_int(data, "requests_issued"),
-            partial_timeline=[tuple(pair) for pair in data["partial_timeline"]],
+            partial_timeline=(
+                [tuple(pair) for pair in data["partial_timeline"]]
+                if partial_timeline is None else partial_timeline
+            ),
         )
 
 
-def _int(data: Dict[str, Any], key: str) -> int:
+def _int(data: Mapping[str, Any], key: str) -> int:
     """``data[key]``, which must be an ``int`` and not a ``bool``."""
     value = data[key]
     if type(value) is not int:
@@ -313,7 +332,7 @@ def _int(data: Dict[str, Any], key: str) -> int:
     return value
 
 
-def _tag_counter(data: Dict[str, Any], key: str) -> Counter[str]:
+def _tag_counter(data: Mapping[str, Any], key: str) -> Counter[str]:
     """``data[key]`` as a Counter; it must be a dict of ``str`` ->
     ``int`` (no ``bool`` values)."""
     value = data[key]

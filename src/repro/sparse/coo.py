@@ -36,6 +36,10 @@ INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
 VALUE_DTYPE = np.float32
 #: Bytes per stored non-zero value (single precision, Table III).
 VALUE_BYTES = 4
+#: Non-zeros :meth:`COOMatrix.col_degrees` counts at a time.  A slice
+#: is never shorter than the column count, so the per-slice counts it
+#: adds up cost no more than the non-zeros themselves.
+_DEGREE_SLICE = 1 << 12
 
 
 def check_index_range(shape: Tuple[int, int], nnz: int) -> None:
@@ -263,12 +267,30 @@ class COOMatrix:
         )
 
     def row_degrees(self) -> np.ndarray:
-        """Non-zero count of every row (length ``shape[0]``)."""
-        return np.bincount(self.rows, minlength=self.shape[0]).astype(INDEX_DTYPE)
+        """Non-zero count of every row (length ``shape[0]``).
+
+        The canonical ``rows`` are sorted, so each row's run is found by
+        binary search; ``np.bincount`` would first copy every index to
+        8 bytes.
+        """
+        bounds = np.searchsorted(
+            self.rows, np.arange(self.shape[0] + 1, dtype=INDEX_DTYPE)
+        )
+        return np.diff(bounds).astype(INDEX_DTYPE)
 
     def col_degrees(self) -> np.ndarray:
-        """Non-zero count of every column (length ``shape[1]``)."""
-        return np.bincount(self.cols, minlength=self.shape[1]).astype(INDEX_DTYPE)
+        """Non-zero count of every column (length ``shape[1]``).
+
+        Counted a slice of ``cols`` at a time, so the 8-byte copy
+        ``np.bincount`` makes of its input spans one slice, not every
+        non-zero.
+        """
+        n_cols = self.shape[1]
+        step = max(_DEGREE_SLICE, n_cols)
+        counts = np.zeros(n_cols, dtype=np.intp)
+        for lo in range(0, self.nnz, step):
+            counts += np.bincount(self.cols[lo:lo + step], minlength=n_cols)
+        return counts.astype(INDEX_DTYPE)
 
     # ------------------------------------------------------------------
     # Comparison

@@ -1,5 +1,7 @@
 """SMQ stream accounting and the PE array's functional datapaths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,20 +82,18 @@ class TestPEArray:
             PEArray(0)
 
     def test_rwp_row_matches_dot(self, pe, rng):
+        """Float32 operands, products accumulated in float64 (where they
+        are exact), one rounding to float32: on these operands the
+        exactly rounded dot product."""
         vals = rng.random(5, dtype=np.float32)
         dense = rng.random((5, 16), dtype=np.float32)
-        np.testing.assert_allclose(
-            pe.rwp_row(vals, dense), vals @ dense, rtol=1e-5
-        )
+        out = pe.rwp_row(vals, dense.astype(np.float64))
+        exact = [math.fsum(vals.astype(np.float64) * dense[:, k]) for k in range(16)]
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.array(exact, dtype=np.float32))
 
     def test_rwp_empty_row(self, pe):
         out = pe.rwp_row(np.zeros(0, dtype=np.float32), np.zeros((0, 16), np.float32))
         assert out.shape == (16,)
         assert not out.any()
 
-    def test_op_column_outer_product(self, pe, rng):
-        vals = rng.random(4, dtype=np.float32)
-        row = rng.random(16, dtype=np.float32)
-        block = pe.op_column(vals, row)
-        assert block.shape == (4, 16)
-        np.testing.assert_allclose(block, np.outer(vals, row), rtol=1e-6)

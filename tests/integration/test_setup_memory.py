@@ -67,6 +67,17 @@ def test_prepare_peak(kind, traced):
     assert peak <= PEAK_RATIO * _csr_bytes(model.dataset.features)
 
 
+@pytest.mark.parametrize("axis", ["row", "col"])
+def test_degree_count_peak(axis, traced):
+    """Degree counts copy no index array: rows by binary search over
+    the sorted rows, columns by counting bounded slices (``np.bincount``
+    over every index widened each one to 8 bytes, twice the array)."""
+    adjacency = make_model("amazon-photo", 0.25, n_layers=2, seed=0).dataset.adjacency
+    count = getattr(adjacency, f"{axis}_degrees")
+    _, peak = _peak_above_current(count)
+    assert peak < adjacency.rows.nbytes / 3
+
+
 def test_fingerprint_peak(traced):
     model = make_model("amazon-photo", 0.25, n_layers=2, seed=0)
     adj, feats = model.norm_adj, model.dataset.features

@@ -409,6 +409,16 @@ def _stored_json(root):
     return list(root.rglob("*.json"))
 
 
+def _blob_names(doc):
+    """Every blob a stored JSON document names, at any depth."""
+    if isinstance(doc, dict):
+        names = {doc["blob"]} if "blob" in doc else set()
+        return names.union(*(_blob_names(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(_blob_names(v) for v in doc))
+    return set()
+
+
 class TestOutputBlobs:
     def test_record_names_its_outputs_by_content_hash(
         self, tmp_path, spec, result
@@ -560,6 +570,31 @@ class TestOutputBlobs:
         assert back.dtype == array.dtype and back.shape == array.shape
         assert back.tobytes() == array.tobytes()
 
+    def test_header_check_holds_no_copy_of_the_file(self, tmp_path):
+        """A summary hit's blob check inflates the ``.npy`` header from
+        bounded slices of the file: its traced peak stays far below the
+        file, however long the data after the header is (handing the
+        decompressor the whole file and re-feeding its unconsumed tail
+        peaked at about 2.4x the file)."""
+        import tracemalloc
+
+        from repro.runtime.cache import _blob_header
+
+        array = np.random.default_rng(0).standard_normal(100_000).astype(np.float32)
+        store = BlobStore(tmp_path)
+        data = store._path(store.put(array)["blob"]).read_bytes()
+        assert len(data) > 300_000
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert _blob_header(data) == ("float32", [100_000])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # zlib's 32 KiB window and state dominate what is left.
+        assert peak < 96 * 1024
+
     def test_round_trip_covers_every_npy_kind(self):
         assert {np.dtype(name).kind for name in BLOB_DTYPES} == set(_NPY_KINDS)
 
@@ -592,6 +627,25 @@ class TestOutputBlobs:
             p.parent.parent == tmp_path / "blobs"
             for p in tmp_path.rglob(f"*{BLOB_SUFFIX}")
         )
+
+    def test_every_dataflow_shares_the_output_blobs(self, tmp_path):
+        """The seven dataflows compute each layer's product with one
+        arithmetic rule: a 2-layer sweep of all seven on this workload
+        stores two blobs, and every result and trace record names only
+        them."""
+        from repro.bench.runner import ALL_ACCELERATORS
+        from repro.runtime import SweepExecutor
+
+        specs = [JobSpec("cora", kind, 0.3, n_layers=2) for kind in ALL_ACCELERATORS]
+        assert SweepExecutor(cache=ResultCache(tmp_path)).run(specs).manifest.executed == 7
+        blobs = {p.stem for p in _blob_files(tmp_path)}
+        assert len(blobs) == 2
+        records = _stored_json(tmp_path)
+        traces = [p for p in records if (tmp_path / "traces") in p.parents]
+        assert traces and len(records) - len(traces) == len(specs)
+        for path in records:
+            named = _blob_names(read_record(path))
+            assert named and named <= blobs, path
 
     def test_no_cache_writes_nothing(self, tmp_path, spec, result):
         """A sweep writes nothing outside its own store: no result,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import COOMatrix
-from repro.sparse.coo import INDEX_BYTES, VALUE_BYTES
+from repro.sparse.coo import INDEX_BYTES, INDEX_DTYPE, VALUE_BYTES
 
 
 class TestConstruction:
@@ -95,6 +95,27 @@ class TestDegrees:
     def test_degrees_sum_to_nnz(self, small_graph):
         assert small_graph.row_degrees().sum() == small_graph.nnz
         assert small_graph.col_degrees().sum() == small_graph.nnz
+
+    @pytest.mark.parametrize("shape", [(7, 3), (400, 1000), (300, 9000)])
+    def test_degrees_match_bincount(self, shape, rng):
+        """Over several column slices, empty rows and columns included,
+        both counts equal a whole-array ``np.bincount``."""
+        nnz = 20_000
+        m = COOMatrix(
+            shape,
+            rng.integers(0, shape[0], nnz),
+            rng.integers(0, shape[1] // 2 + 1, nnz),
+            np.ones(nnz, dtype=np.float32),
+        )
+        for got, index, n in ((m.row_degrees(), m.rows, shape[0]),
+                              (m.col_degrees(), m.cols, shape[1])):
+            assert got.dtype == INDEX_DTYPE
+            assert got.tolist() == np.bincount(index, minlength=n).tolist()
+
+    def test_degrees_of_an_empty_matrix(self):
+        m = COOMatrix((3, 0), [], [], [])
+        assert m.row_degrees().tolist() == [0, 0, 0]
+        assert m.col_degrees().tolist() == []
 
 
 class TestTransforms:
